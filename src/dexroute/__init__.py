@@ -22,22 +22,11 @@ from .markets import (
     Curve2Market,
     GenericSwapMarket,
     GeomMeanMarket,
-    active_interval,
-    find_arb,
-    find_arb_aggregate,
-    find_arb_generic,
     no_trade,
     swap,
     update_liquidity,
 )
-from .objectives import (
-    BasketLiquidation,
-    TotalArbitrage,
-    bounds,
-    conjugate,
-    conjugate_gradient,
-    recover_primal,
-)
+from .objectives import BasketLiquidation, TotalArbitrage
 from .solver import RoutingSolution, SolverConfig, eval_dual, initial_point, solve
 
 __version__ = "0.1.0"

@@ -1,18 +1,14 @@
-"""Command-line front end: route, gen, bench."""
+"""Command-line front end: route, gen."""
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
-import statistics
 import sys
-import time
 
 import numpy as np
 
-from . import generate, oracle
+from . import generate
 from .core import dumps_snapshot, load_snapshot
 from .errors import ConfigurationError, DexRouteError, UnboundedError
 from .objectives import BasketLiquidation, TotalArbitrage
@@ -72,11 +68,7 @@ def cmd_route(args) -> int:
             if args.basket is None or args.out_token is None:
                 raise ConfigurationError("liquidate objective needs --basket and --out-token")
             obj = BasketLiquidation(_parse_vec(args.basket), args.out_token)
-        cfg = SolverConfig(
-            max_iterations=args.max_iter,
-            gradient_tolerance=args.tol,
-            parallel=args.parallel,
-        )
+        cfg = SolverConfig(max_iterations=args.max_iter, gradient_tolerance=args.tol)
     except (OSError, ValueError, json.JSONDecodeError, DexRouteError) as e:
         _fail(EXIT_PARSE, str(e))
     try:
@@ -96,63 +88,6 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _bench_aggregate(s: int, reps: int = 5) -> tuple[float, float]:
-    market = generate.make_ladder(s, seed=7)
-    nu = np.array([1.3, 1.0])
-    market.find_arb(nu)  # warm caches
-    trick = min(
-        _time_it(lambda: market.find_arb(nu), max(1, 1000 // s + 1)) for _ in range(reps)
-    )
-    naive = min(
-        _time_it(lambda: oracle.naive_aggregate_arb(market, nu), 1) for _ in range(reps)
-    )
-    return trick * 1e6, naive * 1e6
-
-
-def _time_it(fn, inner: int) -> float:
-    t0 = time.perf_counter()
-    for _ in range(inner):
-        fn()
-    return (time.perf_counter() - t0) / inner
-
-
-def cmd_bench(args) -> int:
-    m_list = [int(x) for x in args.m_list.split(",")]
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["m", "n", "median_solve_ms", "dual_value", "oracle_gap"])
-    for m in m_list:
-        snapshot = generate.generate_snapshot(m, args.seed)
-        obj = TotalArbitrage(snapshot.prices)
-        times = []
-        sol = None
-        for _ in range(args.reps):
-            snapshot.invalidate()
-            sol = solve(snapshot, obj)
-            times.append(sol.wall_time * 1000.0)
-        gap = ""
-        if args.oracle and m <= 10 and snapshot.n <= 6:
-            ref = oracle.primal_projected_gradient(snapshot, obj)
-            gap = f"{abs(sol.utility - ref.utility) / max(1.0, abs(sol.utility)):.3e}"
-        writer.writerow([m, snapshot.n, f"{statistics.median(times):.3f}",
-                         f"{sol.dual_value:.6f}", gap])
-        print(f"bench m={m} n={snapshot.n} median={statistics.median(times):.1f}ms "
-              f"dual={sol.dual_value:.4f} converged={sol.converged}", file=sys.stderr)
-    _write(buf.getvalue(), args.out)
-
-    agg_path = (args.out + ".agg.csv") if args.out else None
-    abuf = io.StringIO()
-    awriter = csv.writer(abuf)
-    awriter.writerow(["s", "trick_us", "naive_us", "speedup"])
-    for s in (10, 100, 1000):
-        trick_us, naive_us = _bench_aggregate(s)
-        awriter.writerow([s, f"{trick_us:.2f}", f"{naive_us:.2f}", f"{naive_us / trick_us:.1f}"])
-        print(f"aggregate s={s}: trick {trick_us:.1f}us vs naive {naive_us:.1f}us",
-              file=sys.stderr)
-    _write(abuf.getvalue(), agg_path)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dexroute",
                                      description="Optimal trade routing across CFMM networks")
@@ -166,7 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-token", type=int)
     p.add_argument("--max-iter", type=int, default=200)
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--parallel", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_route)
 
@@ -176,14 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fee", type=float, default=0.997)
     p.add_argument("--out")
     p.set_defaults(func=cmd_gen)
-
-    p = sub.add_parser("bench", help="benchmark solve times over an m sweep")
-    p.add_argument("--m-list", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--oracle", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_bench)
     return parser
 
 

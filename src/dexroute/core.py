@@ -8,7 +8,7 @@ local assets); no selection matrix is ever materialized.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,7 +123,6 @@ class MarketSnapshot:
     markets: list
     generator: str | None = None
     prices: np.ndarray | None = None
-    _compiled: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.universe.n
@@ -142,10 +141,6 @@ class MarketSnapshot:
     @property
     def m(self) -> int:
         return len(self.markets)
-
-    def invalidate(self):
-        """Drop caches after a market mutation (swap / liquidity update)."""
-        self._compiled = None
 
 
 def net_trade(snapshot: MarketSnapshot, trades: list[Trade]) -> NetworkTrade:

@@ -2,10 +2,7 @@
 
 The dual evaluation calls the per-market arbitrage solve for every market at
 every iteration; for the two closed-form market types the solve is batched
-over struct-of-arrays market data.  Two interchangeable implementations are
-provided: a numba @njit loop and a pure-numpy vectorized fallback.  Selection
-is via the DEXROUTE_BACKEND environment variable ("numba" or "numpy");
-default is numba when importable.
+over struct-of-arrays market data with vectorized numpy.
 
 All kernels return (tendered1, received2, tendered2, received1, objective)
 arrays: direction 1 tenders asset 1 and receives asset 2.
@@ -13,29 +10,16 @@ arrays: direction 1 tenders asset 1 and receives asset 2.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-BACKEND = os.environ.get("DEXROUTE_BACKEND", "numba" if HAVE_NUMBA else "numpy")
-if BACKEND not in ("numba", "numpy"):
-    raise ValueError(f"DEXROUTE_BACKEND must be 'numba' or 'numpy', got {BACKEND!r}")
-if BACKEND == "numba" and not HAVE_NUMBA:
-    raise ImportError("DEXROUTE_BACKEND=numba but numba is not importable")
+BACKEND = "numpy"
 
 
 # ---------------------------------------------------------------------------
 # Geometric mean markets
 # ---------------------------------------------------------------------------
 
-def gmean_arb_numpy(r1, r2, w1, w2, fee, nu1, nu2):
+def gmean_arb_batch(r1, r2, w1, w2, fee, nu1, nu2):
     eta1 = w1 / w2
     eta2 = w2 / w1
     p = nu1 / nu2
@@ -76,41 +60,11 @@ def gmean_arb_numpy(r1, r2, w1, w2, fee, nu1, nu2):
     return t1, o2, t2, o1, obj
 
 
-def _gmean_arb_loop(r1, r2, w1, w2, fee, nu1, nu2, t1, o2, t2, o1, obj):
-    m = r1.shape[0]
-    for i in range(m):
-        eta1 = w1[i] / w2[i]
-        p = nu1[i] / nu2[i]
-        bid = fee[i] * eta1 * r2[i] / r1[i]
-        ask = eta1 * r2[i] / (fee[i] * r1[i])
-        if p < bid:
-            ratio = eta1 * fee[i] * nu2[i] * r2[i] / (nu1[i] * r1[i])
-            d = r1[i] / fee[i] * (ratio ** (1.0 / (eta1 + 1.0)) - 1.0)
-            if d > 0.0:
-                lam = r2[i] * (1.0 - (1.0 + fee[i] * d / r1[i]) ** (-eta1))
-                val = nu2[i] * lam - nu1[i] * d
-                if val > 0.0:
-                    t1[i] = d
-                    o2[i] = lam
-                    obj[i] = val
-        elif p > ask:
-            eta2 = w2[i] / w1[i]
-            ratio = eta2 * fee[i] * nu1[i] * r1[i] / (nu2[i] * r2[i])
-            d = r2[i] / fee[i] * (ratio ** (1.0 / (eta2 + 1.0)) - 1.0)
-            if d > 0.0:
-                lam = r1[i] * (1.0 - (1.0 + fee[i] * d / r2[i]) ** (-eta2))
-                val = nu1[i] * lam - nu2[i] * d
-                if val > 0.0:
-                    t2[i] = d
-                    o1[i] = lam
-                    obj[i] = val
-
-
 # ---------------------------------------------------------------------------
 # Bounded-liquidity product segments
 # ---------------------------------------------------------------------------
 
-def bounded_arb_numpy(r1, r2, alpha, beta, fee, nu1, nu2):
+def bounded_arb_batch(r1, r2, alpha, beta, fee, nu1, nu2):
     v1 = r1 + alpha
     v2 = r2 + beta
     k = v1 * v2
@@ -157,68 +111,3 @@ def bounded_arb_numpy(r1, r2, alpha, beta, fee, nu1, nu2):
 
     obj = np.maximum(nu1 * (o1 - t1) + nu2 * (o2 - t2), 0.0)
     return t1, o2, t2, o1, obj
-
-
-def _bounded_arb_loop(r1, r2, alpha, beta, fee, nu1, nu2, t1, o2, t2, o1, obj):
-    m = r1.shape[0]
-    for i in range(m):
-        v1 = r1[i] + alpha[i]
-        v2 = r2[i] + beta[i]
-        k = v1 * v2
-        g = fee[i]
-        p = nu1[i] / nu2[i]
-        lo = 0.0 if beta[i] == 0.0 else g * beta[i] * beta[i] / k
-        hi = np.inf if alpha[i] == 0.0 else k / (g * alpha[i] * alpha[i])
-        if p <= lo:
-            t1[i] = 0.0 if r2[i] == 0.0 else r2[i] * v1 / (g * beta[i])
-            o2[i] = r2[i]
-        elif p >= hi:
-            t2[i] = 0.0 if r1[i] == 0.0 else r1[i] * v2 / (g * alpha[i])
-            o1[i] = r1[i]
-        else:
-            bid = 0.0 if r2[i] == 0.0 else g * v2 / v1
-            ask = np.inf if r1[i] == 0.0 else v2 / (g * v1)
-            if p < bid:
-                d = (np.sqrt(g * k * nu2[i] / nu1[i]) - v1) / g
-                if d > 0.0:
-                    lam = min(r2[i], g * d * v2 / (v1 + g * d))
-                    if nu2[i] * lam - nu1[i] * d > 0.0:
-                        t1[i] = d
-                        o2[i] = lam
-            elif p > ask:
-                d = (np.sqrt(g * k * nu1[i] / nu2[i]) - v2) / g
-                if d > 0.0:
-                    lam = min(r1[i], g * d * v1 / (v2 + g * d))
-                    if nu1[i] * lam - nu2[i] * d > 0.0:
-                        t2[i] = d
-                        o1[i] = lam
-        val = nu1[i] * (o1[i] - t1[i]) + nu2[i] * (o2[i] - t2[i])
-        obj[i] = val if val > 0.0 else 0.0
-
-
-if HAVE_NUMBA:
-    _gmean_arb_jit = numba.njit(cache=True)(_gmean_arb_loop)
-    _bounded_arb_jit = numba.njit(cache=True)(_bounded_arb_loop)
-
-
-def _run_loop(loop, args):
-    m = args[0].shape[0]
-    out = tuple(np.zeros(m) for _ in range(5))
-    loop(*args, *out)
-    return out
-
-
-def gmean_arb_numba(r1, r2, w1, w2, fee, nu1, nu2):
-    return _run_loop(_gmean_arb_jit, (r1, r2, w1, w2, fee, nu1, nu2))
-
-
-def bounded_arb_numba(r1, r2, alpha, beta, fee, nu1, nu2):
-    return _run_loop(_bounded_arb_jit, (r1, r2, alpha, beta, fee, nu1, nu2))
-
-
-if BACKEND == "numba":
-    gmean_arb_batch = gmean_arb_numba
-    bounded_arb_batch = bounded_arb_numba
-else:
-    gmean_arb_batch = gmean_arb_numpy
-    bounded_arb_batch = bounded_arb_numpy

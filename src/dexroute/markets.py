@@ -433,20 +433,20 @@ class AggregateMarket:
         total_cap = fills.sum()
         if total_in > total_cap * (1.0 + 1e-9):
             raise RejectedTradeError("trade exceeds aggregate liquidity")
-        total_out = 0.0
-        for seg, d in zip(self.segments, fills):
-            if d <= 0.0:
-                continue
-            lam = seg.forward_exchange(d, direction)
-            local = (np.array([d, 0.0]), np.array([0.0, lam]))
-            seg.apply_trade(Trade(*local) if direction == 1 else Trade(local[0][::-1], local[1][::-1]))
-            total_out += lam
+        # every check runs before the first segment changes, so a rejected
+        # trade leaves the aggregate as it was
+        outs = [seg.forward_exchange(d, direction) for seg, d in zip(self.segments, fills)]
+        total_out = sum(outs)
         out_index = 1 if direction == 1 else 0
         if trade.received[out_index] > total_out * (1.0 + _SWAP_RTOL) + 1e-12:
-            # roll back is not attempted; caller sees the inconsistency
             raise RejectedTradeError(
                 f"requested output {trade.received[out_index]} exceeds fill {total_out}"
             )
+        for seg, d, lam in zip(self.segments, fills, outs):
+            if d <= 0.0:
+                continue
+            local = (np.array([d, 0.0]), np.array([0.0, lam]))
+            seg.apply_trade(Trade(*local) if direction == 1 else Trade(local[0][::-1], local[1][::-1]))
         self._rebuild()
 
     def add_liquidity(self, amounts, price_range: tuple[float, float]):
@@ -653,32 +653,11 @@ class Curve2Market(GenericSwapMarket):
 # Module-level operations
 # ---------------------------------------------------------------------------
 
-def find_arb(market, nu) -> ArbResult:
-    """Maximize nu.(received - tendered) over the market's trading set."""
-    return market.find_arb(nu)
-
-
-def find_arb_aggregate(market: AggregateMarket, nu) -> ArbResult:
-    if not isinstance(market, AggregateMarket):
-        raise TypeError("expected an AggregateMarket")
-    return market.find_arb(nu)
-
-
-def find_arb_generic(market: GenericSwapMarket, nu) -> ArbResult:
-    if not isinstance(market, GenericSwapMarket):
-        raise TypeError("expected a GenericSwapMarket")
-    return market.find_arb(nu)
-
-
 def no_trade(market, nu) -> bool:
     """True iff the zero trade is optimal at these local prices."""
     nu1, nu2 = _check_prices(nu)
     bid, ask = market.spread()
     return bid <= nu1 / nu2 <= ask
-
-
-def active_interval(segment: BoundedProductSegment) -> tuple[float, float]:
-    return segment.active_interval()
 
 
 def swap(market, trade: Trade):

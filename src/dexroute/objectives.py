@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MarketSnapshot, NetworkTrade, Trade, net_trade
 from .errors import ConfigurationError, DomainError
 
 # Strictly positive floor on dual variables whose natural bound is zero;
@@ -112,24 +111,6 @@ class BasketLiquidation:
 
 
 Objective = TotalArbitrage | BasketLiquidation
-
-
-def conjugate(obj: Objective, nu) -> float:
-    return obj.conjugate(np.asarray(nu, dtype=float))
-
-
-def conjugate_gradient(obj: Objective, nu) -> np.ndarray:
-    return obj.conjugate_gradient(np.asarray(nu, dtype=float))
-
-
-def bounds(obj: Objective) -> tuple[np.ndarray, np.ndarray]:
-    return obj.bounds()
-
-
-def recover_primal(obj: Objective, nu, trades: list[Trade], snapshot: MarketSnapshot) -> NetworkTrade:
-    """Build the network trade from the subproblem solutions; the coupling
-    constraint then holds exactly by construction."""
-    return net_trade(snapshot, trades)
 
 
 def objective_from_dict(doc: dict, n: int) -> Objective:

@@ -3,18 +3,16 @@
 The dual function g(nu) = conj(nu) + sum_i arb_i(gather_i(nu)) is minimized
 over the objective's box with L-BFGS-B; its gradient is the (sub)gradient
 conj_grad(nu) + sum_i scatter_i(trade_i), which is exactly the coupling
-residual.  At the minimizer the per-market trades are re-solved and summed
-into the network trade, so the recovered primal satisfies the coupling
+residual.  The per-market trades of the final evaluation at the minimizer are
+summed into the network trade, so the recovered primal satisfies the coupling
 constraint by construction.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -33,7 +31,6 @@ class SolverConfig:
     max_iterations: int = 200
     gradient_tolerance: float | None = None  # default: 1e-8 * max(1, |nu0|_inf)
     memory: int = 10
-    parallel: bool = False
 
     def __post_init__(self):
         if self.max_iterations <= 0 or self.memory <= 0:
@@ -66,8 +63,6 @@ class _Compiled:
 
 
 def _compile(snapshot: MarketSnapshot) -> _Compiled:
-    if snapshot._compiled is not None:
-        return snapshot._compiled
     gm_rows, bp_rows, other, order = [], [], [], []
     for i, mkt in enumerate(snapshot.markets):
         if isinstance(mkt, GeomMeanMarket):
@@ -101,9 +96,7 @@ def _compile(snapshot: MarketSnapshot) -> _Compiled:
         "alpha": np.array([m.alpha for m in rows]),
         "beta": np.array([m.beta for m in rows]),
     })
-    compiled = _Compiled(gm, bp, other, order)
-    snapshot._compiled = compiled
-    return compiled
+    return _Compiled(gm, bp, other, order)
 
 
 def _solve_other(item, nu):
@@ -114,13 +107,7 @@ def _solve_other(item, nu):
         raise UnboundedError(f"market {idx}: {e}") from e
 
 
-def _worker_count(n_tasks: int) -> int:
-    cap = os.environ.get("ROUTER_THREADS")
-    cap = int(cap) if cap else (os.cpu_count() or 1)
-    return max(1, min(cap, n_tasks))
-
-
-def _eval(snapshot, obj, nu, compiled, parallel, want_trades=False):
+def _eval(snapshot, obj, nu, compiled, want_trades=False):
     g = obj.conjugate(nu)
     grad = obj.conjugate_gradient(nu).copy()
     n = snapshot.n
@@ -145,16 +132,10 @@ def _eval(snapshot, obj, nu, compiled, parallel, want_trades=False):
         grad += np.bincount(data["i2"], weights=o2 - t2, minlength=n)
         batch_results[name] = (t1, o2, t2, o1, objv)
 
-    other_results: list[ArbResult] = []
-    if compiled.other:
-        if parallel and len(compiled.other) > 1:
-            with ThreadPoolExecutor(_worker_count(len(compiled.other))) as pool:
-                other_results = list(pool.map(lambda it: _solve_other(it, nu), compiled.other))
-        else:
-            other_results = [_solve_other(it, nu) for it in compiled.other]
-        for (idx, mkt), res in zip(compiled.other, other_results):
-            g += res.objective_value
-            grad += scatter(mkt.token_map, res.trade.signed, n)
+    other_results: list[ArbResult] = [_solve_other(it, nu) for it in compiled.other]
+    for (idx, mkt), res in zip(compiled.other, other_results):
+        g += res.objective_value
+        grad += scatter(mkt.token_map, res.trade.signed, n)
 
     trades = None
     if want_trades:
@@ -170,11 +151,10 @@ def _eval(snapshot, obj, nu, compiled, parallel, want_trades=False):
     return g, grad, trades
 
 
-def eval_dual(snapshot: MarketSnapshot, obj: Objective, nu, parallel: bool = False):
+def eval_dual(snapshot: MarketSnapshot, obj: Objective, nu):
     """Evaluate the dual function, its gradient, and the per-market trades."""
     nu = np.asarray(nu, dtype=float)
-    compiled = _compile(snapshot)
-    return _eval(snapshot, obj, nu, compiled, parallel, want_trades=True)
+    return _eval(snapshot, obj, nu, _compile(snapshot), want_trades=True)
 
 
 def _mid_spot(market) -> float | None:
@@ -221,7 +201,7 @@ def _projected_grad_norm(nu, grad, lower) -> float:
     return float(np.abs(pg).max(initial=0.0))
 
 
-def _newton_polish(snapshot, obj, nu, lower, compiled, parallel, tol, max_rounds=15):
+def _newton_polish(snapshot, obj, nu, lower, compiled, tol, max_rounds=15):
     """Drive the projected gradient below tol by Newton steps on the free set.
 
     The quasi-Newton phase is limited by round-off in the dual *value*; the
@@ -231,7 +211,7 @@ def _newton_polish(snapshot, obj, nu, lower, compiled, parallel, tol, max_rounds
     n = nu.shape[0]
     evals = 0
     for _ in range(max_rounds):
-        g, grad, _ = _eval(snapshot, obj, nu, compiled, parallel)
+        g, grad, _ = _eval(snapshot, obj, nu, compiled)
         evals += 1
         pg = _projected_grad_norm(nu, grad, lower)
         if pg <= tol:
@@ -246,8 +226,8 @@ def _newton_polish(snapshot, obj, nu, lower, compiled, parallel, tol, max_rounds
             h = 1e-6 * max(1.0, abs(nu[j]))
             e = np.zeros(n)
             e[j] = h
-            gp = _eval(snapshot, obj, nu + e, compiled, parallel)[1]
-            gm_ = _eval(snapshot, obj, np.maximum(nu - e, lower), compiled, parallel)[1]
+            gp = _eval(snapshot, obj, nu + e, compiled)[1]
+            gm_ = _eval(snapshot, obj, np.maximum(nu - e, lower), compiled)[1]
             evals += 2
             hess[:, col] = (gp[idx] - gm_[idx]) / (h + nu[j] - max(nu[j] - h, lower[j]))
         hess = 0.5 * (hess + hess.T)
@@ -261,7 +241,7 @@ def _newton_polish(snapshot, obj, nu, lower, compiled, parallel, tol, max_rounds
         for _ in range(20):
             cand = nu.copy()
             cand[idx] = np.maximum(nu[idx] + scale_step * step, lower[idx])
-            _, grad_c, _ = _eval(snapshot, obj, cand, compiled, parallel)
+            _, grad_c, _ = _eval(snapshot, obj, cand, compiled)
             evals += 1
             if _projected_grad_norm(cand, grad_c, lower) < pg:
                 nu, improved = cand, True
@@ -285,7 +265,7 @@ def solve(snapshot: MarketSnapshot, obj: Objective, config: SolverConfig | None 
         tol = 1e-8 * max(1.0, float(np.abs(nu).max(initial=0.0)))
 
     def fun(x):
-        g, grad, _ = _eval(snapshot, obj, x, compiled, cfg.parallel)
+        g, grad, _ = _eval(snapshot, obj, x, compiled)
         return g, grad
 
     iterations = 0
@@ -311,7 +291,7 @@ def solve(snapshot: MarketSnapshot, obj: Objective, config: SolverConfig | None 
         step, moved = 1.0 / max(1.0, float(np.abs(grad).max())), False
         for _ in range(40):
             cand = np.maximum(nu - step * grad, lower)
-            g_cand, _, _ = _eval(snapshot, obj, cand, compiled, cfg.parallel)
+            g_cand, _, _ = _eval(snapshot, obj, cand, compiled)
             if g_cand < g:
                 nu, moved = cand, True
                 break
@@ -321,20 +301,15 @@ def solve(snapshot: MarketSnapshot, obj: Objective, config: SolverConfig | None 
             converged = _projected_grad_norm(nu, grad, lower) <= tol
             break
 
-    g, grad, _ = _eval(snapshot, obj, nu, compiled, cfg.parallel)
-    residual = _projected_grad_norm(nu, grad, lower)
-    if residual > tol:
-        # quasi-Newton progress bottoms out at the round-off level of the
-        # dual value; polish on the accurate analytic gradient instead
-        nu, _ = _newton_polish(snapshot, obj, nu, lower, compiled, cfg.parallel, tol)
-        g, grad, _ = _eval(snapshot, obj, nu, compiled, cfg.parallel)
-        residual = _projected_grad_norm(nu, grad, lower)
-    converged = converged or residual <= tol
+    # quasi-Newton progress bottoms out at the round-off level of the dual
+    # value; polish on the accurate analytic gradient (no step when nu
+    # already meets the tolerance)
+    nu, _ = _newton_polish(snapshot, obj, nu, lower, compiled, tol)
 
-    # recover the primal from the subproblem solutions (scalar path)
-    trades = [mkt.find_arb(gather(mkt.token_map, nu)) for mkt in snapshot.markets]
-    dual_value = obj.conjugate(nu) + sum(r.objective_value for r in trades)
-    trades = [r.trade for r in trades]
+    # the subproblem solutions at the final nu are the primal routing
+    dual_value, grad, trades = _eval(snapshot, obj, nu, compiled, want_trades=True)
+    residual = _projected_grad_norm(nu, grad, lower)
+    converged = converged or residual <= tol
     psi = net_trade(snapshot, trades)
     utility = obj.utility(psi.psi)
     return RoutingSolution(

@@ -255,7 +255,6 @@ def test_8_no_trade_completeness():
         c = base * (1.0 + rng.uniform(-0.003, 0.003, 3)) if trial else base.copy()
         for mkt in markets:
             assert dx.no_trade(mkt, dx.gather(mkt.token_map, c))
-        snap.invalidate()
         sol = dx.solve(snap, dx.TotalArbitrage(c))
         assert sol.converged
         assert sol.iterations <= 2, f"trial {trial}: {sol.iterations} iterations"

@@ -28,7 +28,7 @@ class TestEquivalence:
     def test_matches_naive_per_segment_sum(self, s, p):
         market = _ladder(s, seed=s)
         nu = np.array([p, 1.0])
-        fast = dx.find_arb_aggregate(market, nu)
+        fast = market.find_arb(nu)
         ref = oracle.naive_aggregate_arb(market, nu)
         scale = max(1.0, abs(ref.objective_value))
         assert _max_err(fast, ref) <= 1e-9 * scale
@@ -47,7 +47,7 @@ class TestEquivalence:
     def test_random_ladders_and_prices(self, seed, p):
         market = _ladder(7, seed=seed)
         nu = np.array([p, 1.0])
-        fast = dx.find_arb_aggregate(market, nu)
+        fast = market.find_arb(nu)
         ref = oracle.naive_aggregate_arb(market, nu)
         scale = max(1.0, abs(ref.objective_value))
         assert _max_err(fast, ref) <= 1e-9 * scale
@@ -109,6 +109,17 @@ class TestSwapAndLiquidity:
         cap = sum(s.reserves[1] for s in market.segments)
         with pytest.raises(RejectedTradeError):
             market.apply_trade(dx.Trade(np.array([1.0, 0.0]), np.array([0.0, cap * 2])))
+
+    def test_rejected_swap_leaves_market_unchanged(self):
+        market = generate.make_ladder(50, seed=4)
+        d = 0.3 * sum(s.reserves[0] for s in market.segments)
+        probe = generate.make_ladder(50, seed=4)
+        probe.apply_trade(dx.Trade(np.array([d, 0.0]), np.zeros(2)))
+        fill = sum(s.reserves[1] for s in market.segments) - sum(s.reserves[1] for s in probe.segments)
+        before = market.to_dict()
+        with pytest.raises(RejectedTradeError):
+            dx.swap(market, dx.Trade(np.array([d, 0.0]), np.array([0.0, fill * (1 + 1e-4)])))
+        assert market.to_dict() == before
 
     def test_two_sided_tender_rejected(self):
         market = _ladder(3, seed=5)

@@ -124,23 +124,3 @@ class TestRoute:
         assert code == 2
         doc = json.loads(out.read_text())  # partial result still written
         assert doc["converged"] is False
-
-
-class TestBench:
-    def test_bench_writes_csv(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        code = run(["bench", "--m-list", "4,8", "--seed", "0", "--reps", "1",
-                    "--out", str(out)])
-        assert code == 0
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "m,n,median_solve_ms,dual_value,oracle_gap"
-        assert len(lines) == 3
-        agg = (tmp_path / "bench.csv.agg.csv").read_text().strip().splitlines()
-        assert agg[0] == "s,trick_us,naive_us,speedup"
-
-    def test_bench_oracle_gap_populated_small(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        run(["bench", "--m-list", "4", "--seed", "0", "--reps", "1",
-             "--oracle", "--out", str(out)])
-        row = out.read_text().strip().splitlines()[1].split(",")
-        assert float(row[4]) < 1e-3

@@ -1,5 +1,4 @@
-"""The batched kernels must agree with the scalar per-market path, and the
-numba and numpy implementations must agree with each other."""
+"""The batched kernels must agree with the scalar per-market path."""
 
 import numpy as np
 import pytest
@@ -35,7 +34,7 @@ class TestAgainstScalarPath:
     def test_gmean_batch_matches_find_arb(self):
         rng = np.random.default_rng(1)
         b = _random_gmean_batch(rng, 300)
-        t1, o2, t2, o1, obj = kernels.gmean_arb_numpy(
+        t1, o2, t2, o1, obj = kernels.gmean_arb_batch(
             b["r1"], b["r2"], b["w1"], 1.0 - b["w1"], b["fee"], b["nu1"], b["nu2"]
         )
         for i in range(300):
@@ -58,7 +57,7 @@ class TestAgainstScalarPath:
         keep = (b["r1"] + b["alpha"] > 1e-9) & (b["r2"] + b["beta"] > 1e-9)
         for key in b:
             b[key] = b[key][keep]
-        t1, o2, t2, o1, obj = kernels.bounded_arb_numpy(
+        t1, o2, t2, o1, obj = kernels.bounded_arb_batch(
             b["r1"], b["r2"], b["alpha"], b["beta"], b["fee"], b["nu1"], b["nu2"]
         )
         for i in range(len(b["r1"])):
@@ -74,43 +73,3 @@ class TestAgainstScalarPath:
             assert t2[i] == pytest.approx(res.trade.tendered[1], rel=1e-12, abs=1e-12)
             assert o1[i] == pytest.approx(res.trade.received[0], rel=1e-12, abs=1e-12)
             assert o2[i] == pytest.approx(res.trade.received[1], rel=1e-12, abs=1e-12)
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not importable")
-class TestBackendAgreement:
-    def test_gmean_backends_agree(self):
-        rng = np.random.default_rng(3)
-        b = _random_gmean_batch(rng, 2000)
-        args = (b["r1"], b["r2"], b["w1"], 1.0 - b["w1"], b["fee"], b["nu1"], b["nu2"])
-        for a, c in zip(kernels.gmean_arb_numpy(*args), kernels.gmean_arb_numba(*args)):
-            np.testing.assert_allclose(a, c, rtol=1e-12, atol=1e-12)
-
-    def test_bounded_backends_agree(self):
-        rng = np.random.default_rng(4)
-        b = _random_bounded_batch(rng, 2000)
-        keep = (b["r1"] + b["alpha"] > 1e-9) & (b["r2"] + b["beta"] > 1e-9)
-        for key in b:
-            b[key] = b[key][keep]
-        args = (b["r1"], b["r2"], b["alpha"], b["beta"], b["fee"], b["nu1"], b["nu2"])
-        for a, c in zip(kernels.bounded_arb_numpy(*args), kernels.bounded_arb_numba(*args)):
-            np.testing.assert_allclose(a, c, rtol=1e-12, atol=1e-12)
-
-
-class TestBackendSelection:
-    def test_default_backend_is_wired(self):
-        assert kernels.BACKEND in ("numba", "numpy")
-        if kernels.BACKEND == "numba":
-            assert kernels.gmean_arb_batch is kernels.gmean_arb_numba
-        else:
-            assert kernels.gmean_arb_batch is kernels.gmean_arb_numpy
-
-    def test_env_override_selects_numpy(self):
-        import subprocess
-        import sys
-
-        code = (
-            "import os; os.environ['DEXROUTE_BACKEND']='numpy';"
-            "from dexroute import kernels;"
-            "assert kernels.gmean_arb_batch is kernels.gmean_arb_numpy"
-        )
-        subprocess.run([sys.executable, "-c", code], check=True)

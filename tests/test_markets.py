@@ -284,7 +284,7 @@ class TestGenericSwap:
     def test_matches_closed_form(self):
         m = self._product_market()
         ref = gmean().find_arb(np.array([1.0, 2.0]))
-        res = dx.find_arb_generic(m, np.array([1.0, 2.0]))
+        res = m.find_arb(np.array([1.0, 2.0]))
         assert res.trade.tendered[0] == pytest.approx(ref.trade.tendered[0], rel=1e-9)
         assert res.objective_value == pytest.approx(ref.objective_value, rel=1e-9)
 

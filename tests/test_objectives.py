@@ -112,10 +112,10 @@ class TestBasketLiquidation:
 class TestModuleFunctions:
     def test_wrappers_delegate(self):
         obj = TotalArbitrage(np.array([1.0, 2.0]))
-        nu = [1.5, 2.5]
-        assert objectives.conjugate(obj, nu) == 0.0
-        assert np.array_equal(objectives.conjugate_gradient(obj, nu), [0.0, 0.0])
-        lower, _ = objectives.bounds(obj)
+        nu = np.array([1.5, 2.5])
+        assert obj.conjugate(nu) == 0.0
+        assert np.array_equal(obj.conjugate_gradient(nu), [0.0, 0.0])
+        lower, _ = obj.bounds()
         assert np.array_equal(lower, [1.0, 2.0])
 
     def test_recover_primal_is_net_trade(self):
@@ -123,8 +123,7 @@ class TestModuleFunctions:
         m = dx.GeomMeanMarket(np.array([100.0, 100.0]), (0.5, 0.5), 1.0, dx.TokenMap((0, 1)))
         snap = dx.MarketSnapshot(uni, [m])
         trades = [dx.Trade(np.array([2.0, 0.0]), np.array([0.0, 1.0]))]
-        obj = TotalArbitrage(np.array([1.0, 1.0]))
-        psi = objectives.recover_primal(obj, np.array([1.0, 1.0]), trades, snap)
+        psi = dx.net_trade(snap, trades)
         assert np.array_equal(psi.psi, [-2.0, 1.0])
 
     def test_objective_from_dict(self):

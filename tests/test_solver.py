@@ -53,24 +53,6 @@ class TestEvalDual:
             fd = (dx.eval_dual(snap, obj, nu + e)[0] - dx.eval_dual(snap, obj, nu - e)[0]) / (2 * h)
             assert fd == pytest.approx(grad[j], rel=1e-5, abs=1e-4)
 
-    def test_parallel_matches_serial_bitwise(self):
-        # force markets onto the one-at-a-time path with a curve pool mix
-        uni = dx.AssetUniverse(("A", "B", "C"))
-        markets = [
-            dx.Curve2Market(np.array([100.0, 120.0]), 3.0, 0.997, dx.TokenMap((0, 1))),
-            dx.Curve2Market(np.array([90.0, 80.0]), 2.0, 0.997, dx.TokenMap((1, 2))),
-            dx.GeomMeanMarket(np.array([50.0, 60.0]), (0.5, 0.5), 0.997, dx.TokenMap((0, 2))),
-        ]
-        snap = dx.MarketSnapshot(uni, markets)
-        obj = dx.TotalArbitrage(np.array([1.0, 1.1, 0.9]))
-        nu = np.array([1.2, 1.15, 1.0])
-        g1, grad1, t1 = dx.eval_dual(snap, obj, nu, parallel=False)
-        g2, grad2, t2 = dx.eval_dual(snap, obj, nu, parallel=True)
-        assert g1 == g2
-        assert np.array_equal(grad1, grad2)
-        for a, b in zip(t1, t2):
-            assert np.array_equal(a.tendered, b.tendered)
-
 
 class TestSolveArbitrage:
     def test_two_pool_price_discrepancy_is_profitable(self):
@@ -115,14 +97,37 @@ class TestSolveArbitrage:
         snap = generate.generate_snapshot(20, 9)
         obj = dx.TotalArbitrage(snap.prices)
         a = dx.solve(snap, obj)
-        snap.invalidate()
         b = dx.solve(snap, obj)
-        snap.invalidate()
-        c = dx.solve(snap, obj, SolverConfig(parallel=True))
         assert np.array_equal(a.nu, b.nu)
         assert np.array_equal(a.psi.psi, b.psi.psi)
-        assert np.array_equal(a.nu, c.nu)
-        assert np.array_equal(a.psi.psi, c.psi.psi)
+
+    def test_resolve_after_mutation_matches_fresh_snapshot(self):
+        # a re-solve must see the live reserves, not state from the first solve
+        snap = _two_pool_snapshot()
+        obj = dx.TotalArbitrage(np.array([1.0, 1.0]))
+        dx.solve(snap, obj)
+
+        def assert_matches_fresh(sol):
+            fresh = dx.solve(dx.snapshot_from_dict(dx.snapshot_to_dict(snap)), obj)
+            assert np.array_equal(sol.nu, fresh.nu)
+            assert np.array_equal(sol.psi.psi, fresh.psi.psi)
+            assert sol.utility == fresh.utility
+            assert sol.dual_value == fresh.dual_value
+
+        dx.update_liquidity(snap.markets[0], [0.0, 300.0])
+        sol = dx.solve(snap, obj)
+        assert_matches_fresh(sol)
+        # both pools now quote 4 B per A: nothing left to arbitrage
+        assert sol.converged
+        assert sol.utility == pytest.approx(0.0, abs=1e-6)
+        np.testing.assert_allclose(sol.nu, [4.0, 1.0], rtol=1e-6)
+
+        pool = snap.markets[0]
+        dx.swap(pool, dx.Trade(np.array([10.0, 0.0]), np.array([0.0, pool.forward_exchange(10.0, 1)])))
+        sol = dx.solve(snap, obj)
+        assert_matches_fresh(sol)
+        assert sol.converged
+        assert sol.utility > 0.0
 
 
 class TestSolveLiquidation:
