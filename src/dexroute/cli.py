@@ -11,7 +11,7 @@ import numpy as np
 from . import generate
 from .core import dumps_snapshot, load_snapshot
 from .errors import ConfigurationError, DexRouteError, UnboundedError
-from .objectives import BasketLiquidation, TotalArbitrage
+from .objectives import objective_from_dict
 from .solver import RoutingSolution, SolverConfig, solve
 
 EXIT_PARSE = 1
@@ -38,15 +38,11 @@ def _parse_vec(text: str) -> np.ndarray:
 
 def _solution_doc(sol: RoutingSolution) -> dict:
     return {
-        "nu": [float(x) for x in sol.nu],
-        "psi": [float(x) for x in sol.psi.psi],
+        "nu": sol.nu.tolist(),
+        "psi": sol.psi.psi.tolist(),
         "trades": [
-            {
-                "market": i,
-                "tendered": [float(x) for x in t.tendered],
-                "received": [float(x) for x in t.received],
-            }
-            for i, t in enumerate(sol.trades)
+            {"market": i, "tendered": t, "received": r}
+            for i, (t, r) in enumerate(zip(sol.tendered.tolist(), sol.received.tolist()))
         ],
         "utility": float(sol.utility),
         "dual_value": float(sol.dual_value),
@@ -63,11 +59,13 @@ def cmd_route(args) -> int:
             prices = _parse_vec(args.prices) if args.prices else snapshot.prices
             if prices is None:
                 raise ConfigurationError("arbitrage objective needs --prices or snapshot prices")
-            obj = TotalArbitrage(prices)
+            doc = {"objective": "arbitrage", "prices": prices}
         else:
             if args.basket is None or args.out_token is None:
                 raise ConfigurationError("liquidate objective needs --basket and --out-token")
-            obj = BasketLiquidation(_parse_vec(args.basket), args.out_token)
+            doc = {"objective": "liquidate", "basket": _parse_vec(args.basket),
+                   "out_token": args.out_token}
+        obj = objective_from_dict(doc, snapshot.n)
         cfg = SolverConfig(max_iterations=args.max_iter, gradient_tolerance=args.tol)
     except (OSError, ValueError, json.JSONDecodeError, DexRouteError) as e:
         _fail(EXIT_PARSE, str(e))

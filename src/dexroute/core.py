@@ -143,13 +143,15 @@ class MarketSnapshot:
         return len(self.markets)
 
 
-def net_trade(snapshot: MarketSnapshot, trades: list[Trade]) -> NetworkTrade:
-    """Sum the scattered signed trades into the network trade vector."""
-    if len(trades) != snapshot.m:
-        raise DimensionError(f"expected {snapshot.m} trades, got {len(trades)}")
-    psi = np.zeros(snapshot.n)
-    for market, trade in zip(snapshot.markets, trades):
-        psi += scatter(market.token_map, trade.signed, snapshot.n)
+def net_trade(snapshot: MarketSnapshot, tendered, received) -> NetworkTrade:
+    """Sum the per-market signed trades into the network trade vector;
+    `tendered` and `received` are (m, 2) arrays with rows in market order."""
+    tendered, received = np.asarray(tendered, dtype=float), np.asarray(received, dtype=float)
+    if tendered.shape != (snapshot.m, 2) or received.shape != (snapshot.m, 2):
+        raise DimensionError(f"expected ({snapshot.m}, 2) trade arrays, "
+                             f"got {tendered.shape} and {received.shape}")
+    tokens = np.array([m.token_map.global_indices for m in snapshot.markets], dtype=np.intp)
+    psi = np.bincount(tokens.ravel(), weights=(received - tendered).ravel(), minlength=snapshot.n)
     return NetworkTrade(psi)
 
 

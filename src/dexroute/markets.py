@@ -342,8 +342,11 @@ class AggregateMarket:
         self.segments.sort(key=lambda s: s.active_interval()[0])
         lo = np.array([s.active_interval()[0] for s in self.segments])
         hi = np.array([s.active_interval()[1] for s in self.segments])
+        # the fee widens the fee-free range [lo0, hi0] = [beta^2/k, k/alpha^2]
+        # to [fee*lo0, hi0/fee], so adjacent intervals may overlap; the ranges
+        # may not (hi*fee^2 > lo means hi0 > lo0), which keeps lo and hi sorted
         for i in range(len(self.segments) - 1):
-            if hi[i] > lo[i + 1] * (1.0 + 1e-12):
+            if hi[i] * self.fee ** 2 > lo[i + 1] * (1.0 + 1e-12):
                 raise ConfigurationError(
                     f"segment active intervals overlap: ({lo[i]}, {hi[i]}) and "
                     f"({lo[i+1]}, {hi[i+1]})"
@@ -376,7 +379,7 @@ class AggregateMarket:
         n_under = int(np.searchsorted(c["lo"], p, side="left"))
         tendered = np.array([c["suf_d1"][n_under], c["pre_d2"][n_below]])
         received = np.array([c["pre_o1"][n_below], c["suf_o2"][n_under]])
-        for j in range(n_below, n_under):  # at most one active segment
+        for j in range(n_below, n_under):  # segments whose active interval holds p
             res = self.segments[j].find_arb(nu)
             tendered += res.trade.tendered
             received += res.trade.received

@@ -280,5 +280,5 @@ def primal_projected_gradient(
         x = x * 0.999999
 
     trades = trades_of(x)
-    psi = net_trade(snapshot, trades).psi
+    psi = net_trade(snapshot, [t.tendered for t in trades], [t.received for t in trades]).psi
     return OracleResult(float(cvec @ psi), psi, trades, "primal-pg")

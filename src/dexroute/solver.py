@@ -1,11 +1,11 @@
 """Dual decomposition solver for the routing problem.
 
 The dual function g(nu) = conj(nu) + sum_i arb_i(gather_i(nu)) is minimized
-over the objective's box with L-BFGS-B; its gradient is the (sub)gradient
-conj_grad(nu) + sum_i scatter_i(trade_i), which is exactly the coupling
-residual.  The per-market trades of the final evaluation at the minimizer are
-summed into the network trade, so the recovered primal satisfies the coupling
-constraint by construction.
+over the objective's box with one L-BFGS-B run and then a Newton polish; its
+gradient is the (sub)gradient conj_grad(nu) + sum_i scatter_i(trade_i), which
+is exactly the coupling residual.  The per-market trades of the final
+evaluation at the minimizer are summed into the network trade, so the
+recovered primal satisfies the coupling constraint by construction.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import kernels
-from .core import MarketSnapshot, NetworkTrade, Trade, gather, net_trade, scatter
+from .core import MarketSnapshot, NetworkTrade, Trade, net_trade
 from .errors import UnboundedError
-from .markets import AggregateMarket, ArbResult, BoundedProductSegment, GeomMeanMarket
+from .markets import ArbResult, BoundedProductSegment, GeomMeanMarket
 from .objectives import PRICE_EPS, Objective
 
 _BOUND_SLACK = 1e-14
@@ -41,15 +41,24 @@ class SolverConfig:
 
 @dataclass
 class RoutingSolution:
+    """The routing at the optimal prices nu.  Row i of `tendered` and
+    `received` is market i's trade in its local asset order."""
+
     nu: np.ndarray
     psi: NetworkTrade
-    trades: list[Trade]
+    tendered: np.ndarray  # (m, 2)
+    received: np.ndarray  # (m, 2)
     dual_value: float
     utility: float
     coupling_residual: float
     iterations: int
     wall_time: float
     converged: bool
+
+    @property
+    def trades(self) -> list[Trade]:
+        """The per-market trades as validated `Trade`s, built on request."""
+        return [Trade(t, r) for t, r in zip(self.tendered, self.received)]
 
 
 @dataclass
@@ -59,102 +68,86 @@ class _Compiled:
     gm: dict | None
     bp: dict | None
     other: list  # (market index, market) pairs solved one at a time
-    order: list  # market index -> ("gm" | "bp" | "other", position)
 
 
 def _compile(snapshot: MarketSnapshot) -> _Compiled:
-    gm_rows, bp_rows, other, order = [], [], [], []
+    gm_rows, bp_rows, other = [], [], []
     for i, mkt in enumerate(snapshot.markets):
         if isinstance(mkt, GeomMeanMarket):
-            order.append(("gm", len(gm_rows)))
-            gm_rows.append(mkt)
+            gm_rows.append((i, mkt))
         elif isinstance(mkt, BoundedProductSegment):
-            order.append(("bp", len(bp_rows)))
-            bp_rows.append(mkt)
+            bp_rows.append((i, mkt))
         else:
-            order.append(("other", len(other)))
             other.append((i, mkt))
 
-    def pack(rows, extra):
+    def pack(rows, a, b):
         if not rows:
             return None
-        d = {
-            "i1": np.array([m.token_map.global_indices[0] for m in rows]),
-            "i2": np.array([m.token_map.global_indices[1] for m in rows]),
-            "r1": np.array([m.reserves[0] for m in rows]),
-            "r2": np.array([m.reserves[1] for m in rows]),
-            "fee": np.array([m.fee for m in rows]),
+        idx, mkts = zip(*rows)
+        col = lambda f: np.array([f(m) for m in mkts])  # noqa: E731
+        return {
+            "idx": np.array(idx),
+            "i1": col(lambda m: m.token_map.global_indices[0]),
+            "i2": col(lambda m: m.token_map.global_indices[1]),
+            # kernel arguments before the two price arrays
+            "params": (col(lambda m: m.reserves[0]), col(lambda m: m.reserves[1]),
+                       col(a), col(b), col(lambda m: m.fee)),
         }
-        d.update(extra(rows))
-        return d
 
-    gm = pack(gm_rows, lambda rows: {
-        "w1": np.array([m.weights[0] for m in rows]),
-        "w2": np.array([m.weights[1] for m in rows]),
-    })
-    bp = pack(bp_rows, lambda rows: {
-        "alpha": np.array([m.alpha for m in rows]),
-        "beta": np.array([m.beta for m in rows]),
-    })
-    return _Compiled(gm, bp, other, order)
+    gm = pack(gm_rows, lambda m: m.weights[0], lambda m: m.weights[1])
+    bp = pack(bp_rows, lambda m: m.alpha, lambda m: m.beta)
+    return _Compiled(gm, bp, other)
 
 
-def _solve_other(item, nu):
-    idx, mkt = item
-    try:
-        return mkt.find_arb(gather(mkt.token_map, nu))
-    except UnboundedError as e:
-        raise UnboundedError(f"market {idx}: {e}") from e
-
-
-def _eval(snapshot, obj, nu, compiled, want_trades=False):
+def _eval(snapshot, obj, nu, compiled):
+    """Dual value and gradient at nu, plus the per-market solutions they came
+    from: (market indices, t1, o2, t2, o1) for each kernel batch and the
+    `ArbResult` of each market solved one at a time."""
     g = obj.conjugate(nu)
     grad = obj.conjugate_gradient(nu).copy()
     n = snapshot.n
-    batch_results = {}
-    for name, data, kernel in (
-        ("gm", compiled.gm, kernels.gmean_arb_batch),
-        ("bp", compiled.bp, kernels.bounded_arb_batch),
-    ):
+    batches = []
+    for data, kernel in ((compiled.gm, kernels.gmean_arb_batch),
+                         (compiled.bp, kernels.bounded_arb_batch)):
         if data is None:
             continue
-        nu1, nu2 = nu[data["i1"]], nu[data["i2"]]
-        if name == "gm":
-            t1, o2, t2, o1, objv = kernel(
-                data["r1"], data["r2"], data["w1"], data["w2"], data["fee"], nu1, nu2
-            )
-        else:
-            t1, o2, t2, o1, objv = kernel(
-                data["r1"], data["r2"], data["alpha"], data["beta"], data["fee"], nu1, nu2
-            )
+        t1, o2, t2, o1, objv = kernel(*data["params"], nu[data["i1"]], nu[data["i2"]])
         g += float(objv.sum())
         grad += np.bincount(data["i1"], weights=o1 - t1, minlength=n)
         grad += np.bincount(data["i2"], weights=o2 - t2, minlength=n)
-        batch_results[name] = (t1, o2, t2, o1, objv)
+        batches.append((data["idx"], t1, o2, t2, o1))
 
-    other_results: list[ArbResult] = [_solve_other(it, nu) for it in compiled.other]
-    for (idx, mkt), res in zip(compiled.other, other_results):
+    others: list[ArbResult] = []
+    for i, mkt in compiled.other:
+        local = list(mkt.token_map.global_indices)
+        try:
+            res = mkt.find_arb(nu[local])
+        except UnboundedError as e:
+            raise UnboundedError(f"market {i}: {e}") from e
         g += res.objective_value
-        grad += scatter(mkt.token_map, res.trade.signed, n)
+        grad[local] += res.trade.signed
+        others.append(res)
+    return g, grad, batches, others
 
-    trades = None
-    if want_trades:
-        trades = []
-        for kind, pos in compiled.order:
-            if kind == "other":
-                trades.append(other_results[pos].trade)
-            else:
-                t1, o2, t2, o1, _ = batch_results[kind]
-                trades.append(Trade(
-                    np.array([t1[pos], t2[pos]]), np.array([o1[pos], o2[pos]])
-                ))
-    return g, grad, trades
+
+def _trade_arrays(m, compiled, batches, others):
+    """Write one evaluation's per-market solutions into (m, 2) tendered and
+    received arrays in market order."""
+    tendered, received = np.zeros((m, 2)), np.zeros((m, 2))
+    for idx, t1, o2, t2, o1 in batches:
+        tendered[idx, 0], tendered[idx, 1] = t1, t2
+        received[idx, 0], received[idx, 1] = o1, o2
+    for (i, _), res in zip(compiled.other, others):
+        tendered[i], received[i] = res.trade.tendered, res.trade.received
+    return tendered, received
 
 
 def eval_dual(snapshot: MarketSnapshot, obj: Objective, nu):
-    """Evaluate the dual function, its gradient, and the per-market trades."""
-    nu = np.asarray(nu, dtype=float)
-    return _eval(snapshot, obj, nu, _compile(snapshot), want_trades=True)
+    """Evaluate the dual function and its gradient at nu; also return the
+    per-market trades as (m, 2) tendered and received arrays."""
+    compiled = _compile(snapshot)
+    g, grad, batches, others = _eval(snapshot, obj, np.asarray(nu, dtype=float), compiled)
+    return (g, grad) + _trade_arrays(snapshot.m, compiled, batches, others)
 
 
 def _mid_spot(market) -> float | None:
@@ -207,12 +200,11 @@ def _newton_polish(snapshot, obj, nu, lower, compiled, tol, max_rounds=15):
     The quasi-Newton phase is limited by round-off in the dual *value*; the
     gradient is assembled from closed-form trades and is far more accurate,
     so finite-differencing it gives a usable Hessian near the minimizer.
+    A step is taken only when it lowers the projected gradient.
     """
     n = nu.shape[0]
-    evals = 0
     for _ in range(max_rounds):
-        g, grad, _ = _eval(snapshot, obj, nu, compiled)
-        evals += 1
+        grad = _eval(snapshot, obj, nu, compiled)[1]
         pg = _projected_grad_norm(nu, grad, lower)
         if pg <= tol:
             break
@@ -228,7 +220,6 @@ def _newton_polish(snapshot, obj, nu, lower, compiled, tol, max_rounds=15):
             e[j] = h
             gp = _eval(snapshot, obj, nu + e, compiled)[1]
             gm_ = _eval(snapshot, obj, np.maximum(nu - e, lower), compiled)[1]
-            evals += 2
             hess[:, col] = (gp[idx] - gm_[idx]) / (h + nu[j] - max(nu[j] - h, lower[j]))
         hess = 0.5 * (hess + hess.T)
         reg = 1e-12 * max(1.0, float(np.abs(hess).max()))
@@ -241,15 +232,14 @@ def _newton_polish(snapshot, obj, nu, lower, compiled, tol, max_rounds=15):
         for _ in range(20):
             cand = nu.copy()
             cand[idx] = np.maximum(nu[idx] + scale_step * step, lower[idx])
-            _, grad_c, _ = _eval(snapshot, obj, cand, compiled)
-            evals += 1
+            grad_c = _eval(snapshot, obj, cand, compiled)[1]
             if _projected_grad_norm(cand, grad_c, lower) < pg:
                 nu, improved = cand, True
                 break
             scale_step *= 0.5
         if not improved:
             break
-    return nu, evals
+    return nu
 
 
 def solve(snapshot: MarketSnapshot, obj: Objective, config: SolverConfig | None = None) -> RoutingSolution:
@@ -264,62 +254,31 @@ def solve(snapshot: MarketSnapshot, obj: Objective, config: SolverConfig | None 
     if tol is None:
         tol = 1e-8 * max(1.0, float(np.abs(nu).max(initial=0.0)))
 
-    def fun(x):
-        g, grad, _ = _eval(snapshot, obj, x, compiled)
-        return g, grad
-
-    iterations = 0
-    converged = False
-    bounds = [(lb, None) for lb in lower]
-    for _restart in range(10):
-        budget = cfg.max_iterations - iterations
-        if budget <= 0:
-            break
-        res = minimize(
-            fun, nu, jac=True, method="L-BFGS-B", bounds=bounds,
-            options={"maxiter": budget, "maxcor": cfg.memory,
-                     "ftol": 1e-18, "gtol": tol, "maxls": 50},
-        )
-        nu = np.maximum(res.x, lower)
-        iterations += max(res.nit, 1)
-        g, grad = fun(nu)
-        if _projected_grad_norm(nu, grad, lower) <= tol:
-            converged = True
-            break
-        # line search can fail at a kink: fall back to one projected-gradient
-        # step with backtracking, then restart the quasi-Newton method
-        step, moved = 1.0 / max(1.0, float(np.abs(grad).max())), False
-        for _ in range(40):
-            cand = np.maximum(nu - step * grad, lower)
-            g_cand, _, _ = _eval(snapshot, obj, cand, compiled)
-            if g_cand < g:
-                nu, moved = cand, True
-                break
-            step *= 0.5
-        iterations += 1
-        if not moved:
-            converged = _projected_grad_norm(nu, grad, lower) <= tol
-            break
-
+    res = minimize(
+        lambda x: _eval(snapshot, obj, x, compiled)[:2], nu, jac=True, method="L-BFGS-B",
+        bounds=[(lb, None) for lb in lower],
+        options={"maxiter": cfg.max_iterations, "maxcor": cfg.memory,
+                 "ftol": 1e-18, "gtol": tol, "maxls": 50},
+    )
     # quasi-Newton progress bottoms out at the round-off level of the dual
     # value; polish on the accurate analytic gradient (no step when nu
     # already meets the tolerance)
-    nu, _ = _newton_polish(snapshot, obj, nu, lower, compiled, tol)
+    nu = _newton_polish(snapshot, obj, np.maximum(res.x, lower), lower, compiled, tol)
 
     # the subproblem solutions at the final nu are the primal routing
-    dual_value, grad, trades = _eval(snapshot, obj, nu, compiled, want_trades=True)
+    dual_value, grad, batches, others = _eval(snapshot, obj, nu, compiled)
+    tendered, received = _trade_arrays(snapshot.m, compiled, batches, others)
     residual = _projected_grad_norm(nu, grad, lower)
-    converged = converged or residual <= tol
-    psi = net_trade(snapshot, trades)
-    utility = obj.utility(psi.psi)
+    psi = net_trade(snapshot, tendered, received)
     return RoutingSolution(
         nu=nu,
         psi=psi,
-        trades=trades,
+        tendered=tendered,
+        received=received,
         dual_value=dual_value,
-        utility=utility,
+        utility=obj.utility(psi.psi),
         coupling_residual=residual,
-        iterations=iterations,
+        iterations=max(res.nit, 1),
         wall_time=time.perf_counter() - t0,
-        converged=converged,
+        converged=residual <= tol,
     )

@@ -137,7 +137,7 @@ def test_4_dual_gradient_matches_finite_differences():
         obj = dx.TotalArbitrage(snap.prices)
         rng = np.random.default_rng(10_000 + seed)
         nu = snap.prices * rng.uniform(1.05, 2.0, snap.n) + 0.05
-        _, grad, _ = dx.eval_dual(snap, obj, nu)
+        _, grad, _, _ = dx.eval_dual(snap, obj, nu)
         scale = max(1.0, float(np.abs(grad).max()))
         h = 1e-6
         for j in range(snap.n):

@@ -52,6 +52,20 @@ class TestEquivalence:
         scale = max(1.0, abs(ref.objective_value))
         assert _max_err(fast, ref) <= 1e-9 * scale
 
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_fee_bearing_ladder_matches_naive_per_segment_sum(self, seed):
+        # with a fee, adjacent segments' active intervals overlap
+        ladder = _ladder(20, seed=seed)
+        segments = [dx.BoundedProductSegment(s.reserves.copy(), s.alpha, s.beta, 0.997, s.token_map)
+                    for s in ladder.segments]
+        market = dx.AggregateMarket(segments, 0.997, ladder.token_map)
+        for p in np.geomspace(0.05, 20.0, 2000):
+            nu = np.array([p, 1.0])
+            fast = market.find_arb(nu)
+            ref = oracle.naive_aggregate_arb(market, nu)
+            scale = max(1.0, abs(ref.objective_value))
+            assert _max_err(fast, ref) <= 1e-9 * scale
+
 
 class TestStructure:
     def test_overlapping_intervals_rejected(self):

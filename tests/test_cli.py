@@ -115,6 +115,18 @@ class TestRoute:
             run(["route", "--snapshot", str(snapshot_path), "--objective", "liquidate"])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("flags", [
+        ["--objective", "arbitrage", "--prices", "1,1"],
+        ["--objective", "liquidate", "--basket", "100,0", "--out-token", "1"],
+    ])
+    def test_wrong_length_vector_exits_1(self, snapshot_path, flags, capsys):
+        assert dx.load_snapshot(snapshot_path).n == 6
+        with pytest.raises(SystemExit) as exc:
+            run(["route", "--snapshot", str(snapshot_path), *flags])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_nonconvergence_exits_2_with_output(self, snapshot_path, tmp_path):
         out = tmp_path / "sol.json"
         code = run([

@@ -57,11 +57,9 @@ class TestNetTrade:
         m1 = dx.GeomMeanMarket(np.array([10.0, 10.0]), (0.5, 0.5), 1.0, dx.TokenMap((0, 1)))
         m2 = dx.GeomMeanMarket(np.array([10.0, 10.0]), (0.5, 0.5), 1.0, dx.TokenMap((1, 2)))
         snap = dx.MarketSnapshot(uni, [m1, m2])
-        trades = [
-            dx.Trade(np.array([2.0, 0.0]), np.array([0.0, 1.0])),
-            dx.Trade(np.array([1.0, 0.0]), np.array([0.0, 4.0])),
-        ]
-        psi = dx.net_trade(snap, trades).psi
+        tendered = np.array([[2.0, 0.0], [1.0, 0.0]])
+        received = np.array([[0.0, 1.0], [0.0, 4.0]])
+        psi = dx.net_trade(snap, tendered, received).psi
         assert np.array_equal(psi, [-2.0, 0.0, 4.0])
 
     def test_wrong_trade_count_rejected(self):
@@ -69,7 +67,7 @@ class TestNetTrade:
         m = dx.GeomMeanMarket(np.array([1.0, 1.0]), (0.5, 0.5), 1.0, dx.TokenMap((0, 1)))
         snap = dx.MarketSnapshot(uni, [m])
         with pytest.raises(DimensionError):
-            dx.net_trade(snap, [])
+            dx.net_trade(snap, np.zeros((0, 2)), np.zeros((0, 2)))
 
 
 class TestValidation:

@@ -122,8 +122,7 @@ class TestModuleFunctions:
         uni = dx.AssetUniverse(("A", "B"))
         m = dx.GeomMeanMarket(np.array([100.0, 100.0]), (0.5, 0.5), 1.0, dx.TokenMap((0, 1)))
         snap = dx.MarketSnapshot(uni, [m])
-        trades = [dx.Trade(np.array([2.0, 0.0]), np.array([0.0, 1.0]))]
-        psi = dx.net_trade(snap, trades)
+        psi = dx.net_trade(snap, np.array([[2.0, 0.0]]), np.array([[0.0, 1.0]]))
         assert np.array_equal(psi.psi, [-2.0, 1.0])
 
     def test_objective_from_dict(self):

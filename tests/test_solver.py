@@ -33,19 +33,19 @@ class TestEvalDual:
         snap = _two_pool_snapshot()
         obj = dx.TotalArbitrage(np.array([1.0, 1.0]))
         nu = np.array([1.0, 1.5])
-        g, grad, trades = dx.eval_dual(snap, obj, nu)
+        g, grad, tendered, received = dx.eval_dual(snap, obj, nu)
         by_hand = sum(
             m.find_arb(nu).objective_value for m in snap.markets
         )
         assert g == pytest.approx(by_hand, rel=1e-12)
-        psi = dx.net_trade(snap, trades).psi
+        psi = dx.net_trade(snap, tendered, received).psi
         assert np.allclose(grad, psi, rtol=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         snap = generate.generate_snapshot(12, 5)
         obj = dx.TotalArbitrage(snap.prices)
         nu = snap.prices * 1.37 + 0.2
-        _, grad, _ = dx.eval_dual(snap, obj, nu)
+        _, grad, _, _ = dx.eval_dual(snap, obj, nu)
         h = 1e-6
         for j in range(snap.n):
             e = np.zeros(snap.n)
@@ -128,6 +128,29 @@ class TestSolveArbitrage:
         assert_matches_fresh(sol)
         assert sol.converged
         assert sol.utility > 0.0
+
+    def test_solution_arrays_are_the_final_evaluation(self):
+        # gmean and bounded markets are solved in batches, the aggregate on
+        # its own; the arrays must still hold every trade in market order
+        tm = dx.TokenMap
+        markets = [
+            dx.GeomMeanMarket(np.array([1000.0, 1500.0]), (0.5, 0.5), 0.997, tm((0, 1))),
+            generate.make_ladder(10, seed=3, token_map=tm((1, 2))),
+            dx.BoundedProductSegment(np.array([10.0, 10.0]), 90.0, 90.0, 1.0, tm((0, 2))),
+            dx.GeomMeanMarket(np.array([500.0, 2000.0]), (0.8, 0.2), 0.997, tm((0, 2))),
+        ]
+        snap = dx.MarketSnapshot(dx.AssetUniverse(("A", "B", "C")), markets)
+        obj = dx.TotalArbitrage(np.array([1.0, 1.0, 1.0]))
+        sol = dx.solve(snap, obj)
+        assert sol.converged and sol.utility > 0.0
+        _, _, tendered, received = dx.eval_dual(snap, obj, sol.nu)
+        assert np.array_equal(sol.tendered, tendered)
+        assert np.array_equal(sol.received, received)
+        assert np.array_equal(sol.psi.psi, dx.net_trade(snap, sol.tendered, sol.received).psi)
+        trades = sol.trades
+        assert np.array_equal([t.tendered for t in trades], sol.tendered)
+        assert np.array_equal([t.received for t in trades], sol.received)
+        assert not any(t.is_zero() for t in trades)
 
 
 class TestSolveLiquidation:
