@@ -355,10 +355,14 @@ class AggregateMarket:
         o2 = np.array([s.reserves[1] for s in self.segments])
         d2 = np.array([s.max_input(2) for s in self.segments])
         o1 = np.array([s.reserves[0] for s in self.segments])
+        v1 = o1 + np.array([s.alpha for s in self.segments])
+        v2 = o2 + np.array([s.beta for s in self.segments])
         z = np.zeros(1)
         self._cache = {
             "lo": lo,
             "hi": hi,
+            # per direction: fee*vin*vout, vin and the input cap of each segment
+            "fill": ((self.fee * v1 * v2, v1, d1), (self.fee * v2 * v1, v2, d2)),
             # prefix sums over segments fully below the price (direction 2)
             "pre_d2": np.concatenate([z, np.cumsum(d2)]),
             "pre_o1": np.concatenate([z, np.cumsum(o1)]),
@@ -393,18 +397,8 @@ class AggregateMarket:
 
     def _fill_inputs(self, price: float, direction: int) -> np.ndarray:
         """Per-segment input needed to push every marginal price down to `price`."""
-        out = np.empty(len(self.segments))
-        for j, seg in enumerate(self.segments):
-            p0 = seg.price_impact(0.0, direction)
-            if price >= p0:
-                out[j] = 0.0
-                continue
-            dmax = seg.max_input(direction)
-            vin, vout, _ = seg._virt(direction)
-            g = seg.fee
-            d = (math.sqrt(g * vin * vout / price) - vin) / g
-            out[j] = min(d, dmax)
-        return out
+        fee_vin_vout, vin, dmax = self._cache["fill"][direction - 1]
+        return np.clip((np.sqrt(fee_vin_vout / price) - vin) / self.fee, 0.0, dmax)
 
     def apply_trade(self, trade: Trade):
         """Apply a single-direction trade, splitting the input across segments
@@ -581,8 +575,9 @@ class GenericSwapMarket:
 class Curve2Market(GenericSwapMarket):
     """Two-asset stableswap-style market, phi(R) = amp*(R1+R2) - 1/(R1*R2).
 
-    The forward exchange is computed by solving the invariant equality with a
-    nested bisection; the price impact uses central finite differences.
+    The invariant is a quadratic in the post-trade output reserve, so the
+    forward exchange and the price impact are closed forms, with no bisection
+    or finite difference; the arbitrage is the generic bisection on the impact.
     """
 
     def __init__(self, reserves, amp: float, fee: float, token_map: TokenMap):
@@ -596,10 +591,10 @@ class Curve2Market(GenericSwapMarket):
         self.amp = float(amp)
         self.fee = float(fee)
         super().__init__(
-            lambda d: self._fwd(d, 1),
-            lambda d: self._fwd(d, 2),
-            lambda d: self._impact_fd(d, 1),
-            lambda d: self._impact_fd(d, 2),
+            lambda d: self._post(d, 1)[2],
+            lambda d: self._post(d, 2)[2],
+            lambda d: self._impact(d, 1),
+            lambda d: self._impact(d, 2),
             token_map,
             validate=False,
         )
@@ -608,33 +603,32 @@ class Curve2Market(GenericSwapMarket):
         r = self.reserves if reserves is None else np.asarray(reserves, dtype=float)
         return float(self.amp * (r[0] + r[1]) - 1.0 / (r[0] * r[1]))
 
-    def _fwd(self, delta: float, direction: int) -> float:
+    def _post(self, delta: float, direction: int) -> tuple[float, float, float]:
+        """(x, y, out) after tendering delta: the fee-adjusted input reserve
+        x = r_in + fee*delta, the output reserve y and the output r_out - y.
+
+        y is the positive root of a*y^2 + b*y - 1 = 0, a = amp*x and
+        b = x*(amp*x - phi0), in the form without cancellation for the sign
+        of b.  For out the same quadratic reads
+        a*out^2 - (b + 2*a*r_out)*out + fee*delta*(a*r_out + 1/r_in) = 0;
+        its small root has no cancellation either, even when out << r_out.
+        """
         if delta < 0:
             raise DomainError("tendered amount must be nonnegative")
-        if delta == 0.0:
-            return 0.0
         rin, rout = (self.reserves if direction == 1 else self.reserves[::-1])
-        rin_post = rin + self.fee * delta
-        phi0 = self.phi()
+        amp, fd = self.amp, self.fee * delta
+        x = rin + fd
+        q = 1.0 / (rin * rout)
+        b = x * (amp * (fd - rout) + q)  # x*(amp*x - phi0), phi0 eliminated
+        s = math.sqrt(b * b + 4.0 * amp * x)
+        y = 2.0 / (s + b) if b > 0.0 else (s - b) / (2.0 * amp * x)
+        shifted_b = x * (amp * (rout + fd) + q)  # b + 2*a*r_out, positive terms only
+        out = 2.0 * fd * (amp * x * rout + 1.0 / rin) / (shifted_b + s)
+        return x, y, out
 
-        def resid(out):
-            return self.amp * (rin_post + rout - out) - 1.0 / (rin_post * (rout - out)) - phi0
-
-        lo, hi = 0.0, rout  # resid decreases in out; resid(0) >= 0, resid -> -inf
-        for _ in range(_BISECT_MAXIT):
-            mid = 0.5 * (lo + hi)
-            if resid(mid) >= 0.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= _BISECT_RTOL * max(1.0, hi):
-                break
-        return 0.5 * (lo + hi)
-
-    def _impact_fd(self, delta: float, direction: int) -> float:
-        h = 1e-6 * max(1.0, delta)
-        lo = max(delta - h, 0.0)
-        return (self._fwd(delta + h, direction) - self._fwd(lo, direction)) / (delta + h - lo)
+    def _impact(self, delta: float, direction: int) -> float:
+        x, y, _ = self._post(delta, direction)
+        return self.fee * (self.amp + 1.0 / (x * x * y)) / (self.amp + 1.0 / (x * y * y))
 
     def apply_trade(self, trade: Trade):
         _apply_phi_trade(self, trade)

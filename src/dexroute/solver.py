@@ -20,7 +20,7 @@ from scipy.optimize import minimize
 from . import kernels
 from .core import MarketSnapshot, NetworkTrade, Trade, net_trade
 from .errors import UnboundedError
-from .markets import ArbResult, BoundedProductSegment, GeomMeanMarket
+from .markets import BoundedProductSegment, GeomMeanMarket
 from .objectives import PRICE_EPS, Objective
 
 _BOUND_SLACK = 1e-14
@@ -65,8 +65,10 @@ class RoutingSolution:
 class _Compiled:
     """Struct-of-arrays view of the snapshot for the batched kernels."""
 
-    gm: dict | None
-    bp: dict | None
+    n: int
+    i1: np.ndarray  # (m,) global index of each market's local asset 1
+    i2: np.ndarray  # (m,) ... and of its local asset 2
+    batches: list  # (market indices, kernel, kernel arguments before the prices)
     other: list  # (market index, market) pairs solved one at a time
 
 
@@ -80,74 +82,82 @@ def _compile(snapshot: MarketSnapshot) -> _Compiled:
         else:
             other.append((i, mkt))
 
-    def pack(rows, a, b):
-        if not rows:
-            return None
-        idx, mkts = zip(*rows)
-        col = lambda f: np.array([f(m) for m in mkts])  # noqa: E731
-        return {
-            "idx": np.array(idx),
-            "i1": col(lambda m: m.token_map.global_indices[0]),
-            "i2": col(lambda m: m.token_map.global_indices[1]),
-            # kernel arguments before the two price arrays
-            "params": (col(lambda m: m.reserves[0]), col(lambda m: m.reserves[1]),
-                       col(a), col(b), col(lambda m: m.fee)),
-        }
-
-    gm = pack(gm_rows, lambda m: m.weights[0], lambda m: m.weights[1])
-    bp = pack(bp_rows, lambda m: m.alpha, lambda m: m.beta)
-    return _Compiled(gm, bp, other)
+    batches = []  # the kernels are looked up per solve, where a tracer can wrap them
+    for members, kernel, a, b in (
+        (gm_rows, kernels.gmean_arb_batch, lambda m: m.weights[0], lambda m: m.weights[1]),
+        (bp_rows, kernels.bounded_arb_batch, lambda m: m.alpha, lambda m: m.beta),
+    ):
+        if members:
+            idx, mkts = zip(*members)
+            col = lambda f: np.array([f(m) for m in mkts])  # noqa: E731
+            params = (col(lambda m: m.reserves[0]), col(lambda m: m.reserves[1]),
+                      col(a), col(b), col(lambda m: m.fee))
+            batches.append((np.array(idx), kernel, params))
+    tokens = np.array([m.token_map.global_indices for m in snapshot.markets],
+                      dtype=np.intp).reshape(-1, 2)
+    return _Compiled(snapshot.n, tokens[:, 0], tokens[:, 1], batches, other)
 
 
-def _eval(snapshot, obj, nu, compiled):
-    """Dual value and gradient at nu, plus the per-market solutions they came
-    from: (market indices, t1, o2, t2, o1) for each kernel batch and the
-    `ArbResult` of each market solved one at a time."""
-    g = obj.conjugate(nu)
-    grad = obj.conjugate_gradient(nu).copy()
-    n = snapshot.n
-    batches = []
-    for data, kernel in ((compiled.gm, kernels.gmean_arb_batch),
-                         (compiled.bp, kernels.bounded_arb_batch)):
-        if data is None:
-            continue
-        t1, o2, t2, o1, objv = kernel(*data["params"], nu[data["i1"]], nu[data["i2"]])
-        g += float(objv.sum())
-        grad += np.bincount(data["i1"], weights=o1 - t1, minlength=n)
-        grad += np.bincount(data["i2"], weights=o2 - t2, minlength=n)
-        batches.append((data["idx"], t1, o2, t2, o1))
-
-    others: list[ArbResult] = []
+def _arb(compiled: _Compiled, nu1, nu2) -> np.ndarray:
+    """Every market's optimal arbitrage at local prices (nu1, nu2): the rows
+    t1, o2, t2, o1 and value, in market order.  Direction 1 tenders t1 of
+    local asset 1 and receives o2 of asset 2."""
+    rows = np.zeros((5, nu1.shape[0]))
+    for idx, kernel, params in compiled.batches:
+        rows[:, idx] = kernel(*params, nu1[idx], nu2[idx])
     for i, mkt in compiled.other:
-        local = list(mkt.token_map.global_indices)
         try:
-            res = mkt.find_arb(nu[local])
+            res = mkt.find_arb(np.array([nu1[i], nu2[i]]))
         except UnboundedError as e:
             raise UnboundedError(f"market {i}: {e}") from e
-        g += res.objective_value
-        grad[local] += res.trade.signed
-        others.append(res)
-    return g, grad, batches, others
+        (t1, t2), (o1, o2) = res.trade.tendered, res.trade.received
+        rows[:, i] = (t1, o2, t2, o1, res.objective_value)
+    return rows
 
 
-def _trade_arrays(m, compiled, batches, others):
-    """Write one evaluation's per-market solutions into (m, 2) tendered and
-    received arrays in market order."""
-    tendered, received = np.zeros((m, 2)), np.zeros((m, 2))
-    for idx, t1, o2, t2, o1 in batches:
-        tendered[idx, 0], tendered[idx, 1] = t1, t2
-        received[idx, 0], received[idx, 1] = o1, o2
-    for (i, _), res in zip(compiled.other, others):
-        tendered[i], received[i] = res.trade.tendered, res.trade.received
-    return tendered, received
+def _eval(obj, nu, compiled):
+    """Dual value and gradient at nu, and the `_arb` rows they came from."""
+    c = compiled
+    rows = _arb(c, nu[c.i1], nu[c.i2])
+    t1, o2, t2, o1, value = rows
+    g = obj.conjugate(nu) + float(value.sum())
+    grad = (obj.conjugate_gradient(nu) + np.bincount(c.i1, weights=o1 - t1, minlength=c.n)
+            + np.bincount(c.i2, weights=o2 - t2, minlength=c.n))
+    return g, grad, rows
+
+
+def _trade_arrays(rows):
+    """(m, 2) tendered and received arrays from `_arb` rows."""
+    t1, o2, t2, o1, _ = rows
+    return np.column_stack([t1, t2]), np.column_stack([o1, o2])
+
+
+def _hessian(compiled: _Compiled, nu) -> np.ndarray:
+    """The dual Hessian at nu, assembled from one 2x2 block per market.
+
+    A market's arbitrage value is 1-homogeneous in its local prices, so its
+    Hessian block is c*[nu2, -nu1]^T [nu2, -nu1]; the (1, 1) entry c*nu2^2 is
+    the derivative of o1 - t1 in nu1, taken for every market at once by a
+    central difference in its own nu1.  Both objectives' conjugates are
+    linear and add nothing.
+    """
+    c = compiled
+    nu1, nu2 = nu[c.i1], nu[c.i2]
+    h = 1e-6 * nu1
+    plus, minus = _arb(c, nu1 + h, nu2), _arb(c, nu1 - h, nu2)
+    h11 = ((plus[3] - plus[0]) - (minus[3] - minus[0])) / (2.0 * h)
+    p = nu1 / nu2
+    flat = np.concatenate([c.i1 * c.n + c.i1, c.i2 * c.n + c.i2,
+                           c.i1 * c.n + c.i2, c.i2 * c.n + c.i1])
+    blocks = np.concatenate([h11, h11 * p * p, -h11 * p, -h11 * p])
+    return np.bincount(flat, weights=blocks, minlength=c.n * c.n).reshape(c.n, c.n)
 
 
 def eval_dual(snapshot: MarketSnapshot, obj: Objective, nu):
     """Evaluate the dual function and its gradient at nu; also return the
     per-market trades as (m, 2) tendered and received arrays."""
-    compiled = _compile(snapshot)
-    g, grad, batches, others = _eval(snapshot, obj, np.asarray(nu, dtype=float), compiled)
-    return (g, grad) + _trade_arrays(snapshot.m, compiled, batches, others)
+    g, grad, rows = _eval(obj, np.asarray(nu, dtype=float), _compile(snapshot))
+    return (g, grad) + _trade_arrays(rows)
 
 
 def _mid_spot(market) -> float | None:
@@ -194,52 +204,43 @@ def _projected_grad_norm(nu, grad, lower) -> float:
     return float(np.abs(pg).max(initial=0.0))
 
 
-def _newton_polish(snapshot, obj, nu, lower, compiled, tol, max_rounds=15):
+def _newton_polish(obj, nu, lower, compiled, tol, max_rounds=15):
     """Drive the projected gradient below tol by Newton steps on the free set.
 
     The quasi-Newton phase is limited by round-off in the dual *value*; the
-    gradient is assembled from closed-form trades and is far more accurate,
-    so finite-differencing it gives a usable Hessian near the minimizer.
-    A step is taken only when it lowers the projected gradient.
+    gradient is assembled from closed-form trades and is far more accurate.
+    Each round takes the Hessian from `_hessian`'s per-market blocks, at the
+    cost of two `_arb` calls.  A step is taken only when it lowers the
+    projected gradient.  Returns nu and the `_eval` result there.
     """
-    n = nu.shape[0]
+    ev = _eval(obj, nu, compiled)
     for _ in range(max_rounds):
-        grad = _eval(snapshot, obj, nu, compiled)[1]
+        grad = ev[1]
         pg = _projected_grad_norm(nu, grad, lower)
         if pg <= tol:
             break
         at_bound = nu <= lower * (1.0 + _BOUND_SLACK) + _BOUND_SLACK
-        free = ~at_bound | (grad < 0.0)
-        idx = np.flatnonzero(free)
+        idx = np.flatnonzero(~at_bound | (grad < 0.0))
         if idx.size == 0:
             break
-        hess = np.empty((idx.size, idx.size))
-        for col, j in enumerate(idx):
-            h = 1e-6 * max(1.0, abs(nu[j]))
-            e = np.zeros(n)
-            e[j] = h
-            gp = _eval(snapshot, obj, nu + e, compiled)[1]
-            gm_ = _eval(snapshot, obj, np.maximum(nu - e, lower), compiled)[1]
-            hess[:, col] = (gp[idx] - gm_[idx]) / (h + nu[j] - max(nu[j] - h, lower[j]))
-        hess = 0.5 * (hess + hess.T)
+        hess = _hessian(compiled, nu)[np.ix_(idx, idx)]
         reg = 1e-12 * max(1.0, float(np.abs(hess).max()))
         try:
             step = np.linalg.solve(hess + reg * np.eye(idx.size), -grad[idx])
         except np.linalg.LinAlgError:
             break
-        improved = False
         scale_step = 1.0
         for _ in range(20):
             cand = nu.copy()
             cand[idx] = np.maximum(nu[idx] + scale_step * step, lower[idx])
-            grad_c = _eval(snapshot, obj, cand, compiled)[1]
-            if _projected_grad_norm(cand, grad_c, lower) < pg:
-                nu, improved = cand, True
+            ev_c = _eval(obj, cand, compiled)
+            if _projected_grad_norm(cand, ev_c[1], lower) < pg:
+                nu, ev = cand, ev_c
                 break
             scale_step *= 0.5
-        if not improved:
+        else:
             break
-    return nu
+    return nu, ev
 
 
 def solve(snapshot: MarketSnapshot, obj: Objective, config: SolverConfig | None = None) -> RoutingSolution:
@@ -255,30 +256,30 @@ def solve(snapshot: MarketSnapshot, obj: Objective, config: SolverConfig | None 
         tol = 1e-8 * max(1.0, float(np.abs(nu).max(initial=0.0)))
 
     res = minimize(
-        lambda x: _eval(snapshot, obj, x, compiled)[:2], nu, jac=True, method="L-BFGS-B",
+        lambda x: _eval(obj, x, compiled)[:2], nu, jac=True, method="L-BFGS-B",
         bounds=[(lb, None) for lb in lower],
         options={"maxiter": cfg.max_iterations, "maxcor": cfg.memory,
                  "ftol": 1e-18, "gtol": tol, "maxls": 50},
     )
     # quasi-Newton progress bottoms out at the round-off level of the dual
     # value; polish on the accurate analytic gradient (no step when nu
-    # already meets the tolerance)
-    nu = _newton_polish(snapshot, obj, np.maximum(res.x, lower), lower, compiled, tol)
-
-    # the subproblem solutions at the final nu are the primal routing
-    dual_value, grad, batches, others = _eval(snapshot, obj, nu, compiled)
-    tendered, received = _trade_arrays(snapshot.m, compiled, batches, others)
+    # already meets the tolerance).  The subproblem solutions of its last
+    # evaluation are the primal routing.
+    nu, (dual_value, grad, rows) = _newton_polish(
+        obj, np.maximum(res.x, lower), lower, compiled, tol)
+    tendered, received = _trade_arrays(rows)
     residual = _projected_grad_norm(nu, grad, lower)
     psi = net_trade(snapshot, tendered, received)
+    utility = obj.utility(psi.psi)
     return RoutingSolution(
         nu=nu,
         psi=psi,
         tendered=tendered,
         received=received,
         dual_value=dual_value,
-        utility=obj.utility(psi.psi),
+        utility=utility,
         coupling_residual=residual,
         iterations=max(res.nit, 1),
         wall_time=time.perf_counter() - t0,
-        converged=residual <= tol,
+        converged=residual <= tol and math.isfinite(utility),
     )

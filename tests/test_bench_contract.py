@@ -5,6 +5,8 @@ original back."""
 import os
 import sys
 
+import numpy as np
+
 import dexroute as dx
 from dexroute import generate, solver
 
@@ -32,3 +34,23 @@ def test_install_wraps_what_solve_calls_and_uninstall_restores():
     for owner, attr, original in saved:
         assert vars(owner).get(attr) is original, f"{owner.__name__}.{attr} not restored"
         assert not hasattr(getattr(owner, attr), "__wrapped__")
+
+
+def test_traced_solve_sees_every_market_kind():
+    # the kernels must be looked up when a solve runs, not bound at import,
+    # or the traced run's per-layer kernel metrics read zero
+    tm = dx.TokenMap
+    markets = [
+        dx.GeomMeanMarket(np.array([1000.0, 1500.0]), (0.5, 0.5), 0.997, tm((0, 1))),
+        dx.BoundedProductSegment(np.array([10.0, 10.0]), 90.0, 90.0, 1.0, tm((1, 2))),
+        dx.Curve2Market(np.array([100.0, 120.0]), 5.0, 0.999, tm((0, 2))),
+    ]
+    snap = dx.MarketSnapshot(dx.AssetUniverse(("A", "B", "C")), markets)
+    rec = tracer.Recorder()
+    rec.install()
+    try:
+        dx.solve(snap, dx.TotalArbitrage(np.array([1.0, 1.0, 1.0])))
+    finally:
+        rec.uninstall()
+    names = {s.name for s in rec.spans}
+    assert {"kernels.gmean", "kernels.bounded", "markets.find_arb.curve2"} <= names

@@ -321,7 +321,34 @@ class TestGenericSwap:
             dx.swap(self._product_market(), dx.Trade(np.ones(2), np.zeros(2)))
 
 
+_CURVE2_POOLS = [(5.0, 6.0, 7.0), (100.0, 100.0, 50.0), (1500.0, 1600.0, 3.0)]
+
+
 class TestCurve2:
+    @pytest.mark.parametrize("r1, r2, amp", _CURVE2_POOLS)
+    def test_forward_exchange_matches_reference(self, r1, r2, amp):
+        m = dx.Curve2Market(np.array([r1, r2]), amp, 0.999, dx.TokenMap((0, 1)))
+        for direction, rin, rout in ((1, r1, r2), (2, r2, r1)):
+            deltas = np.geomspace(1e-6, 5.0 * rin, 60)
+            mine = np.array([m.forward_exchange(d, direction) for d in deltas])
+            ref = oracle.reference_forward(m, deltas, direction)
+            # the reference bisects on phi, which resolves the output only to
+            # about 1e-13 of the reserve: the floor for the smallest inputs
+            np.testing.assert_allclose(mine, ref, rtol=1e-9, atol=1e-12 * rout)
+
+    @pytest.mark.parametrize("r1, r2, amp", _CURVE2_POOLS)
+    def test_price_impact_is_the_derivative_of_forward_exchange(self, r1, r2, amp):
+        m = dx.Curve2Market(np.array([r1, r2]), amp, 0.999, dx.TokenMap((0, 1)))
+        eps = np.finfo(float).eps
+        for direction, rin in ((1, r1), (2, r2)):
+            for d in np.geomspace(1e-6, 5.0 * rin, 40):
+                h = 1e-5 * d
+                hi = m.forward_exchange(d + h, direction)
+                fd = (hi - m.forward_exchange(d - h, direction)) / (2.0 * h)
+                # round-off of the difference quotient: a few ulps of the output over h
+                floor = 8.0 * eps * hi / h
+                assert m.price_impact(d, direction) == pytest.approx(fd, rel=1e-6, abs=floor)
+
     def test_forward_exchange_preserves_invariant(self):
         m = dx.Curve2Market(np.array([100.0, 100.0]), 5.0, 1.0, dx.TokenMap((0, 1)))
         lam = m.forward_exchange(10.0)

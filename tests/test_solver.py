@@ -1,10 +1,12 @@
 """Dual evaluation and the end-to-end routing solve."""
 
+import math
+
 import numpy as np
 import pytest
 
 import dexroute as dx
-from dexroute import generate, oracle
+from dexroute import generate, oracle, solver
 from dexroute.solver import SolverConfig
 
 
@@ -52,6 +54,29 @@ class TestEvalDual:
             e[j] = h
             fd = (dx.eval_dual(snap, obj, nu + e)[0] - dx.eval_dual(snap, obj, nu - e)[0]) / (2 * h)
             assert fd == pytest.approx(grad[j], rel=1e-5, abs=1e-4)
+
+    def test_hessian_blocks_match_finite_differences_of_the_gradient(self):
+        # one market of each kind, every one trading at these prices
+        tm = dx.TokenMap
+        markets = [
+            dx.GeomMeanMarket(np.array([1000.0, 1500.0]), (0.5, 0.5), 0.997, tm((0, 1))),
+            dx.BoundedProductSegment(np.array([10.0, 10.0]), 90.0, 90.0, 1.0, tm((1, 2))),
+            generate.make_ladder(10, seed=3, token_map=tm((0, 2))),
+            dx.Curve2Market(np.array([100.0, 120.0]), 5.0, 0.999, tm((1, 2))),
+        ]
+        snap = dx.MarketSnapshot(dx.AssetUniverse(("A", "B", "C")), markets)
+        obj = dx.TotalArbitrage(np.array([1.0, 1.0, 1.0]))
+        nu = np.array([2.0, 1.3, 1.45])
+        _, _, tendered, _ = dx.eval_dual(snap, obj, nu)
+        assert np.all(tendered.sum(axis=1) > 0.0)
+        hess = solver._hessian(solver._compile(snap), nu)
+        fd = np.empty((snap.n, snap.n))
+        for j in range(snap.n):
+            e = np.zeros(snap.n)
+            e[j] = 1e-6 * nu[j]
+            grad_diff = dx.eval_dual(snap, obj, nu + e)[1] - dx.eval_dual(snap, obj, nu - e)[1]
+            fd[:, j] = grad_diff / (2 * e[j])
+        assert np.abs(hess - fd).max() <= 1e-5 * np.abs(fd).max()
 
 
 class TestSolveArbitrage:
@@ -181,6 +206,33 @@ class TestSolveLiquidation:
         assert sol.nu[0] < 1.0
 
 
+class TestCurve2Network:
+    """curve2 inside a network: two gmean pools and a curve2 pool on a triangle."""
+
+    @staticmethod
+    def _snapshot(r1, r2, amp):
+        tm = dx.TokenMap
+        markets = [
+            dx.GeomMeanMarket(np.array([30.0, 30.0]), (0.5, 0.5), 0.997, tm((0, 1))),
+            dx.GeomMeanMarket(np.array([30.0, 36.0]), (0.5, 0.5), 0.997, tm((1, 2))),
+            dx.Curve2Market(np.array([r1, r2]), amp, 0.999, tm((0, 2))),
+        ]
+        return dx.MarketSnapshot(dx.AssetUniverse(("A", "B", "C")), markets)
+
+    @pytest.mark.parametrize("pool", [(5.0, 6.0, 7.0), (8.0, 10.0, 2.0), (20.0, 25.0, 0.5)])
+    @pytest.mark.parametrize("objective", ["arbitrage", "liquidate"])
+    def test_converges_to_the_primal_oracle(self, pool, objective):
+        snap = self._snapshot(*pool)
+        if objective == "arbitrage":
+            obj = dx.TotalArbitrage(np.array([1.0, 1.0, 1.0]))
+        else:
+            obj = dx.BasketLiquidation(np.array([5.0, 0.0, 0.0]), 2)
+        sol = dx.solve(snap, obj)
+        assert sol.converged
+        ref = oracle.primal_projected_gradient(snap, obj)
+        assert sol.utility == pytest.approx(ref.utility, rel=1e-6)
+
+
 class TestNoTradeExit:
     def test_consistent_prices_give_zero_trades_quickly(self):
         uni = dx.AssetUniverse(("A", "B", "C"))
@@ -213,7 +265,15 @@ class TestConfig:
         snap = generate.generate_snapshot(50, 3)
         obj = dx.TotalArbitrage(snap.prices)
         sol = dx.solve(snap, obj, SolverConfig(max_iterations=3))
-        assert sol.iterations <= 3 + 1  # plus one fallback step
+        assert sol.iterations <= 3
+
+    @pytest.mark.parametrize("tol", [1e-1, 1e-2, 1e-3, 1e-4])
+    def test_converged_implies_finite_utility(self, tol):
+        # a loose tolerance stops the solve while psi is still infeasible
+        snap = _triangle(small=100.0)
+        obj = dx.BasketLiquidation(np.array([100.0, 0.0, 0.0]), 2)
+        sol = dx.solve(snap, obj, SolverConfig(gradient_tolerance=tol))
+        assert math.isfinite(sol.utility) or not sol.converged
 
     def test_initial_point_respects_bounds(self):
         snap = _triangle()
