@@ -22,7 +22,7 @@ class RejectedTradeError(DexRouteError, ValueError):
 
 
 class ConfigurationError(DexRouteError, ValueError):
-    """Invalid snapshot / market configuration (overlapping segments, bad fee, ...)."""
+    """Invalid snapshot / market configuration (bad fee, empty aggregate, ...)."""
 
 
 class InvalidMarketError(DexRouteError, ValueError):

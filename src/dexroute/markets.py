@@ -3,8 +3,9 @@
 Every market trades two assets and answers one question: given local prices
 (nu1, nu2) > 0, which trade maximizes nu.(received - tendered) over the
 market's trading set?  Geometric-mean and bounded-product markets answer in
-closed form; aggregates answer via a sorted-interval lookup with cached
-boundary sums; generic swap markets answer by bisection on the price impact.
+closed form; an aggregate answers with the sum of its segments' answers, from
+one batched kernel call; generic swap markets answer by bisection on the
+price impact.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import kernels
 from .core import TokenMap, Trade
 from .errors import (
     ConfigurationError,
@@ -320,7 +322,7 @@ def _apply_phi_trade(market, trade: Trade):
 
 
 # ---------------------------------------------------------------------------
-# Aggregate of bounded-liquidity segments with disjoint active intervals
+# Aggregate of bounded-liquidity segments: a sum of its segments
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -339,36 +341,17 @@ class AggregateMarket:
         self._rebuild()
 
     def _rebuild(self):
-        self.segments.sort(key=lambda s: s.active_interval()[0])
-        lo = np.array([s.active_interval()[0] for s in self.segments])
-        hi = np.array([s.active_interval()[1] for s in self.segments])
-        # the fee widens the fee-free range [lo0, hi0] = [beta^2/k, k/alpha^2]
-        # to [fee*lo0, hi0/fee], so adjacent intervals may overlap; the ranges
-        # may not (hi*fee^2 > lo means hi0 > lo0), which keeps lo and hi sorted
-        for i in range(len(self.segments) - 1):
-            if hi[i] * self.fee ** 2 > lo[i + 1] * (1.0 + 1e-12):
-                raise ConfigurationError(
-                    f"segment active intervals overlap: ({lo[i]}, {hi[i]}) and "
-                    f"({lo[i+1]}, {hi[i+1]})"
-                )
-        d1 = np.array([s.max_input(1) for s in self.segments])
-        o2 = np.array([s.reserves[1] for s in self.segments])
-        d2 = np.array([s.max_input(2) for s in self.segments])
-        o1 = np.array([s.reserves[0] for s in self.segments])
-        v1 = o1 + np.array([s.alpha for s in self.segments])
-        v2 = o2 + np.array([s.beta for s in self.segments])
-        z = np.zeros(1)
+        segs = self.segments
+        r1, r2, alpha, beta = (np.array(col) for col in zip(
+            *((s.reserves[0], s.reserves[1], s.alpha, s.beta) for s in segs)))
+        v1, v2 = r1 + alpha, r2 + beta
+        d1 = np.array([s.max_input(1) for s in segs])
+        d2 = np.array([s.max_input(2) for s in segs])
         self._cache = {
-            "lo": lo,
-            "hi": hi,
+            # the bounded kernel's arguments before the prices, one row per segment
+            "params": (r1, r2, alpha, beta, np.full(len(segs), self.fee)),
             # per direction: fee*vin*vout, vin and the input cap of each segment
             "fill": ((self.fee * v1 * v2, v1, d1), (self.fee * v2 * v1, v2, d2)),
-            # prefix sums over segments fully below the price (direction 2)
-            "pre_d2": np.concatenate([z, np.cumsum(d2)]),
-            "pre_o1": np.concatenate([z, np.cumsum(o1)]),
-            # suffix sums over segments fully above the price (direction 1)
-            "suf_d1": np.concatenate([np.cumsum(d1[::-1])[::-1], z]),
-            "suf_o2": np.concatenate([np.cumsum(o2[::-1])[::-1], z]),
         }
 
     def spread(self) -> tuple[float, float]:
@@ -376,21 +359,12 @@ class AggregateMarket:
         return max(bids), min(asks)
 
     def find_arb(self, nu) -> ArbResult:
+        """The sum of the segments' optimal arbitrages, from one kernel call."""
         nu1, nu2 = _check_prices(nu)
-        p = nu1 / nu2
-        c = self._cache
-        n_below = int(np.searchsorted(c["hi"], p, side="right"))
-        n_under = int(np.searchsorted(c["lo"], p, side="left"))
-        tendered = np.array([c["suf_d1"][n_under], c["pre_d2"][n_below]])
-        received = np.array([c["pre_o1"][n_below], c["suf_o2"][n_under]])
-        for j in range(n_below, n_under):  # segments whose active interval holds p
-            res = self.segments[j].find_arb(nu)
-            tendered += res.trade.tendered
-            received += res.trade.received
-        obj = nu1 * (received[0] - tendered[0]) + nu2 * (received[1] - tendered[1])
-        if not (tendered.any() or received.any()):
-            return _zero_result()
-        return ArbResult(Trade(tendered, received), max(obj, 0.0))
+        s = len(self.segments)
+        t1, o2, t2, o1, value = np.sum(kernels.bounded_arb_batch(
+            *self._cache["params"], np.full(s, nu1), np.full(s, nu2)), axis=1)
+        return ArbResult(Trade(np.array([t1, t2]), np.array([o1, o2])), float(value))
 
     def phi(self) -> float:
         return sum(s.phi() for s in self.segments)

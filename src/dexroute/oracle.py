@@ -112,7 +112,8 @@ def grid_arb(market, nu, grid_step: float, bracket: float | None = None) -> ArbR
 
 
 def naive_aggregate_arb(market: AggregateMarket, nu) -> ArbResult:
-    """Per-segment loop; the O(log s) aggregate path must reproduce this."""
+    """Per-segment loop of scalar solves; the batched aggregate path must
+    reproduce this."""
     tendered = np.zeros(2)
     received = np.zeros(2)
     obj = 0.0

@@ -20,7 +20,7 @@ from scipy.optimize import minimize
 from . import kernels
 from .core import MarketSnapshot, NetworkTrade, Trade, net_trade
 from .errors import UnboundedError
-from .markets import BoundedProductSegment, GeomMeanMarket
+from .markets import AggregateMarket, BoundedProductSegment, GeomMeanMarket
 from .objectives import PRICE_EPS, Objective
 
 _BOUND_SLACK = 1e-14
@@ -30,11 +30,10 @@ _BOUND_SLACK = 1e-14
 class SolverConfig:
     max_iterations: int = 200
     gradient_tolerance: float | None = None  # default: 1e-8 * max(1, |nu0|_inf)
-    memory: int = 10
 
     def __post_init__(self):
-        if self.max_iterations <= 0 or self.memory <= 0:
-            raise ValueError("max_iterations and memory must be positive")
+        if self.max_iterations <= 0:
+            raise ValueError("max_iterations must be positive")
         if self.gradient_tolerance is not None and self.gradient_tolerance <= 0:
             raise ValueError("gradient_tolerance must be positive")
 
@@ -63,24 +62,34 @@ class RoutingSolution:
 
 @dataclass
 class _Compiled:
-    """Struct-of-arrays view of the snapshot for the batched kernels."""
+    """Struct-of-arrays view of the snapshot for the batched kernels.
+
+    Each gmean, bounded, curve2 or generic market is one row; an aggregate is
+    one row per segment, all owned by the aggregate and quoting its token
+    pair, because its arbitrage is the sum of its segments' arbitrages.
+    """
 
     n: int
-    i1: np.ndarray  # (m,) global index of each market's local asset 1
-    i2: np.ndarray  # (m,) ... and of its local asset 2
-    batches: list  # (market indices, kernel, kernel arguments before the prices)
-    other: list  # (market index, market) pairs solved one at a time
+    m: int
+    owner: np.ndarray  # (rows,) index of the market each row belongs to
+    i1: np.ndarray  # (rows,) global index of the row's local asset 1
+    i2: np.ndarray  # (rows,) ... and of its local asset 2
+    batches: list  # (row indices, kernel, kernel arguments before the prices)
+    other: list  # (row index, market) pairs solved one at a time
 
 
 def _compile(snapshot: MarketSnapshot) -> _Compiled:
-    gm_rows, bp_rows, other = [], [], []
+    gm_rows, bp_rows, other, owner = [], [], [], []
     for i, mkt in enumerate(snapshot.markets):
-        if isinstance(mkt, GeomMeanMarket):
-            gm_rows.append((i, mkt))
-        elif isinstance(mkt, BoundedProductSegment):
-            bp_rows.append((i, mkt))
-        else:
-            other.append((i, mkt))
+        for part in mkt.segments if isinstance(mkt, AggregateMarket) else (mkt,):
+            row = (len(owner), part)
+            owner.append(i)
+            if isinstance(part, GeomMeanMarket):
+                gm_rows.append(row)
+            elif isinstance(part, BoundedProductSegment):
+                bp_rows.append(row)
+            else:
+                other.append(row)
 
     batches = []  # the kernels are looked up per solve, where a tracer can wrap them
     for members, kernel, a, b in (
@@ -93,25 +102,27 @@ def _compile(snapshot: MarketSnapshot) -> _Compiled:
             params = (col(lambda m: m.reserves[0]), col(lambda m: m.reserves[1]),
                       col(a), col(b), col(lambda m: m.fee))
             batches.append((np.array(idx), kernel, params))
+    owner = np.array(owner, dtype=np.intp)
     tokens = np.array([m.token_map.global_indices for m in snapshot.markets],
-                      dtype=np.intp).reshape(-1, 2)
-    return _Compiled(snapshot.n, tokens[:, 0], tokens[:, 1], batches, other)
+                      dtype=np.intp).reshape(-1, 2)[owner]
+    return _Compiled(snapshot.n, len(snapshot.markets), owner, tokens[:, 0], tokens[:, 1],
+                     batches, other)
 
 
 def _arb(compiled: _Compiled, nu1, nu2) -> np.ndarray:
-    """Every market's optimal arbitrage at local prices (nu1, nu2): the rows
-    t1, o2, t2, o1 and value, in market order.  Direction 1 tenders t1 of
+    """Every row's optimal arbitrage at local prices (nu1, nu2): the rows
+    t1, o2, t2, o1 and value, in row order.  Direction 1 tenders t1 of
     local asset 1 and receives o2 of asset 2."""
     rows = np.zeros((5, nu1.shape[0]))
     for idx, kernel, params in compiled.batches:
         rows[:, idx] = kernel(*params, nu1[idx], nu2[idx])
-    for i, mkt in compiled.other:
+    for r, mkt in compiled.other:
         try:
-            res = mkt.find_arb(np.array([nu1[i], nu2[i]]))
+            res = mkt.find_arb(np.array([nu1[r], nu2[r]]))
         except UnboundedError as e:
-            raise UnboundedError(f"market {i}: {e}") from e
+            raise UnboundedError(f"market {compiled.owner[r]}: {e}") from e
         (t1, t2), (o1, o2) = res.trade.tendered, res.trade.received
-        rows[:, i] = (t1, o2, t2, o1, res.objective_value)
+        rows[:, r] = (t1, o2, t2, o1, res.objective_value)
     return rows
 
 
@@ -126,9 +137,10 @@ def _eval(obj, nu, compiled):
     return g, grad, rows
 
 
-def _trade_arrays(rows):
-    """(m, 2) tendered and received arrays from `_arb` rows."""
-    t1, o2, t2, o1, _ = rows
+def _trade_arrays(compiled: _Compiled, rows):
+    """(m, 2) tendered and received arrays: each market's `_arb` rows summed."""
+    c = compiled
+    t1, o2, t2, o1 = (np.bincount(c.owner, weights=w, minlength=c.m) for w in rows[:4])
     return np.column_stack([t1, t2]), np.column_stack([o1, o2])
 
 
@@ -156,8 +168,9 @@ def _hessian(compiled: _Compiled, nu) -> np.ndarray:
 def eval_dual(snapshot: MarketSnapshot, obj: Objective, nu):
     """Evaluate the dual function and its gradient at nu; also return the
     per-market trades as (m, 2) tendered and received arrays."""
-    g, grad, rows = _eval(obj, np.asarray(nu, dtype=float), _compile(snapshot))
-    return (g, grad) + _trade_arrays(rows)
+    compiled = _compile(snapshot)
+    g, grad, rows = _eval(obj, np.asarray(nu, dtype=float), compiled)
+    return (g, grad) + _trade_arrays(compiled, rows)
 
 
 def _mid_spot(market) -> float | None:
@@ -258,7 +271,7 @@ def solve(snapshot: MarketSnapshot, obj: Objective, config: SolverConfig | None 
     res = minimize(
         lambda x: _eval(obj, x, compiled)[:2], nu, jac=True, method="L-BFGS-B",
         bounds=[(lb, None) for lb in lower],
-        options={"maxiter": cfg.max_iterations, "maxcor": cfg.memory,
+        options={"maxiter": cfg.max_iterations, "maxcor": 10,
                  "ftol": 1e-18, "gtol": tol, "maxls": 50},
     )
     # quasi-Newton progress bottoms out at the round-off level of the dual
@@ -267,7 +280,7 @@ def solve(snapshot: MarketSnapshot, obj: Objective, config: SolverConfig | None 
     # evaluation are the primal routing.
     nu, (dual_value, grad, rows) = _newton_polish(
         obj, np.maximum(res.x, lower), lower, compiled, tol)
-    tendered, received = _trade_arrays(rows)
+    tendered, received = _trade_arrays(compiled, rows)
     residual = _projected_grad_norm(nu, grad, lower)
     psi = net_trade(snapshot, tendered, received)
     utility = obj.utility(psi.psi)

@@ -1,5 +1,6 @@
-"""Aggregate markets: the sorted-interval arbitrage must equal the naive
-per-segment sum, and liquidity bookkeeping must stay consistent."""
+"""Aggregate markets: the batched arbitrage over the segments must equal the
+naive per-segment sum for any set of segments, and swaps and liquidity
+bookkeeping must stay consistent."""
 
 import numpy as np
 import pytest
@@ -68,11 +69,18 @@ class TestEquivalence:
 
 
 class TestStructure:
-    def test_overlapping_intervals_rejected(self):
+    def test_overlapping_segments_add_up(self):
+        # two copies of one segment quote like a single segment of twice the size
         tm = dx.TokenMap((0, 1))
         seg = lambda: dx.BoundedProductSegment(np.array([10.0, 10.0]), 90.0, 90.0, 1.0, tm)
-        with pytest.raises(ConfigurationError):
-            dx.AggregateMarket([seg(), seg()], 1.0, tm)
+        pair = dx.AggregateMarket([seg(), seg()], 1.0, tm)
+        double = dx.BoundedProductSegment(np.array([20.0, 20.0]), 180.0, 180.0, 1.0, tm)
+        for p in (0.5, 0.9, 1.0, 1.3, 3.0):
+            nu = np.array([p, 1.0])
+            a, b = pair.find_arb(nu), double.find_arb(nu)
+            np.testing.assert_allclose(a.trade.tendered, b.trade.tendered, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(a.trade.received, b.trade.received, rtol=1e-12, atol=0)
+            assert a.objective_value == pytest.approx(b.objective_value, rel=1e-12, abs=0)
 
     def test_mismatched_fee_rejected(self):
         tm = dx.TokenMap((0, 1))
@@ -134,6 +142,23 @@ class TestSwapAndLiquidity:
         with pytest.raises(RejectedTradeError):
             dx.swap(market, dx.Trade(np.array([d, 0.0]), np.array([0.0, fill * (1 + 1e-4)])))
         assert market.to_dict() == before
+
+    def test_fee_bearing_swap_applies_in_full(self):
+        ladder = generate.make_ladder(200, seed=1)
+        segments = [dx.BoundedProductSegment(s.reserves.copy(), s.alpha, s.beta, 0.997, s.token_map)
+                    for s in ladder.segments]
+        market = dx.AggregateMarket(segments, 0.997, ladder.token_map)
+        r1, r2 = (sum(s.reserves[j] for s in market.segments) for j in (0, 1))
+        d = 0.01 * r1
+        dx.swap(market, dx.Trade(np.array([d, 0.0]), np.zeros(2)))
+        assert sum(s.reserves[0] for s in market.segments) == pytest.approx(r1 + d, rel=1e-9)
+        assert sum(s.reserves[1] for s in market.segments) < r2
+        for p in np.geomspace(0.05, 20.0, 500):
+            nu = np.array([p, 1.0])
+            fast = market.find_arb(nu)
+            ref = oracle.naive_aggregate_arb(market, nu)
+            scale = max(1.0, abs(ref.objective_value))
+            assert _max_err(fast, ref) <= 1e-9 * scale
 
     def test_two_sided_tender_rejected(self):
         market = _ladder(3, seed=5)

@@ -44,6 +44,7 @@ def test_traced_solve_sees_every_market_kind():
         dx.GeomMeanMarket(np.array([1000.0, 1500.0]), (0.5, 0.5), 0.997, tm((0, 1))),
         dx.BoundedProductSegment(np.array([10.0, 10.0]), 90.0, 90.0, 1.0, tm((1, 2))),
         dx.Curve2Market(np.array([100.0, 120.0]), 5.0, 0.999, tm((0, 2))),
+        generate.make_ladder(10, seed=3, token_map=tm((0, 2))),
     ]
     snap = dx.MarketSnapshot(dx.AssetUniverse(("A", "B", "C")), markets)
     rec = tracer.Recorder()
@@ -54,3 +55,6 @@ def test_traced_solve_sees_every_market_kind():
         rec.uninstall()
     names = {s.name for s in rec.spans}
     assert {"kernels.gmean", "kernels.bounded", "markets.find_arb.curve2"} <= names
+    # the aggregate's segments ride in the bounded batch with the bounded market
+    assert "markets.find_arb.aggregate" not in names
+    assert all(s.attrs["m"] == 11 for s in rec.spans if s.name == "kernels.bounded")

@@ -155,8 +155,8 @@ class TestSolveArbitrage:
         assert sol.utility > 0.0
 
     def test_solution_arrays_are_the_final_evaluation(self):
-        # gmean and bounded markets are solved in batches, the aggregate on
-        # its own; the arrays must still hold every trade in market order
+        # gmean markets, bounded markets and the aggregate's segments are
+        # solved in batches; the arrays must still hold every trade in market order
         tm = dx.TokenMap
         markets = [
             dx.GeomMeanMarket(np.array([1000.0, 1500.0]), (0.5, 0.5), 0.997, tm((0, 1))),
@@ -176,6 +176,39 @@ class TestSolveArbitrage:
         assert np.array_equal([t.tendered for t in trades], sol.tendered)
         assert np.array_equal([t.received for t in trades], sol.received)
         assert not any(t.is_zero() for t in trades)
+
+
+class TestAggregateDecomposition:
+    """An aggregate solves as its segments listed as standalone markets."""
+
+    @staticmethod
+    def _snapshots(seed, fee):
+        core = generate.generate_snapshot(16, seed)
+        ladder = generate.make_ladder(20, seed=seed, token_map=dx.TokenMap((0, 1)))
+        segments = [dx.BoundedProductSegment(s.reserves.copy(), s.alpha, s.beta, fee, s.token_map)
+                    for s in ladder.segments]
+        ladder = dx.AggregateMarket(segments, fee, ladder.token_map)
+        if fee < 1.0:
+            d = 0.01 * sum(s.reserves[0] for s in segments)
+            dx.swap(ladder, dx.Trade(np.array([d, 0.0]), np.zeros(2)))
+        standalone = [dx.BoundedProductSegment(s.reserves.copy(), s.alpha, s.beta, fee, s.token_map)
+                      for s in ladder.segments]
+        return tuple(dx.MarketSnapshot(core.universe, core.markets + extra, prices=core.prices)
+                     for extra in ([ladder], standalone))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("fee", [1.0, 0.997])
+    def test_aggregate_solves_as_its_segments(self, seed, fee):
+        agg_snap, seg_snap = self._snapshots(seed, fee)
+        obj = dx.TotalArbitrage(agg_snap.prices)
+        a, b = dx.solve(agg_snap, obj), dx.solve(seg_snap, obj)
+        assert a.converged == b.converged
+        np.testing.assert_allclose(a.nu, b.nu, rtol=1e-9)
+        assert a.utility == pytest.approx(b.utility, rel=1e-9)
+        m = len(agg_snap.markets) - 1
+        np.testing.assert_allclose(a.tendered[:m], b.tendered[:m], rtol=1e-9)
+        np.testing.assert_allclose(a.tendered[m], b.tendered[m:].sum(axis=0), rtol=1e-9)
+        np.testing.assert_allclose(a.received[m], b.received[m:].sum(axis=0), rtol=1e-9)
 
 
 class TestSolveLiquidation:
