@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prices", help="comma-separated valuation (default: snapshot prices)")
     p.add_argument("--basket", help="comma-separated amounts tendered")
     p.add_argument("--out-token", type=int)
-    p.add_argument("--max-iter", type=int, default=200)
+    p.add_argument("--max-iter", type=int, default=200, help="most Newton rounds on the dual")
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_route)

@@ -3,9 +3,9 @@
 Every market trades two assets and answers one question: given local prices
 (nu1, nu2) > 0, which trade maximizes nu.(received - tendered) over the
 market's trading set?  Geometric-mean and bounded-product markets answer in
-closed form; an aggregate answers with the sum of its segments' answers, from
-one batched kernel call; generic swap markets answer by bisection on the
-price impact.
+closed form, with the batched kernel called on one row; an aggregate answers
+with the sum of its segments' answers, from one kernel call over its segments;
+generic swap markets answer by bisection on the price impact.
 """
 
 from __future__ import annotations
@@ -51,6 +51,15 @@ def _check_prices(nu) -> tuple[float, float]:
     if not (nu[0] > 0 and nu[1] > 0) or not np.all(np.isfinite(nu)):
         raise DomainError(f"local prices must be positive and finite: {nu}")
     return float(nu[0]), float(nu[1])
+
+
+def _kernel_arb(kernel, params, nu) -> ArbResult:
+    """The column sums of `kernel` over the rows `params` (its arguments
+    before the prices), all at local prices nu."""
+    nu1, nu2 = _check_prices(nu)
+    s = len(params[0])
+    t1, o2, t2, o1, value, _ = kernel(*params, np.full(s, nu1), np.full(s, nu2)).sum(axis=1)
+    return ArbResult(Trade(np.array([t1, t2]), np.array([o1, o2])), float(value))
 
 
 def _dir1_result(nu1, nu2, delta, lam) -> ArbResult:
@@ -123,23 +132,9 @@ class GeomMeanMarket:
         eta = w1 / w2
         return self.fee * eta * r2 / r1, eta * r2 / (self.fee * r1)
 
-    def _closed_form(self, nu_in: float, nu_out: float, direction: int) -> tuple[float, float]:
-        rin, rout, eta = self._params(direction)
-        g = self.fee
-        ratio = eta * g * (nu_out * rout) / (nu_in * rin)
-        delta = (rin / g) * (ratio ** (1.0 / (eta + 1.0)) - 1.0)
-        if delta <= 0.0:
-            return 0.0, 0.0
-        return delta, self.forward_exchange(delta, direction)
-
     def find_arb(self, nu) -> ArbResult:
-        nu1, nu2 = _check_prices(nu)
-        delta, lam = self._closed_form(nu1, nu2, 1)
-        res = _dir1_result(nu1, nu2, delta, lam)
-        if res.objective_value > 0.0:
-            return res  # at most one direction can be strictly profitable
-        delta, lam = self._closed_form(nu2, nu1, 2)
-        return _dir2_result(nu1, nu2, delta, lam)
+        params = (*self.reserves, *self.weights, self.fee)
+        return _kernel_arb(kernels.gmean_arb_batch, [np.array([x]) for x in params], nu)
 
     def apply_trade(self, trade: Trade):
         _apply_phi_trade(self, trade)
@@ -210,8 +205,8 @@ class BoundedProductSegment:
 
     def max_input(self, direction: int = 1) -> float:
         """Smallest input draining the output reserve (inf if unreachable)."""
-        vin, vout, rout = self._virt(direction)
-        off = vout - rout  # beta for direction 1, alpha for direction 2
+        vin, _, rout = self._virt(direction)
+        off = self.beta if direction == 1 else self.alpha
         if rout == 0.0:
             return 0.0
         if off == 0.0:
@@ -239,32 +234,9 @@ class BoundedProductSegment:
         ask2 = 0.0 if r1 == 0.0 else self.fee * v1 / v2
         return bid, (math.inf if ask2 == 0.0 else 1.0 / ask2)
 
-    def _interior(self, nu_in: float, nu_out: float, direction: int) -> tuple[float, float]:
-        vin, vout, rout = self._virt(direction)
-        g = self.fee
-        delta = (math.sqrt(g * vin * vout * nu_out / nu_in) - vin) / g
-        if delta <= 0.0:
-            return 0.0, 0.0
-        return delta, self.forward_exchange(delta, direction)
-
     def find_arb(self, nu) -> ArbResult:
-        nu1, nu2 = _check_prices(nu)
-        p = nu1 / nu2
-        lo, hi = self.active_interval()
-        r1, r2 = self.reserves
-        if p <= lo:
-            # below the active interval: take everything the market offers
-            return _dir1_result(nu1, nu2, self.max_input(1), r2)
-        if p >= hi:
-            return _dir2_result(nu1, nu2, self.max_input(2), r1)
-        bid, ask = self.spread()
-        if p < bid:
-            delta, lam = self._interior(nu1, nu2, 1)
-            return _dir1_result(nu1, nu2, delta, lam)
-        if p > ask:
-            delta, lam = self._interior(nu2, nu1, 2)
-            return _dir2_result(nu1, nu2, delta, lam)
-        return _zero_result()
+        params = (*self.reserves, self.alpha, self.beta, self.fee)
+        return _kernel_arb(kernels.bounded_arb_batch, [np.array([x]) for x in params], nu)
 
     def apply_trade(self, trade: Trade):
         _apply_phi_trade(self, trade)
@@ -360,11 +332,7 @@ class AggregateMarket:
 
     def find_arb(self, nu) -> ArbResult:
         """The sum of the segments' optimal arbitrages, from one kernel call."""
-        nu1, nu2 = _check_prices(nu)
-        s = len(self.segments)
-        t1, o2, t2, o1, value = np.sum(kernels.bounded_arb_batch(
-            *self._cache["params"], np.full(s, nu1), np.full(s, nu2)), axis=1)
-        return ArbResult(Trade(np.array([t1, t2]), np.array([o1, o2])), float(value))
+        return _kernel_arb(kernels.bounded_arb_batch, self._cache["params"], nu)
 
     def phi(self) -> float:
         return sum(s.phi() for s in self.segments)
@@ -494,6 +462,13 @@ class GenericSwapMarket:
     def price_impact(self, delta: float, direction: int = 1) -> float:
         return self.impact[direction - 1](delta)
 
+    def impact_derivative(self, delta: float, direction: int = 1) -> float:
+        """I'(delta) for delta > 0, from one central difference of the price
+        impact in delta."""
+        h = 1e-6 * delta
+        fp = self.impact[direction - 1]
+        return (fp(delta + h) - fp(delta - h)) / (2.0 * h)
+
     def spread(self) -> tuple[float, float]:
         bid = self.impact[0](0.0)
         ask2 = self.impact[1](0.0)
@@ -603,6 +578,16 @@ class Curve2Market(GenericSwapMarket):
     def _impact(self, delta: float, direction: int) -> float:
         x, y, _ = self._post(delta, direction)
         return self.fee * (self.amp + 1.0 / (x * x * y)) / (self.amp + 1.0 / (x * y * y))
+
+    def impact_derivative(self, delta: float, direction: int = 1) -> float:
+        """I'(delta) = -fee^2 * y''(x): y' = -N/D with N = amp + 1/(x^2 y) and
+        D = amp + 1/(x y^2), differentiated along the invariant's y(x)."""
+        x, y, _ = self._post(delta, direction)
+        n, d = self.amp + 1.0 / (x * x * y), self.amp + 1.0 / (x * y * y)
+        dy = -n / d
+        dn = -2.0 / (x ** 3 * y) - dy / (x * x * y * y)
+        dd = -1.0 / (x * x * y * y) - 2.0 * dy / (x * y ** 3)
+        return self.fee ** 2 * (dn * d - n * dd) / (d * d)
 
     def apply_trade(self, trade: Trade):
         _apply_phi_trade(self, trade)

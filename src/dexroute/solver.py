@@ -1,11 +1,14 @@
 """Dual decomposition solver for the routing problem.
 
 The dual function g(nu) = conj(nu) + sum_i arb_i(gather_i(nu)) is minimized
-over the objective's box with one L-BFGS-B run and then a Newton polish; its
-gradient is the (sub)gradient conj_grad(nu) + sum_i scatter_i(trade_i), which
-is exactly the coupling residual.  The per-market trades of the final
-evaluation at the minimizer are summed into the network trade, so the
-recovered primal satisfies the coupling constraint by construction.
+over the objective's box by projected Newton (Bertsekas 1982); its gradient
+is the (sub)gradient conj_grad(nu) + sum_i scatter_i(trade_i), which is
+exactly the coupling residual.  Each market's Hessian block comes from a
+closed-form curvature in the same evaluation as the value and gradient.  The
+per-market trades of the final evaluation at the minimizer are summed into the
+network trade, so the recovered primal satisfies the coupling constraint by
+construction.  The paper minimizes the same dual with L-BFGS-B; the tests keep
+that as the reference.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import kernels
 from .core import MarketSnapshot, NetworkTrade, Trade, net_trade
@@ -111,9 +113,9 @@ def _compile(snapshot: MarketSnapshot) -> _Compiled:
 
 def _arb(compiled: _Compiled, nu1, nu2) -> np.ndarray:
     """Every row's optimal arbitrage at local prices (nu1, nu2): the rows
-    t1, o2, t2, o1 and value, in row order.  Direction 1 tenders t1 of
-    local asset 1 and receives o2 of asset 2."""
-    rows = np.zeros((5, nu1.shape[0]))
+    t1, o2, t2, o1, value and curvature d(o1 - t1)/dnu1, in row order.
+    Direction 1 tenders t1 of local asset 1 and receives o2 of asset 2."""
+    rows = np.zeros((6, nu1.shape[0]))
     for idx, kernel, params in compiled.batches:
         rows[:, idx] = kernel(*params, nu1[idx], nu2[idx])
     for r, mkt in compiled.other:
@@ -122,7 +124,15 @@ def _arb(compiled: _Compiled, nu1, nu2) -> np.ndarray:
         except UnboundedError as e:
             raise UnboundedError(f"market {compiled.owner[r]}: {e}") from e
         (t1, t2), (o1, o2) = res.trade.tendered, res.trade.received
-        rows[:, r] = (t1, o2, t2, o1, res.objective_value)
+        rows[:5, r] = (t1, o2, t2, o1, res.objective_value)
+        # the trade solves I(delta) = nu_in/nu_out; its derivative in nu1
+        # follows by the implicit-function theorem
+        direction, delta = (1, t1) if t1 > 0.0 else (2, t2)
+        if 0.0 < delta < mkt.max_in[direction - 1]:
+            di = mkt.impact_derivative(delta, direction)
+            if di < 0.0:
+                n1, n2 = nu1[r], nu2[r]
+                rows[5, r] = -1.0 / (n2 * di) if direction == 1 else -n2 * n2 / (n1 ** 3 * di)
     return rows
 
 
@@ -130,7 +140,7 @@ def _eval(obj, nu, compiled):
     """Dual value and gradient at nu, and the `_arb` rows they came from."""
     c = compiled
     rows = _arb(c, nu[c.i1], nu[c.i2])
-    t1, o2, t2, o1, value = rows
+    t1, o2, t2, o1, value, _ = rows
     g = obj.conjugate(nu) + float(value.sum())
     grad = (obj.conjugate_gradient(nu) + np.bincount(c.i1, weights=o1 - t1, minlength=c.n)
             + np.bincount(c.i2, weights=o2 - t2, minlength=c.n))
@@ -144,21 +154,18 @@ def _trade_arrays(compiled: _Compiled, rows):
     return np.column_stack([t1, t2]), np.column_stack([o1, o2])
 
 
-def _hessian(compiled: _Compiled, nu) -> np.ndarray:
-    """The dual Hessian at nu, assembled from one 2x2 block per market.
+def _hessian(compiled: _Compiled, nu, rows) -> np.ndarray:
+    """The dual Hessian at nu, assembled from one 2x2 block per row of the
+    `_arb` rows evaluated there.
 
     A market's arbitrage value is 1-homogeneous in its local prices, so its
     Hessian block is c*[nu2, -nu1]^T [nu2, -nu1]; the (1, 1) entry c*nu2^2 is
-    the derivative of o1 - t1 in nu1, taken for every market at once by a
-    central difference in its own nu1.  Both objectives' conjugates are
+    the curvature row, d(o1 - t1)/dnu1.  Both objectives' conjugates are
     linear and add nothing.
     """
     c = compiled
-    nu1, nu2 = nu[c.i1], nu[c.i2]
-    h = 1e-6 * nu1
-    plus, minus = _arb(c, nu1 + h, nu2), _arb(c, nu1 - h, nu2)
-    h11 = ((plus[3] - plus[0]) - (minus[3] - minus[0])) / (2.0 * h)
-    p = nu1 / nu2
+    h11 = rows[5]
+    p = nu[c.i1] / nu[c.i2]
     flat = np.concatenate([c.i1 * c.n + c.i1, c.i2 * c.n + c.i2,
                            c.i1 * c.n + c.i2, c.i2 * c.n + c.i1])
     blocks = np.concatenate([h11, h11 * p * p, -h11 * p, -h11 * p])
@@ -217,18 +224,21 @@ def _projected_grad_norm(nu, grad, lower) -> float:
     return float(np.abs(pg).max(initial=0.0))
 
 
-def _newton_polish(obj, nu, lower, compiled, tol, max_rounds=15):
-    """Drive the projected gradient below tol by Newton steps on the free set.
+def minimize(obj, nu, lower, compiled, tol, max_rounds):
+    """Projected Newton on the dual over the box nu >= lower.
 
-    The quasi-Newton phase is limited by round-off in the dual *value*; the
-    gradient is assembled from closed-form trades and is far more accurate.
-    Each round takes the Hessian from `_hessian`'s per-market blocks, at the
-    cost of two `_arb` calls.  A step is taken only when it lowers the
-    projected gradient.  Returns nu and the `_eval` result there.
+    Each round solves the Newton system on the free set (the variables off
+    their bound, or on it with a negative gradient) and halves the step along
+    the projection arc until one is accepted: by Armijo on the dual value, or,
+    where the value moves by no more than its round-off, by a lower projected
+    gradient.  The loop stops at tol, with no free variable, or when the line
+    search fails.  Returns nu, the `_eval` result there and the number of
+    rounds.
     """
     ev = _eval(obj, nu, compiled)
-    for _ in range(max_rounds):
-        grad = ev[1]
+    rounds = 0
+    while rounds < max_rounds:
+        g, grad, rows = ev
         pg = _projected_grad_norm(nu, grad, lower)
         if pg <= tol:
             break
@@ -236,24 +246,34 @@ def _newton_polish(obj, nu, lower, compiled, tol, max_rounds=15):
         idx = np.flatnonzero(~at_bound | (grad < 0.0))
         if idx.size == 0:
             break
-        hess = _hessian(compiled, nu)[np.ix_(idx, idx)]
+        hess = _hessian(compiled, nu, rows)[np.ix_(idx, idx)]
         reg = 1e-12 * max(1.0, float(np.abs(hess).max()))
         try:
             step = np.linalg.solve(hess + reg * np.eye(idx.size), -grad[idx])
         except np.linalg.LinAlgError:
             break
-        scale_step = 1.0
-        for _ in range(20):
+        # a price with no curvature behind it would take a 1/reg step
+        step /= max(1.0, float(np.max(np.abs(step) / nu[idx])) / 10.0)
+        roundoff = 1e-13 * (abs(g) + float(rows[4].sum()))
+        rounds += 1
+        t = 1.0
+        for _ in range(40):
             cand = nu.copy()
-            cand[idx] = np.maximum(nu[idx] + scale_step * step, lower[idx])
+            cand[idx] = np.maximum(nu[idx] + t * step, lower[idx])
+            if np.array_equal(cand, nu):
+                break  # the step has fallen below the round-off of nu
             ev_c = _eval(obj, cand, compiled)
-            if _projected_grad_norm(cand, ev_c[1], lower) < pg:
+            if abs(ev_c[0] - g) > roundoff:
+                accept = ev_c[0] <= g + 1e-4 * float(grad @ (cand - nu))
+            else:  # Armijo would pass a step that changes nothing
+                accept = _projected_grad_norm(cand, ev_c[1], lower) < pg
+            if accept:
                 nu, ev = cand, ev_c
                 break
-            scale_step *= 0.5
-        else:
+            t *= 0.5
+        if nu is not cand:  # no step was accepted
             break
-    return nu, ev
+    return nu, ev, rounds
 
 
 def solve(snapshot: MarketSnapshot, obj: Objective, config: SolverConfig | None = None) -> RoutingSolution:
@@ -268,18 +288,9 @@ def solve(snapshot: MarketSnapshot, obj: Objective, config: SolverConfig | None 
     if tol is None:
         tol = 1e-8 * max(1.0, float(np.abs(nu).max(initial=0.0)))
 
-    res = minimize(
-        lambda x: _eval(obj, x, compiled)[:2], nu, jac=True, method="L-BFGS-B",
-        bounds=[(lb, None) for lb in lower],
-        options={"maxiter": cfg.max_iterations, "maxcor": 10,
-                 "ftol": 1e-18, "gtol": tol, "maxls": 50},
-    )
-    # quasi-Newton progress bottoms out at the round-off level of the dual
-    # value; polish on the accurate analytic gradient (no step when nu
-    # already meets the tolerance).  The subproblem solutions of its last
-    # evaluation are the primal routing.
-    nu, (dual_value, grad, rows) = _newton_polish(
-        obj, np.maximum(res.x, lower), lower, compiled, tol)
+    # the subproblem solutions of the last evaluation are the primal routing
+    nu, (dual_value, grad, rows), rounds = minimize(
+        obj, nu, lower, compiled, tol, cfg.max_iterations)
     tendered, received = _trade_arrays(compiled, rows)
     residual = _projected_grad_norm(nu, grad, lower)
     psi = net_trade(snapshot, tendered, received)
@@ -292,7 +303,7 @@ def solve(snapshot: MarketSnapshot, obj: Objective, config: SolverConfig | None 
         dual_value=dual_value,
         utility=utility,
         coupling_residual=residual,
-        iterations=max(res.nit, 1),
+        iterations=rounds,
         wall_time=time.perf_counter() - t0,
         converged=residual <= tol and math.isfinite(utility),
     )

@@ -34,7 +34,7 @@ def test_1_closed_form_matches_independent_oracle():
     count = 1000
     p = _random_gmean_params(rng, count)
     t0 = time.perf_counter()
-    t1, o2, t2, o1, objv = kernels.gmean_arb_batch(
+    t1, o2, t2, o1, objv, _ = kernels.gmean_arb_batch(
         p["r1"], p["r2"], p["w1"], 1.0 - p["w1"], p["fee"], p["nu1"], p["nu2"]
     )
     ref = oracle.gmean_reference_objective(

@@ -349,6 +349,23 @@ class TestCurve2:
                 floor = 8.0 * eps * hi / h
                 assert m.price_impact(d, direction) == pytest.approx(fd, rel=1e-6, abs=floor)
 
+    @pytest.mark.parametrize("r1, r2, amp, deltas, rtol", [
+        (100.0, 120.0, 5.0, (1.0, 10.0, 50.0), 1e-5),
+        # at small inputs a difference cannot resolve this pool's I' of about 1e-13
+        (1500.0, 1600.0, 3.0, (750.0,), 1e-4),
+    ])
+    def test_impact_derivative_is_the_derivative_of_price_impact(self, r1, r2, amp, deltas, rtol):
+        m = dx.Curve2Market(np.array([r1, r2]), amp, 0.999, dx.TokenMap((0, 1)))
+        eps = np.finfo(float).eps
+        for direction in (1, 2):
+            for d in deltas:
+                h = 1e-3 * d
+                imp = m.price_impact(d + h, direction)
+                fd = (imp - m.price_impact(d - h, direction)) / (2.0 * h)
+                # round-off of the difference quotient: two ulps of each impact over the step
+                floor = 2.0 * eps * imp / h
+                assert m.impact_derivative(d, direction) == pytest.approx(fd, rel=rtol, abs=floor)
+
     def test_forward_exchange_preserves_invariant(self):
         m = dx.Curve2Market(np.array([100.0, 100.0]), 5.0, 1.0, dx.TokenMap((0, 1)))
         lam = m.forward_exchange(10.0)

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 import dexroute as dx
 from dexroute import generate, oracle, solver
+from dexroute.objectives import PRICE_EPS
 from dexroute.solver import SolverConfig
 
 
@@ -56,7 +58,8 @@ class TestEvalDual:
             assert fd == pytest.approx(grad[j], rel=1e-5, abs=1e-4)
 
     def test_hessian_blocks_match_finite_differences_of_the_gradient(self):
-        # one market of each kind, every one trading at these prices
+        # one market of each kind, every one trading at these prices; the
+        # curve2 pool tenders its first asset at the first, its second at the second
         tm = dx.TokenMap
         markets = [
             dx.GeomMeanMarket(np.array([1000.0, 1500.0]), (0.5, 0.5), 0.997, tm((0, 1))),
@@ -66,17 +69,18 @@ class TestEvalDual:
         ]
         snap = dx.MarketSnapshot(dx.AssetUniverse(("A", "B", "C")), markets)
         obj = dx.TotalArbitrage(np.array([1.0, 1.0, 1.0]))
-        nu = np.array([2.0, 1.3, 1.45])
-        _, _, tendered, _ = dx.eval_dual(snap, obj, nu)
-        assert np.all(tendered.sum(axis=1) > 0.0)
-        hess = solver._hessian(solver._compile(snap), nu)
-        fd = np.empty((snap.n, snap.n))
-        for j in range(snap.n):
-            e = np.zeros(snap.n)
-            e[j] = 1e-6 * nu[j]
-            grad_diff = dx.eval_dual(snap, obj, nu + e)[1] - dx.eval_dual(snap, obj, nu - e)[1]
-            fd[:, j] = grad_diff / (2 * e[j])
-        assert np.abs(hess - fd).max() <= 1e-5 * np.abs(fd).max()
+        for nu in (np.array([2.0, 1.3, 1.45]), np.array([2.0, 1.45, 1.3])):
+            _, _, tendered, _ = dx.eval_dual(snap, obj, nu)
+            assert np.all(tendered.sum(axis=1) > 0.0)
+            compiled = solver._compile(snap)
+            hess = solver._hessian(compiled, nu, solver._eval(obj, nu, compiled)[2])
+            fd = np.empty((snap.n, snap.n))
+            for j in range(snap.n):
+                e = np.zeros(snap.n)
+                e[j] = 1e-6 * nu[j]
+                grad_diff = dx.eval_dual(snap, obj, nu + e)[1] - dx.eval_dual(snap, obj, nu - e)[1]
+                fd[:, j] = grad_diff / (2 * e[j])
+            assert np.abs(hess - fd).max() <= 1e-5 * np.abs(fd).max()
 
 
 class TestSolveArbitrage:
@@ -264,6 +268,39 @@ class TestCurve2Network:
         assert sol.converged
         ref = oracle.primal_projected_gradient(snap, obj)
         assert sol.utility == pytest.approx(ref.utility, rel=1e-6)
+
+
+class TestLbfgsbReference:
+    """The paper's dual solve, L-BFGS-B over the objective's box, is the
+    reference for the production Newton loop: `solve` must reach its dual
+    value or a lower one."""
+
+    _SNAPSHOTS = {
+        "generated-1": lambda: generate.generate_snapshot(64, 1),
+        "generated-2": lambda: generate.generate_snapshot(64, 2),
+        "triangle": _triangle,
+        "curve2-triangle": lambda: TestCurve2Network._snapshot(5.0, 6.0, 7.0),
+    }
+
+    @pytest.mark.parametrize("name", list(_SNAPSHOTS))
+    @pytest.mark.parametrize("objective", ["arbitrage", "liquidate"])
+    def test_solve_reaches_the_lbfgsb_dual_value(self, name, objective):
+        snap = self._SNAPSHOTS[name]()
+        if objective == "arbitrage":
+            obj = dx.TotalArbitrage(snap.prices if snap.prices is not None else np.ones(snap.n))
+        else:
+            basket = np.zeros(snap.n)
+            basket[0] = 10.0
+            obj = dx.BasketLiquidation(basket, snap.n - 1)
+        lower = np.maximum(obj.bounds()[0], PRICE_EPS)
+        ref = scipy.optimize.minimize(
+            lambda nu: dx.eval_dual(snap, obj, nu)[:2], dx.initial_point(obj, snap), jac=True,
+            method="L-BFGS-B", bounds=[(lb, None) for lb in lower],
+            options={"maxiter": 1000, "ftol": 1e-18, "gtol": 1e-10, "maxls": 50},
+        )
+        sol = dx.solve(snap, obj)
+        assert sol.converged
+        assert sol.dual_value <= ref.fun + 1e-9 * abs(ref.fun)
 
 
 class TestNoTradeExit:
