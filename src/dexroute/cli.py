@@ -36,20 +36,44 @@ def _parse_vec(text: str) -> np.ndarray:
     return np.array([float(x) for x in text.split(",")])
 
 
-def _solution_doc(sol: RoutingSolution) -> dict:
+# one entry of the solution's "trades" list as json.dumps(..., indent=2) spells it
+_TRADE_ROW = ('    {{\n      "market": {},\n'
+              '      "tendered": [\n        {},\n        {}\n      ],\n'
+              '      "received": [\n        {},\n        {}\n      ]\n    }}')
+
+
+def _solution_doc(sol: RoutingSolution, trades: bool = True) -> dict:
+    """The solution document; with trades=False its "trades" list is empty."""
     return {
         "nu": sol.nu.tolist(),
         "psi": sol.psi.psi.tolist(),
         "trades": [
             {"market": i, "tendered": t, "received": r}
             for i, (t, r) in enumerate(zip(sol.tendered.tolist(), sol.received.tolist()))
-        ],
+        ] if trades else [],
         "utility": float(sol.utility),
         "dual_value": float(sol.dual_value),
         "iterations": sol.iterations,
         "converged": sol.converged,
         "wall_time_ms": sol.wall_time * 1000.0,
     }
+
+
+def _solution_json(sol: RoutingSolution) -> str:
+    """The text of json.dumps(_solution_doc(sol), indent=2) + "\n", byte for byte.
+
+    The trade floats go through the C encoder as one flat list, which spells
+    NaN, Infinity and -0.0 as the indented encoder does, and are filled into a
+    fixed per-trade template; the rest of the document is dumped as it is.
+    """
+    text = json.dumps(_solution_doc(sol, trades=False), indent=2) + "\n"
+    if not len(sol.tendered):
+        return text
+    floats = json.dumps(np.hstack([sol.tendered, sol.received]).ravel().tolist())
+    it = iter(floats[1:-1].split(", "))  # t1, t2, r1, r2 of each trade in turn
+    rows = ",\n".join(map(_TRADE_ROW.format, range(len(sol.tendered)), it, it, it, it))
+    # nu and psi hold only numbers, so the first match is the trades key
+    return text.replace('"trades": []', '"trades": [\n' + rows + "\n  ]", 1)
 
 
 def cmd_route(args) -> int:
@@ -73,7 +97,7 @@ def cmd_route(args) -> int:
         sol = solve(snapshot, obj, cfg)
     except UnboundedError as e:
         _fail(EXIT_UNBOUNDED, str(e))
-    _write(json.dumps(_solution_doc(sol), indent=2) + "\n", args.out)
+    _write(_solution_json(sol), args.out)
     if not sol.converged:
         print(f"warning: not converged after {sol.iterations} iterations", file=sys.stderr)
         return EXIT_NOT_CONVERGED

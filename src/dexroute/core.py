@@ -8,6 +8,7 @@ local assets); no selection matrix is ever materialized.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,12 @@ class TokenMap:
     global_indices: tuple[int, ...]
 
     def __post_init__(self):
-        idx = self.global_indices
+        try:
+            idx = tuple(map(operator.index, self.global_indices))
+        except TypeError as e:
+            raise ConfigurationError(
+                f"token map indices must be integers: {self.global_indices!r}") from e
+        object.__setattr__(self, "global_indices", idx)
         if len(set(idx)) != len(idx):
             raise ConfigurationError(f"token map indices must be distinct: {idx}")
         if any(i < 0 for i in idx):
@@ -164,9 +170,20 @@ def snapshot_from_dict(doc: dict) -> MarketSnapshot:
 
     try:
         universe = AssetUniverse(tuple(doc["assets"]))
-        market_list = [mk.market_from_dict(d) for d in doc["markets"]]
+        market_docs = list(doc["markets"])
     except KeyError as e:
         raise ConfigurationError(f"snapshot missing field {e}") from e
+    except TypeError as e:
+        raise ConfigurationError(f"snapshot needs 'assets' and 'markets' lists: {e}") from e
+    market_list = []
+    for i, d in enumerate(market_docs):
+        try:
+            market_list.append(mk.market_from_dict(d))
+        except KeyError as e:
+            raise ConfigurationError(f"snapshot missing field {e} in market {i}") from e
+        except (TypeError, AttributeError) as e:
+            # a market entry, or one of its fields, of the wrong JSON type
+            raise ConfigurationError(f"market {i}: {e}") from e
     return MarketSnapshot(
         universe,
         market_list,

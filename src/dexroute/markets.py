@@ -6,6 +6,12 @@ market's trading set?  Geometric-mean and bounded-product markets answer in
 closed form, with the batched kernel called on one row; an aggregate answers
 with the sum of its segments' answers, from one kernel call over its segments;
 generic swap markets answer by bisection on the price impact.
+
+Each constructor takes exactly two reserves, stores them as a float64 array
+and checks them, with its other numbers, by scalar comparisons: reserves,
+`alpha`, `beta` and `amp` must be finite, and a malformed market raises
+`ConfigurationError`.  `market_from_dict` builds every market through its
+constructor, so a snapshot file gets the same checks.
 """
 
 from __future__ import annotations
@@ -42,6 +48,16 @@ class ArbResult:
 
 def _zero_result() -> ArbResult:
     return ArbResult(Trade.zero(), 0.0)
+
+
+def _two_reserves(reserves) -> tuple[np.ndarray, float, float]:
+    """The reserves as a float64 array, and its two entries as Python floats,
+    which the constructors check with scalar comparisons."""
+    arr = np.asarray(reserves, dtype=float)
+    if arr.shape != (2,):
+        raise ConfigurationError(f"a market holds exactly two reserves, got {arr.tolist()}")
+    r1, r2 = arr.tolist()
+    return arr, r1, r2
 
 
 def _check_prices(nu) -> tuple[float, float]:
@@ -88,14 +104,15 @@ class GeomMeanMarket:
     token_map: TokenMap
 
     def __post_init__(self):
-        self.reserves = np.asarray(self.reserves, dtype=float)
+        self.reserves, r1, r2 = _two_reserves(self.reserves)
         w1, w2 = self.weights
         if not (0.0 < w1 < 1.0 and 0.0 < w2 < 1.0 and abs(w1 + w2 - 1.0) < 1e-12):
             raise ConfigurationError(f"weights must be in (0,1) and sum to 1: {self.weights}")
         if not (0.0 < self.fee <= 1.0):
             raise ConfigurationError(f"fee must be in (0, 1]: {self.fee}")
-        if not np.all(self.reserves > 0):
-            raise ConfigurationError(f"geometric-mean reserves must be positive: {self.reserves}")
+        if not (0.0 < r1 < math.inf and 0.0 < r2 < math.inf):
+            raise ConfigurationError(
+                f"geometric-mean reserves must be positive and finite: {self.reserves}")
 
     @property
     def weight(self) -> float:
@@ -165,14 +182,13 @@ class BoundedProductSegment:
     token_map: TokenMap
 
     def __post_init__(self):
-        self.reserves = np.asarray(self.reserves, dtype=float)
-        if np.any(self.reserves < 0):
-            raise ConfigurationError(f"reserves must be nonnegative: {self.reserves}")
-        if self.alpha < 0 or self.beta < 0:
-            raise ConfigurationError("virtual offsets must be nonnegative")
+        self.reserves, r1, r2 = _two_reserves(self.reserves)
+        if not (0.0 <= r1 < math.inf and 0.0 <= r2 < math.inf):
+            raise ConfigurationError(f"reserves must be nonnegative and finite: {self.reserves}")
+        if not (0.0 <= self.alpha < math.inf and 0.0 <= self.beta < math.inf):
+            raise ConfigurationError("virtual offsets must be nonnegative and finite")
         if not (0.0 < self.fee <= 1.0):
             raise ConfigurationError(f"fee must be in (0, 1]: {self.fee}")
-        r1, r2 = self.reserves
         if r1 + self.alpha <= 0 or r2 + self.beta <= 0:
             raise ConfigurationError("virtual reserves must be positive")
 
@@ -530,11 +546,11 @@ class Curve2Market(GenericSwapMarket):
     """
 
     def __init__(self, reserves, amp: float, fee: float, token_map: TokenMap):
-        self.reserves = np.asarray(reserves, dtype=float)
-        if not np.all(self.reserves > 0):
-            raise ConfigurationError("curve2 reserves must be positive")
-        if amp <= 0:
-            raise ConfigurationError("curve2 amplification must be positive")
+        self.reserves, r1, r2 = _two_reserves(reserves)
+        if not (0.0 < r1 < math.inf and 0.0 < r2 < math.inf):
+            raise ConfigurationError("curve2 reserves must be positive and finite")
+        if not (0.0 < amp < math.inf):
+            raise ConfigurationError("curve2 amplification must be positive and finite")
         if not (0.0 < fee <= 1.0):
             raise ConfigurationError(f"fee must be in (0, 1]: {fee}")
         self.amp = float(amp)
@@ -646,19 +662,19 @@ def market_from_dict(doc: dict):
         w = doc["weights"]
         if len(w) != 2:
             raise ConfigurationError("gmean market needs two weights")
-        return GeomMeanMarket(np.asarray(doc["reserves"], float), (float(w[0]), float(w[1])), fee, token_map)
+        return GeomMeanMarket(doc["reserves"], (float(w[0]), float(w[1])), fee, token_map)
     if kind == "bounded_product":
         return BoundedProductSegment(
-            np.asarray(doc["reserves"], float), float(doc["alpha"]), float(doc["beta"]), fee, token_map
+            doc["reserves"], float(doc["alpha"]), float(doc["beta"]), fee, token_map
         )
     if kind == "aggregate":
         segments = [
             BoundedProductSegment(
-                np.asarray(s["reserves"], float), float(s["alpha"]), float(s["beta"]), fee, token_map
+                s["reserves"], float(s["alpha"]), float(s["beta"]), fee, token_map
             )
             for s in doc["segments"]
         ]
         return AggregateMarket(segments, fee, token_map)
     if kind == "curve2":
-        return Curve2Market(np.asarray(doc["reserves"], float), float(doc["amp"]), fee, token_map)
+        return Curve2Market(doc["reserves"], float(doc["amp"]), fee, token_map)
     raise ConfigurationError(f"unknown market type: {kind!r}")

@@ -81,34 +81,29 @@ class _Compiled:
 
 
 def _compile(snapshot: MarketSnapshot) -> _Compiled:
-    gm_rows, bp_rows, other, owner = [], [], [], []
+    gm_rows, bp_rows, other, owner, tokens = [], [], [], [], []
     for i, mkt in enumerate(snapshot.markets):
+        pair = mkt.token_map.global_indices
         for part in mkt.segments if isinstance(mkt, AggregateMarket) else (mkt,):
-            row = (len(owner), part)
+            row = len(owner)
             owner.append(i)
+            tokens.append(pair)
+            # one tuple per row: its index, then the kernel's arguments before the prices
             if isinstance(part, GeomMeanMarket):
-                gm_rows.append(row)
+                gm_rows.append((row, *part.reserves.tolist(), *part.weights, part.fee))
             elif isinstance(part, BoundedProductSegment):
-                bp_rows.append(row)
+                bp_rows.append((row, *part.reserves.tolist(), part.alpha, part.beta, part.fee))
             else:
-                other.append(row)
+                other.append((row, part))
 
     batches = []  # the kernels are looked up per solve, where a tracer can wrap them
-    for members, kernel, a, b in (
-        (gm_rows, kernels.gmean_arb_batch, lambda m: m.weights[0], lambda m: m.weights[1]),
-        (bp_rows, kernels.bounded_arb_batch, lambda m: m.alpha, lambda m: m.beta),
-    ):
-        if members:
-            idx, mkts = zip(*members)
-            col = lambda f: np.array([f(m) for m in mkts])  # noqa: E731
-            params = (col(lambda m: m.reserves[0]), col(lambda m: m.reserves[1]),
-                      col(a), col(b), col(lambda m: m.fee))
-            batches.append((np.array(idx), kernel, params))
-    owner = np.array(owner, dtype=np.intp)
-    tokens = np.array([m.token_map.global_indices for m in snapshot.markets],
-                      dtype=np.intp).reshape(-1, 2)[owner]
-    return _Compiled(snapshot.n, len(snapshot.markets), owner, tokens[:, 0], tokens[:, 1],
-                     batches, other)
+    for rows, kernel in ((gm_rows, kernels.gmean_arb_batch), (bp_rows, kernels.bounded_arb_batch)):
+        if rows:
+            cols = np.array(rows, dtype=float).T.copy()  # one contiguous row per argument
+            batches.append((cols[0].astype(np.intp), kernel, tuple(cols[1:])))
+    tokens = np.array(tokens, dtype=np.intp).reshape(-1, 2)
+    return _Compiled(snapshot.n, len(snapshot.markets), np.array(owner, dtype=np.intp),
+                     tokens[:, 0], tokens[:, 1], batches, other)
 
 
 def _arb(compiled: _Compiled, nu1, nu2) -> np.ndarray:

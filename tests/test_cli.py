@@ -1,12 +1,15 @@
 """CLI behavior: generation determinism, routing output, exit codes."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 import dexroute as dx
 from dexroute import cli, generate
+from dexroute.errors import ConfigurationError
+from dexroute.solver import RoutingSolution
 
 
 def run(argv):
@@ -136,3 +139,76 @@ class TestRoute:
         assert code == 2
         doc = json.loads(out.read_text())  # partial result still written
         assert doc["converged"] is False
+
+
+def _one_market_snapshot(market: dict) -> dict:
+    return {"assets": ["A", "B"], "prices": [1.0, 1.0], "markets": [market]}
+
+
+_GMEAN = {"type": "gmean", "tokens": [0, 1], "reserves": [100.0, 120.0],
+          "weights": [0.5, 0.5], "fee": 0.997}
+_BOUNDED = {"type": "bounded_product", "tokens": [0, 1], "reserves": [10.0, 10.0],
+            "alpha": 90.0, "beta": 90.0, "fee": 1.0}
+_CURVE2 = {"type": "curve2", "tokens": [0, 1], "reserves": [50.0, 60.0], "amp": 3.0, "fee": 0.999}
+
+
+class TestMalformedMarkets:
+    @pytest.mark.parametrize("market", [
+        {**_GMEAN, "reserves": [100.0, 120.0, 80.0]},
+        {**_GMEAN, "reserves": [100.0]},
+        {**_GMEAN, "reserves": [100.0, math.inf]},
+        {**_CURVE2, "reserves": [50.0, 60.0, 70.0]},
+        {**_CURVE2, "amp": math.inf},
+        {**_BOUNDED, "reserves": [10.0, math.nan]},
+        {**_BOUNDED, "alpha": math.nan},
+        {**_BOUNDED, "alpha": math.inf},
+        {**_BOUNDED, "beta": math.inf},
+        {"type": "aggregate", "tokens": [0, 1], "fee": 1.0,
+         "segments": [{"reserves": [5.0, 0.0], "alpha": 10.0, "beta": math.nan}]},
+        {**_GMEAN, "tokens": [0, 1.5]},
+        1,
+        {**_GMEAN, "tokens": 5},
+        {**_GMEAN, "weights": 0.5},
+    ], ids=["gmean-3-reserves", "gmean-1-reserve", "gmean-inf-reserve", "curve2-3-reserves",
+            "curve2-inf-amp", "bounded-nan-reserve", "bounded-nan-alpha", "bounded-inf-alpha",
+            "bounded-inf-beta", "segment-nan-beta", "fractional-token", "market-not-object",
+            "tokens-not-list", "weights-not-list"])
+    def test_rejected_with_one_error_line(self, market, tmp_path, capsys):
+        doc = _one_market_snapshot(market)
+        with pytest.raises(ConfigurationError):
+            dx.snapshot_from_dict(doc)
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc:
+            run(["route", "--snapshot", str(p), "--objective", "arbitrage"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _solution(tendered, received, nu, utility) -> RoutingSolution:
+    nu = np.array(nu, dtype=float)
+    return RoutingSolution(nu, dx.NetworkTrade(-nu), np.array(tendered, dtype=float).reshape(-1, 2),
+                           np.array(received, dtype=float).reshape(-1, 2), 0.5, utility, 0.0, 3,
+                           0.25, True)
+
+
+_NONFINITE = [math.nan, math.inf, -math.inf, -0.0]
+
+
+class TestSolutionWriter:
+    @pytest.mark.parametrize("sol", [
+        _solution([], [], [1.0, 2.0], 0.0),
+        _solution([[1.5, 0.0]], [[0.0, 2.25]], [0.3, 0.7], 1.0),
+        _solution([[0.0, 0.0]], [[0.0, 0.0]], [1.0, 1.0], -math.inf),
+        _solution([_NONFINITE[:2], _NONFINITE[2:], [1e-300, 5e300]],
+                  [_NONFINITE[2:], _NONFINITE[:2], [0.1, 3.0]], _NONFINITE, math.nan),
+    ], ids=["m0", "m1", "utility-neg-inf", "non-finite"])
+    def test_hand_built_matches_indented_dumps(self, sol):
+        assert cli._solution_json(sol) == json.dumps(cli._solution_doc(sol), indent=2) + "\n"
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_solve_matches_indented_dumps(self, seed):
+        snap = generate.generate_snapshot(64, seed)
+        sol = dx.solve(snap, dx.TotalArbitrage(snap.prices))
+        assert cli._solution_json(sol) == json.dumps(cli._solution_doc(sol), indent=2) + "\n"

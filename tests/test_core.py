@@ -79,6 +79,13 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             dx.TokenMap((2, 2))
 
+    def test_token_map_takes_integer_indices_only(self):
+        tm = dx.TokenMap((np.int64(0), np.intp(1)))
+        assert tm.global_indices == (0, 1)
+        assert all(type(i) is int for i in tm.global_indices)
+        with pytest.raises(ConfigurationError):
+            dx.TokenMap((0, 1.0))
+
     def test_market_index_must_fit_universe(self):
         uni = dx.AssetUniverse(("A", "B"))
         m = dx.GeomMeanMarket(np.array([1.0, 1.0]), (0.5, 0.5), 1.0, dx.TokenMap((0, 5)))

@@ -7,7 +7,7 @@ import pytest
 import scipy.optimize
 
 import dexroute as dx
-from dexroute import generate, oracle, solver
+from dexroute import generate, kernels, oracle, solver
 from dexroute.objectives import PRICE_EPS
 from dexroute.solver import SolverConfig
 
@@ -81,6 +81,32 @@ class TestEvalDual:
                 grad_diff = dx.eval_dual(snap, obj, nu + e)[1] - dx.eval_dual(snap, obj, nu - e)[1]
                 fd[:, j] = grad_diff / (2 * e[j])
             assert np.abs(hess - fd).max() <= 1e-5 * np.abs(fd).max()
+
+
+class TestCompile:
+    def test_rows_hold_every_market_in_market_order(self):
+        core = generate.generate_snapshot(8, 1)
+        tm = dx.TokenMap
+        snap = dx.MarketSnapshot(core.universe, core.markets + [
+            dx.BoundedProductSegment(np.array([10.0, 12.0]), 90.0, 80.0, 0.997, tm((0, 2))),
+            generate.make_ladder(5, seed=1, token_map=tm((2, 3))),
+            dx.Curve2Market(np.array([5.0, 6.0]), 7.0, 0.999, tm((1, 3))),
+        ])
+        parts = [(i, p) for i, mk in enumerate(snap.markets) for p in getattr(mk, "segments", [mk])]
+        c = solver._compile(snap)
+        assert c.owner.tolist() == [i for i, _ in parts]
+        assert list(zip(c.i1.tolist(), c.i2.tolist())) == [
+            snap.markets[i].token_map.global_indices for i, _ in parts]
+        expected = {
+            kernels.gmean_arb_batch: lambda p: [*p.reserves, *p.weights, p.fee],
+            kernels.bounded_arb_batch: lambda p: [*p.reserves, p.alpha, p.beta, p.fee],
+        }
+        assert len(c.batches) == 2
+        for idx, kernel, params in c.batches:
+            assert idx.dtype == np.intp
+            assert all(a.dtype == np.float64 and a.flags.c_contiguous for a in params)
+            assert np.stack(params).T.tolist() == [expected[kernel](parts[r][1]) for r in idx]
+        assert [(r, mk) for r, mk in c.other] == [(len(parts) - 1, snap.markets[-1])]
 
 
 class TestSolveArbitrage:
