@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError
+from .errors import ConfigurationError, DimensionError, DomainError
 
 
 @dataclass(frozen=True)
@@ -181,8 +181,8 @@ def snapshot_from_dict(doc: dict) -> MarketSnapshot:
             market_list.append(mk.market_from_dict(d))
         except KeyError as e:
             raise ConfigurationError(f"snapshot missing field {e} in market {i}") from e
-        except (TypeError, AttributeError) as e:
-            # a market entry, or one of its fields, of the wrong JSON type
+        except (TypeError, AttributeError, ConfigurationError, DomainError) as e:
+            # a market entry of the wrong JSON type, or one its constructor refuses
             raise ConfigurationError(f"market {i}: {e}") from e
     return MarketSnapshot(
         universe,

@@ -7,6 +7,14 @@ closed form, with the batched kernel called on one row; an aggregate answers
 with the sum of its segments' answers, from one kernel call over its segments;
 generic swap markets answer by bisection on the price impact.
 
+Every quote reads the market's current fields and nothing is cached, so a
+market quotes its own state after `swap` or `update_liquidity` (on it, or on
+one of an aggregate's segments), and so do its copies and pickles.  An
+aggregate swap fills each tendered asset at one common marginal price, found
+on the same kernel's rows.  `swap` refuses a trade that is not two finite
+amounts a side, and `update_liquidity` NaN or infinite amounts, before anything
+changes.
+
 Each constructor takes exactly two reserves, stores them as a float64 array
 and checks them, with its other numbers, by scalar comparisons: reserves,
 `alpha`, `beta` and `amp` must be finite, and a malformed market raises
@@ -16,8 +24,9 @@ constructor, so a snapshot file gets the same checks.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -78,18 +87,14 @@ def _kernel_arb(kernel, params, nu) -> ArbResult:
     return ArbResult(Trade(np.array([t1, t2]), np.array([o1, o2])), float(value))
 
 
-def _dir1_result(nu1, nu2, delta, lam) -> ArbResult:
-    obj = nu2 * lam - nu1 * delta
+def _dir_result(nu_in, nu_out, delta, lam, direction) -> ArbResult:
+    """Tender delta of local asset `direction` for lam of the other, if it pays."""
+    obj = nu_out * lam - nu_in * delta
     if obj <= 0.0 or delta <= 0.0:
         return _zero_result()
-    return ArbResult(Trade(np.array([delta, 0.0]), np.array([0.0, lam])), obj)
-
-
-def _dir2_result(nu1, nu2, delta, lam) -> ArbResult:
-    obj = nu1 * lam - nu2 * delta
-    if obj <= 0.0 or delta <= 0.0:
-        return _zero_result()
-    return ArbResult(Trade(np.array([0.0, delta]), np.array([lam, 0.0])), obj)
+    t, r = np.zeros(2), np.zeros(2)
+    t[direction - 1], r[2 - direction] = delta, lam
+    return ArbResult(Trade(t, r), obj)
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +298,6 @@ class BoundedProductSegment:
 def _apply_phi_trade(market, trade: Trade):
     """Shared swap logic for markets defined by a trading function phi."""
     t, r = trade.tendered, trade.received
-    if t.shape != (2,) or r.shape != (2,):
-        raise RejectedTradeError("trade must be two-asset")
     if trade.is_zero():
         return
     pre = market.phi()
@@ -313,12 +316,56 @@ def _apply_phi_trade(market, trade: Trade):
 # Aggregate of bounded-liquidity segments: a sum of its segments
 # ---------------------------------------------------------------------------
 
+def _columns(segments) -> tuple:
+    """The bounded kernel's arguments before the prices, one row per segment,
+    read from the segments' current fields."""
+    r = np.array([s.reserves for s in segments])
+    off = np.array([(s.alpha, s.beta) for s in segments])
+    return r[:, 0], r[:, 1], off[:, 0], off[:, 1], np.array([s.fee for s in segments])
+
+
+def _fill(segments, total: float, a: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-segment input and output of a best-execution fill of `total` units
+    of local asset a + 1: every filled segment ends at one marginal price.
+
+    The fill is the kernel's tendered row at prices (1, q) on the segments,
+    mirrored for asset 2.  There each trading segment's input is linear in
+    u = sqrt(q), with slope 2*h/u from its curvature row h = d(input)/dlog(q),
+    so the common price is a safeguarded Newton root in u on the total input.
+    """
+    r1, r2, alpha, beta, fee = _columns(segments)
+    cols = (r1, r2, alpha, beta, fee) if a == 0 else (r2, r1, beta, alpha, fee)
+    live = cols[1] > 0.0  # the segments holding the asset paid out
+    if not live.any():
+        raise RejectedTradeError("aggregate has no liquidity in that direction")
+    # a segment takes nothing while 1/q is at or above its bid fee*vout/vin
+    lo = float(np.sqrt((cols[0] + cols[2]) / (fee * (cols[1] + cols[3])))[live].min())
+    hi, u, ones = math.inf, lo * (1.0 + 1e-6), np.ones(len(r1))
+    for _ in range(_BISECT_MAXIT):
+        rows = kernels.bounded_arb_batch(*cols, ones, np.full(len(r1), u * u))
+        got, trading = float(rows[0].sum()), rows[0] > 0.0
+        lo, hi = (u, hi) if got < total else (lo, u)
+        slope = 2.0 * float(rows[5][trading].sum()) / u
+        if abs(got - total) <= 1e-12 * total:
+            break
+        if got < total and slope == 0.0 and trading[live].all():
+            break  # every segment is full: the fill's capacity
+        step = u + (total - got) / slope if slope > 0.0 else math.nan
+        if not lo < step < hi:  # off the bracket: halve it, or double u
+            step = 2.0 * u if hi == math.inf else 0.5 * (lo + hi)
+        if abs(step - u) <= 1e-15 * u:
+            break
+        u = step
+    if total > got * (1.0 + 1e-9):
+        raise RejectedTradeError(f"trade exceeds aggregate liquidity {got}")
+    return rows[0], rows[1]
+
+
 @dataclass
 class AggregateMarket:
     segments: list[BoundedProductSegment]
     fee: float
     token_map: TokenMap
-    _cache: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.segments:
@@ -326,21 +373,6 @@ class AggregateMarket:
         for seg in self.segments:
             if seg.fee != self.fee:
                 raise ConfigurationError("all segments must share the aggregate fee")
-        self._rebuild()
-
-    def _rebuild(self):
-        segs = self.segments
-        r1, r2, alpha, beta = (np.array(col) for col in zip(
-            *((s.reserves[0], s.reserves[1], s.alpha, s.beta) for s in segs)))
-        v1, v2 = r1 + alpha, r2 + beta
-        d1 = np.array([s.max_input(1) for s in segs])
-        d2 = np.array([s.max_input(2) for s in segs])
-        self._cache = {
-            # the bounded kernel's arguments before the prices, one row per segment
-            "params": (r1, r2, alpha, beta, np.full(len(segs), self.fee)),
-            # per direction: fee*vin*vout, vin and the input cap of each segment
-            "fill": ((self.fee * v1 * v2, v1, d1), (self.fee * v2 * v1, v2, d2)),
-        }
 
     def spread(self) -> tuple[float, float]:
         bids, asks = zip(*(s.spread() for s in self.segments))
@@ -348,61 +380,27 @@ class AggregateMarket:
 
     def find_arb(self, nu) -> ArbResult:
         """The sum of the segments' optimal arbitrages, from one kernel call."""
-        return _kernel_arb(kernels.bounded_arb_batch, self._cache["params"], nu)
-
-    def phi(self) -> float:
-        return sum(s.phi() for s in self.segments)
-
-    def _fill_inputs(self, price: float, direction: int) -> np.ndarray:
-        """Per-segment input needed to push every marginal price down to `price`."""
-        fee_vin_vout, vin, dmax = self._cache["fill"][direction - 1]
-        return np.clip((np.sqrt(fee_vin_vout / price) - vin) / self.fee, 0.0, dmax)
+        return _kernel_arb(kernels.bounded_arb_batch, _columns(self.segments), nu)
 
     def apply_trade(self, trade: Trade):
-        """Apply a single-direction trade, splitting the input across segments
-        at a common post-trade marginal price (best-execution fill)."""
-        if trade.is_zero():
-            return
-        t = trade.tendered
-        if t[0] > 0 and t[1] > 0:
-            raise RejectedTradeError("aggregate swap supports one tendered asset")
-        direction = 1 if t[0] > 0 else 2
-        total_in = float(t[direction - 1])
-        p_hi = max(s.price_impact(0.0, direction) for s in self.segments)
-        if p_hi <= 0.0:
-            raise RejectedTradeError("aggregate has no liquidity in that direction")
-        p_lo = p_hi
-        while self._fill_inputs(p_lo, direction).sum() < total_in:
-            p_lo /= 4.0
-            if p_lo < 1e-300:
-                break  # input exceeds total capacity; fills saturate below
-        for _ in range(_BISECT_MAXIT):
-            mid = 0.5 * (p_lo + p_hi)
-            if self._fill_inputs(mid, direction).sum() >= total_in:
-                p_lo = mid
-            else:
-                p_hi = mid
-            if p_hi - p_lo <= 1e-14 * p_hi:
-                break
-        fills = self._fill_inputs(p_lo, direction)
-        total_cap = fills.sum()
-        if total_in > total_cap * (1.0 + 1e-9):
-            raise RejectedTradeError("trade exceeds aggregate liquidity")
-        # every check runs before the first segment changes, so a rejected
-        # trade leaves the aggregate as it was
-        outs = [seg.forward_exchange(d, direction) for seg, d in zip(self.segments, fills)]
-        total_out = sum(outs)
-        out_index = 1 if direction == 1 else 0
-        if trade.received[out_index] > total_out * (1.0 + _SWAP_RTOL) + 1e-12:
-            raise RejectedTradeError(
-                f"requested output {trade.received[out_index]} exceeds fill {total_out}"
-            )
-        for seg, d, lam in zip(self.segments, fills, outs):
-            if d <= 0.0:
-                continue
-            local = (np.array([d, 0.0]), np.array([0.0, lam]))
-            seg.apply_trade(Trade(*local) if direction == 1 else Trade(local[0][::-1], local[1][::-1]))
-        self._rebuild()
+        """Fill each tendered asset across the segments at one common marginal
+        price, the best-execution split: asset 1 first, then asset 2 on the
+        reserves that the first fill leaves.  A routed row is its segments'
+        arbitrage at one price, so it fills this way.  Every check runs on
+        copies of the filled segments, so a rejected trade changes nothing."""
+        trial, outs = list(self.segments), np.zeros(2)
+        for a in np.flatnonzero(trade.tendered):  # the local index of the tendered asset
+            d, out = _fill(trial, float(trade.tendered[a]), a)
+            outs[1 - a] = out.sum()
+            for i in np.flatnonzero(d):
+                t, r = np.zeros(2), np.zeros(2)
+                t[a], r[1 - a] = d[i], out[i]
+                trial[i] = copy.copy(trial[i])
+                trial[i].apply_trade(Trade(t, r))
+        if np.any(trade.received > outs * (1.0 + _SWAP_RTOL) + 1e-12):
+            raise RejectedTradeError(f"requested output {trade.received} exceeds fill {outs}")
+        for seg, filled in zip(self.segments, trial):
+            seg.reserves = filled.reserves
 
     def add_liquidity(self, amounts, price_range: tuple[float, float]):
         for seg in self.segments:
@@ -412,7 +410,6 @@ class AggregateMarket:
                 or math.isclose(hi, price_range[1], rel_tol=1e-9)
             ):
                 seg.add_liquidity(amounts)
-                self._rebuild()
                 return
         raise ConfigurationError(f"no segment with active interval {price_range}")
 
@@ -438,7 +435,9 @@ class AggregateMarket:
 
 class GenericSwapMarket:
     """Two-asset market given by evaluators for the forward exchange functions
-    and their one-sided derivatives; arbitrage is solved by bisection."""
+    and their one-sided derivatives; arbitrage is solved by bisection.  Every
+    quote goes through `forward_exchange` and `price_impact`, which a subclass
+    may override with its own closed forms."""
 
     def __init__(
         self,
@@ -449,21 +448,19 @@ class GenericSwapMarket:
         token_map: TokenMap,
         max_in_1: float = math.inf,
         max_in_2: float = math.inf,
-        validate: bool = True,
     ):
         self.fn_out = (fn_out_1, fn_out_2)
         self.impact = (impact_1, impact_2)
         self.token_map = token_map
         self.max_in = (max_in_1, max_in_2)
-        if validate:
-            self._probe()
+        self._probe()
 
     def _probe(self):
         for d in (1, 2):
             cap = self.max_in[d - 1]
             grid = np.linspace(0.0, cap if math.isfinite(cap) else 1e4, 9)
-            f = [self.fn_out[d - 1](x) for x in grid]
-            fp = [self.impact[d - 1](x) for x in grid]
+            f = [self.forward_exchange(x, d) for x in grid]
+            fp = [self.price_impact(x, d) for x in grid]
             if abs(f[0]) > 1e-9 or not math.isfinite(fp[0]):
                 raise InvalidMarketError("forward exchange must vanish at zero with finite slope")
             scale = max(1.0, max(f))
@@ -482,24 +479,23 @@ class GenericSwapMarket:
         """I'(delta) for delta > 0, from one central difference of the price
         impact in delta."""
         h = 1e-6 * delta
-        fp = self.impact[direction - 1]
-        return (fp(delta + h) - fp(delta - h)) / (2.0 * h)
+        return (self.price_impact(delta + h, direction)
+                - self.price_impact(delta - h, direction)) / (2.0 * h)
 
     def spread(self) -> tuple[float, float]:
-        bid = self.impact[0](0.0)
-        ask2 = self.impact[1](0.0)
+        bid = self.price_impact(0.0, 1)
+        ask2 = self.price_impact(0.0, 2)
         return bid, (math.inf if ask2 == 0.0 else 1.0 / ask2)
 
     def _solve_direction(self, nu_in, nu_out, direction) -> tuple[float, float]:
         target = nu_in / nu_out
-        fp = self.impact[direction - 1]
         hi = self.max_in[direction - 1]
         if math.isfinite(hi):
-            if fp(hi) >= target:
-                return hi, self.fn_out[direction - 1](hi)
+            if self.price_impact(hi, direction) >= target:
+                return hi, self.forward_exchange(hi, direction)
         else:
             hi = 1.0
-            while fp(hi) >= target:
+            while self.price_impact(hi, direction) >= target:
                 hi *= 4.0
                 if hi > _BRACKET_CAP:
                     raise UnboundedError(
@@ -509,14 +505,14 @@ class GenericSwapMarket:
         lo = 0.0
         for _ in range(_BISECT_MAXIT):
             mid = 0.5 * (lo + hi)
-            if fp(mid) >= target:
+            if self.price_impact(mid, direction) >= target:
                 lo = mid
             else:
                 hi = mid
             if hi - lo <= _BISECT_RTOL * max(1.0, hi):
                 break
         delta = 0.5 * (lo + hi)
-        return delta, self.fn_out[direction - 1](delta)
+        return delta, self.forward_exchange(delta, direction)
 
     def find_arb(self, nu) -> ArbResult:
         nu1, nu2 = _check_prices(nu)
@@ -525,10 +521,8 @@ class GenericSwapMarket:
         if bid <= p <= ask:
             return _zero_result()
         if p < bid:
-            delta, lam = self._solve_direction(nu1, nu2, 1)
-            return _dir1_result(nu1, nu2, delta, lam)
-        delta, lam = self._solve_direction(nu2, nu1, 2)
-        return _dir2_result(nu1, nu2, delta, lam)
+            return _dir_result(nu1, nu2, *self._solve_direction(nu1, nu2, 1), 1)
+        return _dir_result(nu2, nu1, *self._solve_direction(nu2, nu1, 2), 2)
 
     def apply_trade(self, trade: Trade):
         raise ConfigurationError("generic swap markets carry no reserve state")
@@ -543,7 +537,10 @@ class Curve2Market(GenericSwapMarket):
     The invariant is a quadratic in the post-trade output reserve, so the
     forward exchange and the price impact are closed forms, with no bisection
     or finite difference; the arbitrage is the generic bisection on the impact.
+    They are methods that read the current reserves, so a copy quotes its own.
     """
+
+    max_in = (math.inf, math.inf)
 
     def __init__(self, reserves, amp: float, fee: float, token_map: TokenMap):
         self.reserves, r1, r2 = _two_reserves(reserves)
@@ -555,14 +552,7 @@ class Curve2Market(GenericSwapMarket):
             raise ConfigurationError(f"fee must be in (0, 1]: {fee}")
         self.amp = float(amp)
         self.fee = float(fee)
-        super().__init__(
-            lambda d: self._post(d, 1)[2],
-            lambda d: self._post(d, 2)[2],
-            lambda d: self._impact(d, 1),
-            lambda d: self._impact(d, 2),
-            token_map,
-            validate=False,
-        )
+        self.token_map = token_map
 
     def phi(self, reserves=None) -> float:
         r = self.reserves if reserves is None else np.asarray(reserves, dtype=float)
@@ -591,7 +581,10 @@ class Curve2Market(GenericSwapMarket):
         out = 2.0 * fd * (amp * x * rout + 1.0 / rin) / (shifted_b + s)
         return x, y, out
 
-    def _impact(self, delta: float, direction: int) -> float:
+    def forward_exchange(self, delta: float, direction: int = 1) -> float:
+        return self._post(delta, direction)[2]
+
+    def price_impact(self, delta: float, direction: int = 1) -> float:
         x, y, _ = self._post(delta, direction)
         return self.fee * (self.amp + 1.0 / (x * x * y)) / (self.amp + 1.0 / (x * y * y))
 
@@ -633,7 +626,12 @@ def no_trade(market, nu) -> bool:
 
 
 def swap(market, trade: Trade):
-    """Apply an accepted trade to the market's reserves (mutates in place)."""
+    """Apply an accepted trade to the market's reserves (mutates in place).
+    A trade that is not two finite amounts a side is rejected before anything
+    changes."""
+    t, r = trade.tendered, trade.received
+    if t.shape != (2,) or not (np.isfinite(t).all() and np.isfinite(r).all()):
+        raise RejectedTradeError(f"a trade is two finite amounts a side: {trade}")
     market.apply_trade(trade)
     return market
 
@@ -641,8 +639,8 @@ def swap(market, trade: Trade):
 def update_liquidity(market, amounts, price_range: tuple[float, float] | None = None):
     """Add reserves to a market; aggregates require the target segment's interval."""
     amounts = np.asarray(amounts, dtype=float)
-    if np.any(amounts < 0):
-        raise DomainError("liquidity amounts must be nonnegative")
+    if not (np.isfinite(amounts).all() and (amounts >= 0).all()):
+        raise DomainError(f"liquidity amounts must be finite and nonnegative: {amounts}")
     if isinstance(market, AggregateMarket):
         if price_range is None:
             raise ConfigurationError("aggregate liquidity update needs a price range")

@@ -15,6 +15,10 @@ def _ladder(s, seed=0):
     return generate.make_ladder(s, seed=seed)
 
 
+def _totals(market):
+    return np.sum([s.reserves for s in market.segments], axis=0)
+
+
 def _max_err(a, b):
     return max(
         float(np.abs(a.trade.tendered - b.trade.tendered).max()),
@@ -160,10 +164,52 @@ class TestSwapAndLiquidity:
             scale = max(1.0, abs(ref.objective_value))
             assert _max_err(fast, ref) <= 1e-9 * scale
 
-    def test_two_sided_tender_rejected(self):
+    def test_two_sided_tender_fills_asset_1_then_asset_2(self):
+        market, probe = _ladder(3, seed=5), _ladder(3, seed=5)
+        dx.swap(market, dx.Trade(np.array([1.0, 1.0]), np.zeros(2)))
+        dx.swap(probe, dx.Trade(np.array([1.0, 0.0]), np.zeros(2)))
+        dx.swap(probe, dx.Trade(np.array([0.0, 1.0]), np.zeros(2)))
+        assert market.to_dict() == probe.to_dict()
+
+    def test_two_sided_request_beyond_the_fills_rejected(self):
+        # the outputs of the asset-1 fill and of the asset-2 fill after it
+        probe = _ladder(3, seed=5)
+        r0 = _totals(probe)
+        dx.swap(probe, dx.Trade(np.array([1.0, 0.0]), np.zeros(2)))
+        r1 = _totals(probe)
+        dx.swap(probe, dx.Trade(np.array([0.0, 1.0]), np.zeros(2)))
+        fills = np.array([r1[0] - _totals(probe)[0], r0[1] - r1[1]])
+        for ask in (fills * [1.0 + 1e-4, 1.0], fills * [1.0, 1.0 + 1e-4]):
+            market = _ladder(3, seed=5)
+            before = market.to_dict()
+            with pytest.raises(RejectedTradeError):
+                dx.swap(market, dx.Trade(np.ones(2), ask))
+            assert market.to_dict() == before
         market = _ladder(3, seed=5)
+        dx.swap(market, dx.Trade(np.ones(2), fills * (1.0 - 1e-9)))
+        assert market.to_dict() == probe.to_dict()
+
+    def test_asking_for_the_tendered_asset_rejected(self):
+        market = generate.make_ladder(4, seed=2)
+        before = market.to_dict()
         with pytest.raises(RejectedTradeError):
-            market.apply_trade(dx.Trade(np.array([1.0, 1.0]), np.zeros(2)))
+            dx.swap(market, dx.Trade(np.array([10.0, 0.0]), np.array([5.0, 0.0])))
+        assert market.to_dict() == before
+
+    @pytest.mark.parametrize("change", ["swap", "update_liquidity"])
+    def test_no_stale_quote_after_a_segment_changes(self, change):
+        from dexroute.markets import market_from_dict
+
+        market = generate.make_ladder(5, seed=1)
+        seg = market.segments[2]
+        if change == "swap":
+            dx.swap(seg, dx.Trade(np.array([0.0, 5.0]), np.zeros(2)))
+        else:
+            dx.update_liquidity(seg, np.array([30.0, 40.0]))
+        for nu in ([2.0, 1.0], [0.3, 1.0], [1.0, 1.0]):
+            a = market.find_arb(np.array(nu))
+            b = market_from_dict(market.to_dict()).find_arb(np.array(nu))
+            assert _max_err(a, b) == 0.0
 
     def test_add_liquidity_targets_segment_by_interval(self):
         market = _ladder(3, seed=6)

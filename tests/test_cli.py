@@ -186,6 +186,17 @@ class TestMalformedMarkets:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+    def test_constructor_error_names_the_market(self, tmp_path, capsys):
+        doc = {"assets": ["A", "B"], "prices": [1.0, 1.0],
+               "markets": [_GMEAN, {**_GMEAN, "fee": 1.5}]}
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc:
+            run(["route", "--snapshot", str(p), "--objective", "arbitrage"])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err == "error: market 1: fee must be in (0, 1]: 1.5\n"
+
+
 def _solution(tendered, received, nu, utility) -> RoutingSolution:
     nu = np.array(nu, dtype=float)
     return RoutingSolution(nu, dx.NetworkTrade(-nu), np.array(tendered, dtype=float).reshape(-1, 2),

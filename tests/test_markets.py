@@ -263,6 +263,33 @@ class TestSwap:
         with pytest.raises(DomainError):
             dx.update_liquidity(gmean(), np.array([-1.0, 0.0]))
 
+    @pytest.mark.parametrize("kind", ["gmean", "bounded", "aggregate", "curve2"])
+    def test_non_finite_or_three_asset_amounts_rejected_before_any_change(self, kind):
+        from dexroute import generate
+
+        make = {
+            "gmean": gmean,
+            "bounded": bounded,
+            "aggregate": lambda: generate.make_ladder(4, seed=3),
+            "curve2": lambda: dx.Curve2Market(np.array([100.0, 100.0]), 5.0, 1.0,
+                                              dx.TokenMap((0, 1))),
+        }[kind]
+        m = make()
+        before = m.to_dict()
+        args = (m.segments[1].active_interval(),) if kind == "aggregate" else ()
+        # a Trade holds no negative amount, so -inf reaches only update_liquidity
+        for bad in (math.nan, math.inf):
+            for t, r in (([bad, 0.0], [0.0, 0.0]), ([1.0, 0.0], [0.0, bad]),
+                         ([0.0, 1.0], [bad, 0.0])):
+                with pytest.raises(RejectedTradeError):
+                    dx.swap(m, dx.Trade(np.array(t), np.array(r)))
+            for amounts in ([bad, 1.0], [1.0, bad], [-bad, 1.0]):
+                with pytest.raises(DomainError):
+                    dx.update_liquidity(m, np.array(amounts), *args)
+        with pytest.raises(RejectedTradeError):
+            dx.swap(m, dx.Trade(np.ones(3), np.zeros(3)))
+        assert m.to_dict() == before
+
 
 class TestGenericSwap:
     def _product_market(self, r1=100.0, r2=100.0, g=1.0):
@@ -390,6 +417,24 @@ class TestCurve2:
         lam = m.forward_exchange(10.0)
         dx.swap(m, dx.Trade(np.array([10.0, 0.0]), np.array([0.0, lam])))
         assert m.reserves[0] == pytest.approx(110.0)
+
+    def test_copy_quotes_from_its_own_reserves(self):
+        import copy
+        import pickle
+
+        m = dx.Curve2Market(np.array([1500.0, 1600.0]), 3.0, 0.999, dx.TokenMap((0, 1)))
+        moved = copy.deepcopy(m)
+        dx.swap(moved, dx.Trade(np.array([1000.0, 0.0]),
+                                np.array([0.0, moved.forward_exchange(1000.0)])))
+        fresh = dx.Curve2Market(moved.reserves.copy(), 3.0, 0.999, dx.TokenMap((0, 1)))
+        assert moved.spread() == fresh.spread() != m.spread()
+        nu = np.array([1.0, 1.2])
+        a, b = moved.find_arb(nu), fresh.find_arb(nu)
+        assert np.array_equal(a.trade.tendered, b.trade.tendered)
+        assert a.objective_value == b.objective_value
+        back = pickle.loads(pickle.dumps(moved))
+        assert back.to_dict() == moved.to_dict()
+        assert back.spread() == fresh.spread()
 
 
 class TestSerialization:

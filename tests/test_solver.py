@@ -1,10 +1,12 @@
 """Dual evaluation and the end-to-end routing solve."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import example, given, settings, strategies as st
 
 import dexroute as dx
 from dexroute import generate, kernels, oracle, solver
@@ -239,6 +241,82 @@ class TestAggregateDecomposition:
         np.testing.assert_allclose(a.tendered[:m], b.tendered[:m], rtol=1e-9)
         np.testing.assert_allclose(a.tendered[m], b.tendered[m:].sum(axis=0), rtol=1e-9)
         np.testing.assert_allclose(a.received[m], b.received[m:].sum(axis=0), rtol=1e-9)
+
+
+def _random_network(n, kinds, seed):
+    """Markets of the given kinds over n tokens, market 0 on the pair (0, 1).
+
+    Aggregates are fee-bearing `make_ladder` ladders, whose segments each
+    quote at their own price, out of line with each other."""
+    r = np.random.default_rng(seed)
+    prices = r.uniform(0.2, 1.0, n)
+    markets = []
+    for i, kind in enumerate(kinds):
+        a = int(r.integers(n)) if i else 0
+        b = int((a + 1 + r.integers(n - 1)) % n) if i else 1
+        tm, q = dx.TokenMap((a, b)), prices[a] / prices[b] * r.uniform(0.8, 1.25)
+        if kind == "gmean":
+            w = (0.5, 0.5) if r.random() < 0.5 else (0.8, 0.2)
+            markets.append(dx.GeomMeanMarket(r.uniform(500.0, 2000.0, 2), w, 0.997, tm))
+        elif kind == "bounded":
+            L = r.uniform(100.0, 1000.0)
+            al, be = L / math.sqrt(q * 1.5), L * math.sqrt(q / 1.5)
+            markets.append(dx.BoundedProductSegment(
+                np.array([L / math.sqrt(q) - al, L * math.sqrt(q) - be]), al, be, 0.997, tm))
+        elif kind == "aggregate":
+            ladder = generate.make_ladder(int(r.integers(1, 13)), int(r.integers(1000)), tm)
+            markets.append(dx.AggregateMarket(
+                [dx.BoundedProductSegment(s.reserves, s.alpha, s.beta, 0.997, tm)
+                 for s in ladder.segments], 0.997, tm))
+        else:
+            amp = float(r.choice([0.5, 3.0, 20.0]))
+            markets.append(dx.Curve2Market(r.uniform(500.0, 2000.0, 2), amp, 0.999, tm))
+    uni = dx.AssetUniverse(tuple(f"T{j}" for j in range(n)))
+    return dx.MarketSnapshot(uni, markets, prices=prices)
+
+
+@st.composite
+def _routing_cases(draw):
+    n = draw(st.integers(2, 6))
+    kinds = draw(st.lists(st.sampled_from(["gmean", "bounded", "aggregate", "curve2"]),
+                          min_size=1, max_size=8))
+    return ("random", n, tuple(kinds), draw(st.integers(0, 2 ** 16)),
+            draw(st.sampled_from(["arbitrage", "liquidate"])))
+
+
+class TestRoutedTradesExecute:
+    """Every routed trade is accepted by its market, and once all are applied
+    no gmean, bounded or aggregate market has arbitrage left at the solution's
+    prices.  Both hold at any nu, so neither needs `converged`.  A near
+    constant-sum curve2 pool's leftover depends on how finely a double can
+    resolve its price, so for curve2 only execution is checked."""
+
+    @given(_routing_cases())
+    @example(("decomposition", 1, 1.0, "arbitrage"))
+    @example(("decomposition", 1, 0.997, "arbitrage"))
+    @example(("decomposition", 2, 1.0, "arbitrage"))
+    @example(("decomposition", 2, 0.997, "arbitrage"))
+    @settings(max_examples=21, derandomize=True, deadline=None)
+    def test_routed_trades_execute(self, case):
+        if case[0] == "decomposition":
+            snap = TestAggregateDecomposition._snapshots(*case[1:3])[0]
+        else:
+            snap = _random_network(*case[1:4])
+        if case[-1] == "arbitrage":
+            obj = dx.TotalArbitrage(snap.prices)
+        else:
+            basket = np.zeros(snap.n)
+            basket[0] = 20.0
+            obj = dx.BasketLiquidation(basket, 1)
+        sol = dx.solve(snap, obj)
+        executed = copy.deepcopy(snap)
+        for mkt, trade in zip(executed.markets, sol.trades):
+            dx.swap(mkt, trade)
+        _, _, tendered, received = dx.eval_dual(executed, obj, sol.nu)
+        tol = 1e-9 * max(1.0, np.abs(sol.tendered).max(), np.abs(sol.received).max())
+        for mkt, t, r in zip(executed.markets, tendered, received):
+            if not isinstance(mkt, dx.Curve2Market):
+                assert max(np.abs(t).max(), np.abs(r).max()) <= tol
 
 
 class TestSolveLiquidation:
