@@ -8,12 +8,11 @@ with the sum of its segments' answers, from one kernel call over its segments;
 generic swap markets answer by bisection on the price impact.
 
 Every quote reads the market's current fields and nothing is cached, so a
-market quotes its own state after `swap` or `update_liquidity` (on it, or on
-one of an aggregate's segments), and so do its copies and pickles.  An
-aggregate swap fills each tendered asset at one common marginal price, found
-on the same kernel's rows.  `swap` refuses a trade that is not two finite
-amounts a side, and `update_liquidity` NaN or infinite amounts, before anything
-changes.
+market, and each copy or pickle of it, quotes its own state after `swap` or
+`update_liquidity`, on it or on one of an aggregate's segments.  An aggregate
+swap fills each tendered asset at one common marginal price, found on the
+kernel's rows.  `swap` refuses a trade that is not two finite amounts a side,
+and `update_liquidity` NaN or infinite amounts, before anything changes.
 
 Each constructor takes exactly two reserves, stores them as a float64 array
 and checks them, with its other numbers, by scalar comparisons: reserves,
@@ -87,14 +86,18 @@ def _kernel_arb(kernel, params, nu) -> ArbResult:
     return ArbResult(Trade(np.array([t1, t2]), np.array([o1, o2])), float(value))
 
 
-def _dir_result(nu_in, nu_out, delta, lam, direction) -> ArbResult:
-    """Tender delta of local asset `direction` for lam of the other, if it pays."""
-    obj = nu_out * lam - nu_in * delta
+def _dir1_result(nu1, nu2, delta, lam) -> ArbResult:
+    obj = nu2 * lam - nu1 * delta
     if obj <= 0.0 or delta <= 0.0:
         return _zero_result()
-    t, r = np.zeros(2), np.zeros(2)
-    t[direction - 1], r[2 - direction] = delta, lam
-    return ArbResult(Trade(t, r), obj)
+    return ArbResult(Trade(np.array([delta, 0.0]), np.array([0.0, lam])), obj)
+
+
+def _dir2_result(nu1, nu2, delta, lam) -> ArbResult:
+    obj = nu1 * lam - nu2 * delta
+    if obj <= 0.0 or delta <= 0.0:
+        return _zero_result()
+    return ArbResult(Trade(np.array([0.0, delta]), np.array([lam, 0.0])), obj)
 
 
 # ---------------------------------------------------------------------------
@@ -118,10 +121,6 @@ class GeomMeanMarket:
         if not (0.0 < r1 < math.inf and 0.0 < r2 < math.inf):
             raise ConfigurationError(
                 f"geometric-mean reserves must be positive and finite: {self.reserves}")
-
-    @property
-    def weight(self) -> float:
-        return self.weights[0]
 
     def phi(self, reserves=None) -> float:
         r = self.reserves if reserves is None else np.asarray(reserves, dtype=float)
@@ -332,6 +331,7 @@ def _fill(segments, total: float, a: int) -> tuple[np.ndarray, np.ndarray]:
     mirrored for asset 2.  There each trading segment's input is linear in
     u = sqrt(q), with slope 2*h/u from its curvature row h = d(input)/dlog(q),
     so the common price is a safeguarded Newton root in u on the total input.
+    The fill is read where it covers `total`, or at capacity when all are full.
     """
     r1, r2, alpha, beta, fee = _columns(segments)
     cols = (r1, r2, alpha, beta, fee) if a == 0 else (r2, r1, beta, alpha, fee)
@@ -340,25 +340,29 @@ def _fill(segments, total: float, a: int) -> tuple[np.ndarray, np.ndarray]:
         raise RejectedTradeError("aggregate has no liquidity in that direction")
     # a segment takes nothing while 1/q is at or above its bid fee*vout/vin
     lo = float(np.sqrt((cols[0] + cols[2]) / (fee * (cols[1] + cols[3])))[live].min())
-    hi, u, ones = math.inf, lo * (1.0 + 1e-6), np.ones(len(r1))
+    hi, u, ones, fill = math.inf, lo * (1.0 + 1e-6), np.ones(len(r1)), None
     for _ in range(_BISECT_MAXIT):
         rows = kernels.bounded_arb_batch(*cols, ones, np.full(len(r1), u * u))
         got, trading = float(rows[0].sum()), rows[0] > 0.0
-        lo, hi = (u, hi) if got < total else (lo, u)
         slope = 2.0 * float(rows[5][trading].sum()) / u
-        if abs(got - total) <= 1e-12 * total:
-            break
         if got < total and slope == 0.0 and trading[live].all():
-            break  # every segment is full: the fill's capacity
+            fill = rows  # every segment is full: the fill's capacity
+            break
+        if got >= total:
+            hi, fill = u, rows
+        else:
+            lo = u
+        if 0.0 <= got - total <= 1e-12 * total or lo >= hi * (1.0 - 4e-15):
+            break
         step = u + (total - got) / slope if slope > 0.0 else math.nan
+        if got < total:  # move past lo even when got is short by a few ulps
+            step = max(step, u * (1.0 + 1e-15))
         if not lo < step < hi:  # off the bracket: halve it, or double u
             step = 2.0 * u if hi == math.inf else 0.5 * (lo + hi)
-        if abs(step - u) <= 1e-15 * u:
-            break
         u = step
-    if total > got * (1.0 + 1e-9):
+    if fill is None or total > fill[0].sum() * (1.0 + 1e-9):
         raise RejectedTradeError(f"trade exceeds aggregate liquidity {got}")
-    return rows[0], rows[1]
+    return fill[0], fill[1]
 
 
 @dataclass
@@ -405,10 +409,8 @@ class AggregateMarket:
     def add_liquidity(self, amounts, price_range: tuple[float, float]):
         for seg in self.segments:
             lo, hi = seg.active_interval()
-            if math.isclose(lo, price_range[0], rel_tol=1e-9, abs_tol=1e-300) and (
-                hi == price_range[1]
-                or math.isclose(hi, price_range[1], rel_tol=1e-9)
-            ):
+            if (math.isclose(lo, price_range[0], rel_tol=1e-9, abs_tol=1e-300)
+                    and math.isclose(hi, price_range[1], rel_tol=1e-9)):  # also inf to inf
                 seg.add_liquidity(amounts)
                 return
         raise ConfigurationError(f"no segment with active interval {price_range}")
@@ -521,8 +523,10 @@ class GenericSwapMarket:
         if bid <= p <= ask:
             return _zero_result()
         if p < bid:
-            return _dir_result(nu1, nu2, *self._solve_direction(nu1, nu2, 1), 1)
-        return _dir_result(nu2, nu1, *self._solve_direction(nu2, nu1, 2), 2)
+            delta, lam = self._solve_direction(nu1, nu2, 1)
+            return _dir1_result(nu1, nu2, delta, lam)
+        delta, lam = self._solve_direction(nu2, nu1, 2)
+        return _dir2_result(nu1, nu2, delta, lam)
 
     def apply_trade(self, trade: Trade):
         raise ConfigurationError("generic swap markets carry no reserve state")
@@ -656,23 +660,20 @@ def market_from_dict(doc: dict):
     if token_map.n_local != 2:
         raise ConfigurationError("markets must trade exactly two assets")
     fee = float(doc["fee"])
+
+    def segment(d):
+        return BoundedProductSegment(
+            d["reserves"], float(d["alpha"]), float(d["beta"]), fee, token_map)
+
     if kind == "gmean":
         w = doc["weights"]
         if len(w) != 2:
             raise ConfigurationError("gmean market needs two weights")
         return GeomMeanMarket(doc["reserves"], (float(w[0]), float(w[1])), fee, token_map)
     if kind == "bounded_product":
-        return BoundedProductSegment(
-            doc["reserves"], float(doc["alpha"]), float(doc["beta"]), fee, token_map
-        )
+        return segment(doc)
     if kind == "aggregate":
-        segments = [
-            BoundedProductSegment(
-                s["reserves"], float(s["alpha"]), float(s["beta"]), fee, token_map
-            )
-            for s in doc["segments"]
-        ]
-        return AggregateMarket(segments, fee, token_map)
+        return AggregateMarket([segment(s) for s in doc["segments"]], fee, token_map)
     if kind == "curve2":
         return Curve2Market(doc["reserves"], float(doc["amp"]), fee, token_map)
     raise ConfigurationError(f"unknown market type: {kind!r}")

@@ -164,6 +164,20 @@ class TestSwapAndLiquidity:
             scale = max(1.0, abs(ref.objective_value))
             assert _max_err(fast, ref) <= 1e-9 * scale
 
+    @pytest.mark.parametrize("share", [1e-9, 1e-6])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_small_swaps_accepted(self, seed, share):
+        # each segment's fill is exact only to a few ulps of its reserve, so a
+        # small trade is filled from the side that covers it, never short
+        for j in (0, 1):
+            market = generate.make_ladder(5, seed=seed)
+            before = _totals(market)
+            t = np.zeros(2)
+            t[j] = share * before[j]
+            dx.swap(market, dx.Trade(t, np.zeros(2)))
+            assert _totals(market)[j] == pytest.approx(before[j] + t[j], rel=1e-12)
+            assert _totals(market)[1 - j] < before[1 - j]
+
     def test_two_sided_tender_fills_asset_1_then_asset_2(self):
         market, probe = _ladder(3, seed=5), _ladder(3, seed=5)
         dx.swap(market, dx.Trade(np.array([1.0, 1.0]), np.zeros(2)))
