@@ -77,22 +77,19 @@ def _solution_json(sol: RoutingSolution) -> str:
 
 
 def cmd_route(args) -> int:
-    try:
-        snapshot = load_snapshot(args.snapshot)
-        if args.objective == "arbitrage":
-            prices = _parse_vec(args.prices) if args.prices else snapshot.prices
-            if prices is None:
-                raise ConfigurationError("arbitrage objective needs --prices or snapshot prices")
-            doc = {"objective": "arbitrage", "prices": prices}
-        else:
-            if args.basket is None or args.out_token is None:
-                raise ConfigurationError("liquidate objective needs --basket and --out-token")
-            doc = {"objective": "liquidate", "basket": _parse_vec(args.basket),
-                   "out_token": args.out_token}
-        obj = objective_from_dict(doc, snapshot.n)
-        cfg = SolverConfig(max_iterations=args.max_iter, gradient_tolerance=args.tol)
-    except (OSError, ValueError, json.JSONDecodeError, DexRouteError) as e:
-        _fail(EXIT_PARSE, str(e))
+    snapshot = load_snapshot(args.snapshot)
+    if args.objective == "arbitrage":
+        prices = _parse_vec(args.prices) if args.prices else snapshot.prices
+        if prices is None:
+            raise ConfigurationError("arbitrage objective needs --prices or snapshot prices")
+        doc = {"objective": "arbitrage", "prices": prices}
+    else:
+        if args.basket is None or args.out_token is None:
+            raise ConfigurationError("liquidate objective needs --basket and --out-token")
+        doc = {"objective": "liquidate", "basket": _parse_vec(args.basket),
+               "out_token": args.out_token}
+    obj = objective_from_dict(doc, snapshot.n)
+    cfg = SolverConfig(max_iterations=args.max_iter, gradient_tolerance=args.tol)
     try:
         sol = solve(snapshot, obj, cfg)
     except UnboundedError as e:
@@ -137,7 +134,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError, DexRouteError) as e:  # a bad argument, file or path
+        _fail(EXIT_PARSE, str(e))
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@
 The dual evaluation calls the per-market arbitrage solve for every market at
 every iteration; for the two closed-form market types the solve is batched
 over struct-of-arrays market data with vectorized numpy.  The markets' scalar
-`find_arb` methods call these kernels too, so each closed form is written once.
+`find_arb` methods call these kernels too, and their quotes the `*_quote`
+functions the kernels decide with, so each closed form is written once.
 
 All kernels return one (6, m) array with the rows (tendered1, received2,
 tendered2, received1, objective, curvature): direction 1 tenders asset 1 and
@@ -29,15 +30,21 @@ def _curvature(t, q, nu_in, nu_out):
 # Geometric mean markets
 # ---------------------------------------------------------------------------
 
-def gmean_arb_batch(r1, r2, w1, w2, fee, nu1, nu2):
+def gmean_quote(r1, r2, w1, w2, fee):
+    """(bid, ask) of asset 1 in asset 2; between them the market trades nothing."""
     eta1 = w1 / w2
+    return fee * eta1 * r2 / r1, eta1 * r2 / (fee * r1)
+
+
+def gmean_arb_batch(r1, r2, w1, w2, fee, nu1, nu2):
+    bid, ask = gmean_quote(r1, r2, w1, w2, fee)
     p = nu1 / nu2
     out = np.zeros((6, r1.shape[0]))
     # per direction: the tendered and received rows, where it pays, and
     # (reserve in, reserve out, eta, fee, price in, price out)
     for t, o, mask, *cols in (
-        (0, 1, p < fee * eta1 * r2 / r1, r1, r2, eta1, fee, nu1, nu2),
-        (2, 3, p > eta1 * r2 / (fee * r1), r2, r1, w2 / w1, fee, nu2, nu1),
+        (0, 1, p < bid, r1, r2, w1 / w2, fee, nu1, nu2),
+        (2, 3, p > ask, r2, r1, w2 / w1, fee, nu2, nu1),
     ):
         if mask.any():
             rin, rout, eta, f, nu_in, nu_out = (x[mask] for x in cols)
@@ -55,11 +62,13 @@ def gmean_arb_batch(r1, r2, w1, w2, fee, nu1, nu2):
 # Bounded-liquidity product segments
 # ---------------------------------------------------------------------------
 
-def bounded_arb_batch(r1, r2, alpha, beta, fee, nu1, nu2):
+def bounded_quote(r1, r2, alpha, beta, fee):
+    """(lo, hi, d1max, d2max, bid, ask) of asset 1 in asset 2: at or below lo
+    it tenders d1max for all its asset 2, at or above hi d2max for all its
+    asset 1, and between them it quotes like `gmean_quote`; 0 or inf if never."""
     v1 = r1 + alpha
     v2 = r2 + beta
     k = v1 * v2
-    p = nu1 / nu2
     with np.errstate(divide="ignore", over="ignore"):
         lo = np.where(beta == 0.0, 0.0, fee * beta * beta / k)
         hi = np.where(alpha == 0.0, np.inf, k / (fee * alpha * alpha))
@@ -67,7 +76,13 @@ def bounded_arb_batch(r1, r2, alpha, beta, fee, nu1, nu2):
         d2max = np.where(r1 == 0.0, 0.0, np.where(alpha == 0.0, np.inf, r1 * v2 / (fee * alpha)))
         bid = np.where(r2 == 0.0, 0.0, fee * v2 / v1)
         ask = np.where(r1 == 0.0, np.inf, v2 / (fee * v1))
+    return lo, hi, d1max, d2max, bid, ask
 
+
+def bounded_arb_batch(r1, r2, alpha, beta, fee, nu1, nu2):
+    lo, hi, d1max, d2max, bid, ask = bounded_quote(r1, r2, alpha, beta, fee)
+    v1, v2 = r1 + alpha, r2 + beta
+    p = nu1 / nu2
     out = np.zeros((6, r1.shape[0]))
     full1 = p <= lo
     full2 = (~full1) & (p >= hi)
@@ -82,8 +97,8 @@ def bounded_arb_batch(r1, r2, alpha, beta, fee, nu1, nu2):
         out[t][full] = dmax[full]
         out[o][full] = cols[2][full]
         if mask.any():
-            vin, vout, rout, nu_in, nu_out, f, kk = (x[mask] for x in (*cols, fee, k))
-            d = np.maximum((np.sqrt(f * kk * nu_out / nu_in) - vin) / f, 0.0)
+            vin, vout, rout, nu_in, nu_out, f = (x[mask] for x in (*cols, fee))
+            d = np.maximum((np.sqrt(f * (vin * vout) * nu_out / nu_in) - vin) / f, 0.0)
             lam = np.minimum(rout, f * d * vout / (vin + f * d))
             keep = nu_out * lam - nu_in * d > 0.0
             h = _curvature(t, (vin + f * d) / (2.0 * f), nu_in, nu_out)

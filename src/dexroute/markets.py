@@ -3,9 +3,10 @@
 Every market trades two assets and answers one question: given local prices
 (nu1, nu2) > 0, which trade maximizes nu.(received - tendered) over the
 market's trading set?  Geometric-mean and bounded-product markets answer in
-closed form, with the batched kernel called on one row; an aggregate answers
-with the sum of its segments' answers, from one kernel call over its segments;
-generic swap markets answer by bisection on the price impact.
+closed form, with the batched kernel called on one row, and take their spread,
+price range and input caps from the kernels' quote functions; an aggregate
+answers with the sum of its segments' answers, from one kernel call over its
+segments; generic swap markets answer by bisection on the price impact.
 
 Every quote reads the market's current fields and nothing is cached, so a
 market, and each copy or pickle of it, quotes its own state after `swap` or
@@ -146,16 +147,15 @@ class GeomMeanMarket:
         g = self.fee
         return g * eta * (rout / rin) * (1.0 + g * delta / rin) ** (-eta - 1.0)
 
+    def _row(self) -> list[np.ndarray]:
+        return [np.array([x]) for x in (*self.reserves, *self.weights, self.fee)]
+
     def spread(self) -> tuple[float, float]:
         """Bid-ask interval for the price of asset 1 in units of asset 2."""
-        r1, r2 = self.reserves
-        w1, w2 = self.weights
-        eta = w1 / w2
-        return self.fee * eta * r2 / r1, eta * r2 / (self.fee * r1)
+        return tuple(float(x[0]) for x in kernels.gmean_quote(*self._row()))
 
     def find_arb(self, nu) -> ArbResult:
-        params = (*self.reserves, *self.weights, self.fee)
-        return _kernel_arb(kernels.gmean_arb_batch, [np.array([x]) for x in params], nu)
+        return _kernel_arb(kernels.gmean_arb_batch, self._row(), nu)
 
     def apply_trade(self, trade: Trade):
         _apply_phi_trade(self, trade)
@@ -205,17 +205,16 @@ class BoundedProductSegment:
         r = self.reserves if reserves is None else np.asarray(reserves, dtype=float)
         return math.sqrt((r[0] + self.alpha) * (r[1] + self.beta))
 
+    def _row(self) -> list[np.ndarray]:
+        return [np.array([x]) for x in (*self.reserves, self.alpha, self.beta, self.fee)]
+
+    def _quote(self) -> list[float]:
+        """lo, hi, d1max, d2max, bid, ask: `kernels.bounded_quote` on one row."""
+        return [float(x[0]) for x in kernels.bounded_quote(*self._row())]
+
     def active_interval(self) -> tuple[float, float]:
-        """Price range where the arbitrage solve is interior; outside it the
-        optimal trade is a boundary (zero or full-liquidity) trade."""
-        k = self.k
-        lo = 0.0 if self.beta == 0.0 else self.fee * self.beta ** 2 / k
-        if self.alpha == 0.0:
-            hi = math.inf
-        else:
-            with np.errstate(over="ignore", divide="ignore"):
-                hi = float(k / (self.fee * self.alpha ** 2))  # inf when alpha is tiny
-        return lo, hi
+        """Open price range of interior trades; at or beyond it, `max_input`."""
+        return tuple(self._quote()[:2])
 
     def _virt(self, direction: int):
         r1, r2 = self.reserves
@@ -225,13 +224,7 @@ class BoundedProductSegment:
 
     def max_input(self, direction: int = 1) -> float:
         """Smallest input draining the output reserve (inf if unreachable)."""
-        vin, _, rout = self._virt(direction)
-        off = self.beta if direction == 1 else self.alpha
-        if rout == 0.0:
-            return 0.0
-        if off == 0.0:
-            return math.inf
-        return rout * vin / (self.fee * off)
+        return self._quote()[1 + direction]
 
     def forward_exchange(self, delta: float, direction: int = 1) -> float:
         if delta < 0:
@@ -248,15 +241,10 @@ class BoundedProductSegment:
         return g * vin * vout / (vin + g * delta) ** 2
 
     def spread(self) -> tuple[float, float]:
-        r1, r2 = self.reserves
-        v1, v2 = r1 + self.alpha, r2 + self.beta
-        bid = 0.0 if r2 == 0.0 else self.fee * v2 / v1
-        ask2 = 0.0 if r1 == 0.0 else self.fee * v1 / v2
-        return bid, (math.inf if ask2 == 0.0 else 1.0 / ask2)
+        return tuple(self._quote()[4:])
 
     def find_arb(self, nu) -> ArbResult:
-        params = (*self.reserves, self.alpha, self.beta, self.fee)
-        return _kernel_arb(kernels.bounded_arb_batch, [np.array([x]) for x in params], nu)
+        return _kernel_arb(kernels.bounded_arb_batch, self._row(), nu)
 
     def apply_trade(self, trade: Trade):
         _apply_phi_trade(self, trade)
@@ -334,12 +322,14 @@ def _fill(segments, total: float, a: int) -> tuple[np.ndarray, np.ndarray]:
     The fill is read where it covers `total`, or at capacity when all are full.
     """
     r1, r2, alpha, beta, fee = _columns(segments)
-    cols = (r1, r2, alpha, beta, fee) if a == 0 else (r2, r1, beta, alpha, fee)
+    both = ((r1, r2, alpha, beta, fee), (r2, r1, beta, alpha, fee))
+    cols, swapped = both[a], both[1 - a]
     live = cols[1] > 0.0  # the segments holding the asset paid out
     if not live.any():
         raise RejectedTradeError("aggregate has no liquidity in that direction")
-    # a segment takes nothing while 1/q is at or above its bid fee*vout/vin
-    lo = float(np.sqrt((cols[0] + cols[2]) / (fee * (cols[1] + cols[3])))[live].min())
+    # a segment takes nothing while 1/q is at or above its bid on cols, that
+    # is while q is at or below its ask with the assets swapped
+    lo = float(np.sqrt(kernels.bounded_quote(*swapped)[5][live].min()))
     hi, u, ones, fill = math.inf, lo * (1.0 + 1e-6), np.ones(len(r1)), None
     for _ in range(_BISECT_MAXIT):
         rows = kernels.bounded_arb_batch(*cols, ones, np.full(len(r1), u * u))
@@ -379,8 +369,8 @@ class AggregateMarket:
                 raise ConfigurationError("all segments must share the aggregate fee")
 
     def spread(self) -> tuple[float, float]:
-        bids, asks = zip(*(s.spread() for s in self.segments))
-        return max(bids), min(asks)
+        bid, ask = kernels.bounded_quote(*_columns(self.segments))[4:]
+        return float(bid.max()), float(ask.min())
 
     def find_arb(self, nu) -> ArbResult:
         """The sum of the segments' optimal arbitrages, from one kernel call."""
@@ -407,8 +397,8 @@ class AggregateMarket:
             seg.reserves = filled.reserves
 
     def add_liquidity(self, amounts, price_range: tuple[float, float]):
-        for seg in self.segments:
-            lo, hi = seg.active_interval()
+        los, his = kernels.bounded_quote(*_columns(self.segments))[:2]
+        for seg, lo, hi in zip(self.segments, los.tolist(), his.tolist()):
             if (math.isclose(lo, price_range[0], rel_tol=1e-9, abs_tol=1e-300)
                     and math.isclose(hi, price_range[1], rel_tol=1e-9)):  # also inf to inf
                 seg.add_liquidity(amounts)
@@ -420,14 +410,8 @@ class AggregateMarket:
             "type": "aggregate",
             "tokens": list(self.token_map.global_indices),
             "fee": float(self.fee),
-            "segments": [
-                {
-                    "reserves": [float(x) for x in s.reserves],
-                    "alpha": float(s.alpha),
-                    "beta": float(s.beta),
-                }
-                for s in self.segments
-            ],
+            "segments": [{k: d[k] for k in ("reserves", "alpha", "beta")}
+                         for d in map(BoundedProductSegment.to_dict, self.segments)],
         }
 
 

@@ -30,8 +30,8 @@ class TotalArbitrage:
 
     def __post_init__(self):
         c = np.asarray(self.valuation, dtype=float)
-        if np.any(c < 0) or not np.any(c > 0):
-            raise ConfigurationError("valuation must be nonnegative with a positive entry")
+        if not (np.isfinite(c).all() and (c >= 0).all() and (c > 0).any()):
+            raise ConfigurationError(f"valuation must be finite, nonnegative, not all zero: {c}")
         object.__setattr__(self, "valuation", c)
 
     @property
@@ -69,8 +69,8 @@ class BasketLiquidation:
 
     def __post_init__(self):
         b = np.asarray(self.basket, dtype=float)
-        if np.any(b < 0) or not np.any(b > 0):
-            raise ConfigurationError("basket must be nonnegative with a positive entry")
+        if not (np.isfinite(b).all() and (b >= 0).all() and (b > 0).any()):
+            raise ConfigurationError(f"basket must be finite, nonnegative, not all zero: {b}")
         if not (0 <= self.out_token < b.shape[0]):
             raise ConfigurationError("out_token index out of range")
         if b[self.out_token] != 0.0:

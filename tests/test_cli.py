@@ -130,6 +130,26 @@ class TestRoute:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--m", "0", "--seed", "1"],
+        ["gen", "--m", "4", "--seed", "1", "--fee", "1.5"],
+        ["gen", "--m", "4", "--seed", "-1"],
+        ["gen", "--m", "4", "--seed", "1", "--out", "{missing}"],
+        ["route", "--snapshot", "{snap}", "--objective", "arbitrage", "--out", "{missing}"],
+        ["route", "--snapshot", "{snap}", "--objective", "arbitrage", "--prices", "1,nan,1,1,1,1"],
+        ["route", "--snapshot", "{snap}", "--objective", "arbitrage", "--prices", "1,inf,1,1,1,1"],
+        ["route", "--snapshot", "{snap}", "--objective", "liquidate",
+         "--basket", "0,inf,1,0,0,0", "--out-token", "0"],
+    ], ids=["gen-m-0", "gen-fee-above-1", "gen-negative-seed", "gen-out-missing-dir",
+            "route-out-missing-dir", "route-nan-price", "route-inf-price", "route-inf-basket"])
+    def test_bad_input_prints_one_error_line(self, snapshot_path, tmp_path, argv, capsys):
+        missing = tmp_path / "no-such-dir" / "x.json"
+        with pytest.raises(SystemExit) as exc:
+            run([a.format(snap=snapshot_path, missing=missing) for a in argv])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_nonconvergence_exits_2_with_output(self, snapshot_path, tmp_path):
         out = tmp_path / "sol.json"
         code = run([

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dexroute as dx
-from dexroute import oracle
+from dexroute import generate, oracle
 from dexroute.errors import (
     ConfigurationError,
     DomainError,
@@ -227,6 +227,69 @@ class TestBoundedProperties:
         if p >= hi and res.objective_value > 0.0:
             assert res.trade.received[0] == r1
             assert res.trade.tendered[1] == m.max_input(2)
+
+
+def _inline_ladder(s, seed, fee):
+    """s segments on `generate.make_ladder`'s price grid, all quoting one
+    random price, so each segment off that price holds only one asset."""
+    rng = np.random.default_rng(seed)
+    grid = np.geomspace(0.1, 10.0, s + 1)
+    q, tm, segments = rng.uniform(0.1, 10.0), dx.TokenMap((0, 1)), []
+    for pa, pb in zip(grid[:-1], grid[1:]):
+        liq, x = rng.uniform(100.0, 1000.0), min(max(q, pa), pb)
+        alpha, beta = liq / math.sqrt(pb), liq * math.sqrt(pa)
+        r = [max(liq / math.sqrt(x) - alpha, 0.0), max(liq * math.sqrt(x) - beta, 0.0)]
+        segments.append(dx.BoundedProductSegment(np.array(r), alpha, beta, fee, tm))
+    return dx.AggregateMarket(segments, fee, tm)
+
+
+class TestQuotesAgreeWithFindArb:
+    """Every quote names a price where `find_arb` does what the quote says:
+    the zero trade at the bid and the ask, and a full-liquidity trade of
+    exactly `max_input` at the ends of a segment's active interval."""
+
+    @staticmethod
+    def _markets(seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(300):
+            fee = float(rng.choice([1.0, 0.997, 0.99]))
+            r1, r2 = rng.uniform(1.0, 2000.0, 2)
+            yield gmean(r1, r2, float(rng.choice([0.5, 0.8, 0.2])), fee)
+            a, b = rng.uniform(0.0, 3000.0, 2)
+            a, b = [float(rng.choice([x, 0.0], p=[0.8, 0.2])) for x in (a, b)]
+            r1, r2 = [float(rng.choice([x, 0.0], p=[0.85, 0.15])) for x in (r1, r2)]
+            if r1 + a > 0.0 and r2 + b > 0.0:
+                yield bounded(r1, r2, a, b, fee)
+        for s in (1, 2, 5, 40):
+            yield generate.make_ladder(s, seed=seed)
+            for fee in (1.0, 0.997):
+                yield _inline_ladder(s, seed, fee)
+
+    @staticmethod
+    def _at(market, p):
+        return market.find_arb(np.array([p, 1.0])).trade
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_zero_trade_at_the_spread(self, seed):
+        for m in self._markets(seed):
+            bid, ask = m.spread()
+            for p in (bid, ask):
+                if 0.0 < p < math.inf:
+                    quiet = dx.no_trade(m, np.array([p, 1.0]))
+                    assert quiet == self._at(m, p).is_zero(), (m, p)
+                    # a single market's bid is at most its ask; an aggregate's
+                    # are crossed when its segments quote out of line
+                    assert quiet or (isinstance(m, dx.AggregateMarket) and bid > ask)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_full_liquidity_at_the_active_interval(self, seed):
+        for m in self._markets(seed):
+            if isinstance(m, dx.BoundedProductSegment):
+                lo, hi = m.active_interval()
+                if 0.0 < lo:
+                    assert self._at(m, lo).tendered[0] == m.max_input(1), m
+                if hi < math.inf:
+                    assert self._at(m, hi).tendered[1] == m.max_input(2), m
 
 
 class TestSwap:

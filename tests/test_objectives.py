@@ -66,6 +66,9 @@ class TestTotalArbitrage:
             TotalArbitrage(np.array([-1.0, 2.0]))
         with pytest.raises(ConfigurationError):
             TotalArbitrage(np.zeros(2))
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigurationError):
+                TotalArbitrage(np.array([1.0, bad]))
 
 
 class TestBasketLiquidation:
@@ -107,6 +110,11 @@ class TestBasketLiquidation:
     def test_basket_must_not_tender_output(self):
         with pytest.raises(ConfigurationError):
             BasketLiquidation(np.array([1.0, 1.0]), 1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_basket(self, bad):
+        with pytest.raises(ConfigurationError):
+            BasketLiquidation(np.array([1.0, bad, 0.0]), 2)
 
 
 class TestModuleFunctions:
