@@ -15,9 +15,19 @@ the trade is full liquidity.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 BACKEND = "numpy"
+
+
+def columns(parts) -> tuple:
+    """The arguments before the prices of the kernel that `parts` name, one
+    contiguous array per argument and one entry per part, from each part's
+    `_row()`: one market, an aggregate's segments or a solver batch."""
+    flat = np.fromiter(chain.from_iterable(p._row() for p in parts), dtype=float)
+    return tuple(flat.reshape(len(parts), -1).T.copy())
 
 
 def _curvature(t, q, nu_in, nu_out):
@@ -64,8 +74,8 @@ def gmean_arb_batch(r1, r2, w1, w2, fee, nu1, nu2):
 
 def bounded_quote(r1, r2, alpha, beta, fee):
     """(lo, hi, d1max, d2max, bid, ask) of asset 1 in asset 2: at or below lo
-    it tenders d1max for all its asset 2, at or above hi d2max for all its
-    asset 1, and between them it quotes like `gmean_quote`; 0 or inf if never."""
+    and the bid it tenders d1max for all its asset 2, at or above hi and the
+    ask d2max for all its asset 1, else it quotes like `gmean_quote`."""
     v1 = r1 + alpha
     v2 = r2 + beta
     k = v1 * v2
@@ -84,8 +94,9 @@ def bounded_arb_batch(r1, r2, alpha, beta, fee, nu1, nu2):
     v1, v2 = r1 + alpha, r2 + beta
     p = nu1 / nu2
     out = np.zeros((6, r1.shape[0]))
-    full1 = p <= lo
-    full2 = (~full1) & (p >= hi)
+    # full liquidity strictly outside the quotes, whose bid or ask may round onto lo or hi
+    full1 = (p <= lo) & (p < bid)
+    full2 = (~full1) & (p >= hi) & (p > ask)
     inner = ~(full1 | full2)
     # per direction: the tendered and received rows, the full-liquidity and
     # interior masks, the input cap and (virtual reserve in, virtual reserve

@@ -2,11 +2,12 @@
 
 Every market trades two assets and answers one question: given local prices
 (nu1, nu2) > 0, which trade maximizes nu.(received - tendered) over the
-market's trading set?  Geometric-mean and bounded-product markets answer in
-closed form, with the batched kernel called on one row, and take their spread,
-price range and input caps from the kernels' quote functions; an aggregate
-answers with the sum of its segments' answers, from one kernel call over its
-segments; generic swap markets answer by bisection on the price impact.
+market's trading set?  The answer is a kernel row: trade, value, curvature.
+Geometric-mean and bounded-product markets answer in closed form: each names
+its kernel in `kernel`, states its arguments once in `_row()` and reads its
+quotes from the kernels' quote functions; an aggregate answers with the sum
+of its segments' answers, from one kernel call over its segments; generic
+swap markets, with no kernel, answer by bisection on the price impact.
 
 Every quote reads the market's current fields and nothing is cached, so a
 market, and each copy or pickle of it, quotes its own state after `swap` or
@@ -49,14 +50,17 @@ _BRACKET_CAP = 1e30
 
 @dataclass(frozen=True)
 class ArbResult:
-    """Optimal trade for one market at given local prices, plus its value."""
+    """Optimal trade for one market at given local prices, its value, and its
+    curvature d(received1 - tendered1)/dnu1, 0 where nothing trades."""
 
     trade: Trade
     objective_value: float
+    curvature: float
 
 
-def _zero_result() -> ArbResult:
-    return ArbResult(Trade.zero(), 0.0)
+def _result(t1, o2, t2, o1, value, curvature) -> ArbResult:
+    """The `ArbResult` of one kernel row (t1, o2, t2, o1, value, curvature)."""
+    return ArbResult(Trade(np.array([t1, t2]), np.array([o1, o2])), float(value), float(curvature))
 
 
 def _two_reserves(reserves) -> tuple[np.ndarray, float, float]:
@@ -78,27 +82,11 @@ def _check_prices(nu) -> tuple[float, float]:
     return float(nu[0]), float(nu[1])
 
 
-def _kernel_arb(kernel, params, nu) -> ArbResult:
-    """The column sums of `kernel` over the rows `params` (its arguments
-    before the prices), all at local prices nu."""
+def _kernel_arb(parts, nu) -> ArbResult:
+    """The summed rows of the kernel that `parts` name, all at local prices nu."""
     nu1, nu2 = _check_prices(nu)
-    s = len(params[0])
-    t1, o2, t2, o1, value, _ = kernel(*params, np.full(s, nu1), np.full(s, nu2)).sum(axis=1)
-    return ArbResult(Trade(np.array([t1, t2]), np.array([o1, o2])), float(value))
-
-
-def _dir1_result(nu1, nu2, delta, lam) -> ArbResult:
-    obj = nu2 * lam - nu1 * delta
-    if obj <= 0.0 or delta <= 0.0:
-        return _zero_result()
-    return ArbResult(Trade(np.array([delta, 0.0]), np.array([0.0, lam])), obj)
-
-
-def _dir2_result(nu1, nu2, delta, lam) -> ArbResult:
-    obj = nu1 * lam - nu2 * delta
-    if obj <= 0.0 or delta <= 0.0:
-        return _zero_result()
-    return ArbResult(Trade(np.array([0.0, delta]), np.array([lam, 0.0])), obj)
+    kernel, s = getattr(kernels, parts[0].kernel), len(parts)
+    return _result(*kernel(*kernels.columns(parts), np.full(s, nu1), np.full(s, nu2)).sum(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +95,8 @@ def _dir2_result(nu1, nu2, delta, lam) -> ArbResult:
 
 @dataclass
 class GeomMeanMarket:
+    kernel = "gmean_arb_batch"
+
     reserves: np.ndarray
     weights: tuple[float, float]
     fee: float
@@ -147,15 +137,15 @@ class GeomMeanMarket:
         g = self.fee
         return g * eta * (rout / rin) * (1.0 + g * delta / rin) ** (-eta - 1.0)
 
-    def _row(self) -> list[np.ndarray]:
-        return [np.array([x]) for x in (*self.reserves, *self.weights, self.fee)]
+    def _row(self) -> tuple:
+        return (*self.reserves.tolist(), *self.weights, self.fee)
 
     def spread(self) -> tuple[float, float]:
         """Bid-ask interval for the price of asset 1 in units of asset 2."""
-        return tuple(float(x[0]) for x in kernels.gmean_quote(*self._row()))
+        return tuple(float(x[0]) for x in kernels.gmean_quote(*kernels.columns([self])))
 
     def find_arb(self, nu) -> ArbResult:
-        return _kernel_arb(kernels.gmean_arb_batch, self._row(), nu)
+        return _kernel_arb([self], nu)
 
     def apply_trade(self, trade: Trade):
         _apply_phi_trade(self, trade)
@@ -179,6 +169,8 @@ class GeomMeanMarket:
 
 @dataclass
 class BoundedProductSegment:
+    kernel = "bounded_arb_batch"
+
     reserves: np.ndarray
     alpha: float
     beta: float
@@ -205,15 +197,15 @@ class BoundedProductSegment:
         r = self.reserves if reserves is None else np.asarray(reserves, dtype=float)
         return math.sqrt((r[0] + self.alpha) * (r[1] + self.beta))
 
-    def _row(self) -> list[np.ndarray]:
-        return [np.array([x]) for x in (*self.reserves, self.alpha, self.beta, self.fee)]
+    def _row(self) -> tuple:
+        return (*self.reserves.tolist(), self.alpha, self.beta, self.fee)
 
     def _quote(self) -> list[float]:
         """lo, hi, d1max, d2max, bid, ask: `kernels.bounded_quote` on one row."""
-        return [float(x[0]) for x in kernels.bounded_quote(*self._row())]
+        return [float(x[0]) for x in kernels.bounded_quote(*kernels.columns([self]))]
 
     def active_interval(self) -> tuple[float, float]:
-        """Open price range of interior trades; at or beyond it, `max_input`."""
+        """Open price range of interior trades; at or beyond it, outside the spread, `max_input`."""
         return tuple(self._quote()[:2])
 
     def _virt(self, direction: int):
@@ -244,7 +236,7 @@ class BoundedProductSegment:
         return tuple(self._quote()[4:])
 
     def find_arb(self, nu) -> ArbResult:
-        return _kernel_arb(kernels.bounded_arb_batch, self._row(), nu)
+        return _kernel_arb([self], nu)
 
     def apply_trade(self, trade: Trade):
         _apply_phi_trade(self, trade)
@@ -303,14 +295,6 @@ def _apply_phi_trade(market, trade: Trade):
 # Aggregate of bounded-liquidity segments: a sum of its segments
 # ---------------------------------------------------------------------------
 
-def _columns(segments) -> tuple:
-    """The bounded kernel's arguments before the prices, one row per segment,
-    read from the segments' current fields."""
-    r = np.array([s.reserves for s in segments])
-    off = np.array([(s.alpha, s.beta) for s in segments])
-    return r[:, 0], r[:, 1], off[:, 0], off[:, 1], np.array([s.fee for s in segments])
-
-
 def _fill(segments, total: float, a: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-segment input and output of a best-execution fill of `total` units
     of local asset a + 1: every filled segment ends at one marginal price.
@@ -321,7 +305,7 @@ def _fill(segments, total: float, a: int) -> tuple[np.ndarray, np.ndarray]:
     so the common price is a safeguarded Newton root in u on the total input.
     The fill is read where it covers `total`, or at capacity when all are full.
     """
-    r1, r2, alpha, beta, fee = _columns(segments)
+    r1, r2, alpha, beta, fee = kernels.columns(segments)
     both = ((r1, r2, alpha, beta, fee), (r2, r1, beta, alpha, fee))
     cols, swapped = both[a], both[1 - a]
     live = cols[1] > 0.0  # the segments holding the asset paid out
@@ -369,12 +353,12 @@ class AggregateMarket:
                 raise ConfigurationError("all segments must share the aggregate fee")
 
     def spread(self) -> tuple[float, float]:
-        bid, ask = kernels.bounded_quote(*_columns(self.segments))[4:]
+        bid, ask = kernels.bounded_quote(*kernels.columns(self.segments))[4:]
         return float(bid.max()), float(ask.min())
 
     def find_arb(self, nu) -> ArbResult:
         """The sum of the segments' optimal arbitrages, from one kernel call."""
-        return _kernel_arb(kernels.bounded_arb_batch, _columns(self.segments), nu)
+        return _kernel_arb(self.segments, nu)
 
     def apply_trade(self, trade: Trade):
         """Fill each tendered asset across the segments at one common marginal
@@ -397,7 +381,7 @@ class AggregateMarket:
             seg.reserves = filled.reserves
 
     def add_liquidity(self, amounts, price_range: tuple[float, float]):
-        los, his = kernels.bounded_quote(*_columns(self.segments))[:2]
+        los, his = kernels.bounded_quote(*kernels.columns(self.segments))[:2]
         for seg, lo, hi in zip(self.segments, los.tolist(), his.tolist()):
             if (math.isclose(lo, price_range[0], rel_tol=1e-9, abs_tol=1e-300)
                     and math.isclose(hi, price_range[1], rel_tol=1e-9)):  # also inf to inf
@@ -424,6 +408,8 @@ class GenericSwapMarket:
     and their one-sided derivatives; arbitrage is solved by bisection.  Every
     quote goes through `forward_exchange` and `price_impact`, which a subclass
     may override with its own closed forms."""
+
+    kernel = None  # no batched kernel: the solver calls `find_arb` row by row
 
     def __init__(
         self,
@@ -462,11 +448,18 @@ class GenericSwapMarket:
         return self.impact[direction - 1](delta)
 
     def impact_derivative(self, delta: float, direction: int = 1) -> float:
-        """I'(delta) for delta > 0, from one central difference of the price
-        impact in delta."""
-        h = 1e-6 * delta
-        return (self.price_impact(delta + h, direction)
-                - self.price_impact(delta - h, direction)) / (2.0 * h)
+        """I'(delta) for 0 < delta < max_in: a central difference of the impact
+        I whose step grows tenfold from 1e-6*delta until the difference clears
+        1000*eps*|I|, far above its round-off; 0 if no step within half the way
+        to either end does, as on a curve constant-sum to working precision."""
+        floor = 1e3 * np.finfo(float).eps * abs(self.price_impact(delta, direction))
+        h, cap = 1e-6 * delta, 0.5 * min(delta, self.max_in[direction - 1] - delta)
+        while h <= cap:
+            diff = self.price_impact(delta + h, direction) - self.price_impact(delta - h, direction)
+            if abs(diff) >= floor:
+                return diff / (2.0 * h)
+            h *= 10.0
+        return 0.0
 
     def spread(self) -> tuple[float, float]:
         bid = self.price_impact(0.0, 1)
@@ -505,12 +498,21 @@ class GenericSwapMarket:
         p = nu1 / nu2
         bid, ask = self.spread()
         if bid <= p <= ask:
-            return _zero_result()
-        if p < bid:
-            delta, lam = self._solve_direction(nu1, nu2, 1)
-            return _dir1_result(nu1, nu2, delta, lam)
-        delta, lam = self._solve_direction(nu2, nu1, 2)
-        return _dir2_result(nu1, nu2, delta, lam)
+            return _result(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        direction, nu_in, nu_out = (1, nu1, nu2) if p < bid else (2, nu2, nu1)
+        delta, lam = self._solve_direction(nu_in, nu_out, direction)
+        value = nu_out * lam - nu_in * delta
+        if value <= 0.0 or delta <= 0.0:
+            return _result(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        # the trade solves I(delta) = nu_in/nu_out; its derivative in nu1
+        # follows by the implicit-function theorem
+        curvature = 0.0
+        if delta < self.max_in[direction - 1]:
+            di = self.impact_derivative(delta, direction)
+            if di < 0.0:
+                curvature = -1.0 / (nu2 * di) if direction == 1 else -nu2 * nu2 / (nu1 ** 3 * di)
+        row = (delta, lam, 0.0, 0.0) if direction == 1 else (0.0, 0.0, delta, lam)
+        return _result(*row, value, curvature)
 
     def apply_trade(self, trade: Trade):
         raise ConfigurationError("generic swap markets carry no reserve state")

@@ -85,7 +85,7 @@ def grid_arb(market, nu, grid_step: float, bracket: float | None = None) -> ArbR
     By concavity the best grid point is within one cell of the optimum.
     """
     nu = np.asarray(nu, dtype=float)
-    best = ArbResult(Trade.zero(), 0.0)
+    best = ArbResult(Trade.zero(), 0.0, 0.0)
     for direction in (1, 2):
         nu_in, nu_out = (nu[0], nu[1]) if direction == 1 else (nu[1], nu[0])
         rout = market.reserves[1] if direction == 1 else market.reserves[0]
@@ -107,7 +107,7 @@ def grid_arb(market, nu, grid_step: float, bracket: float | None = None) -> ArbR
             local = (np.array([d, 0.0]), np.array([0.0, lam]))
             if direction == 2:
                 local = (local[0][::-1], local[1][::-1])
-            best = ArbResult(Trade(*local), float(objs[j]))
+            best = ArbResult(Trade(*local), float(objs[j]), math.nan)  # no curvature on a grid
     return best
 
 
@@ -116,13 +116,14 @@ def naive_aggregate_arb(market: AggregateMarket, nu) -> ArbResult:
     reproduce this."""
     tendered = np.zeros(2)
     received = np.zeros(2)
-    obj = 0.0
+    obj = curvature = 0.0
     for seg in market.segments:
         res = seg.find_arb(nu)
         tendered += res.trade.tendered
         received += res.trade.received
         obj += res.objective_value
-    return ArbResult(Trade(tendered, received), obj)
+        curvature += res.curvature
+    return ArbResult(Trade(tendered, received), obj, curvature)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,6 @@ import numpy as np
 from . import kernels
 from .core import MarketSnapshot, NetworkTrade, Trade, net_trade
 from .errors import UnboundedError
-from .markets import AggregateMarket, BoundedProductSegment, GeomMeanMarket
 from .objectives import PRICE_EPS, Objective
 
 _BOUND_SLACK = 1e-14
@@ -66,9 +66,9 @@ class RoutingSolution:
 class _Compiled:
     """Struct-of-arrays view of the snapshot for the batched kernels.
 
-    Each gmean, bounded, curve2 or generic market is one row; an aggregate is
-    one row per segment, all owned by the aggregate and quoting its token
-    pair, because its arbitrage is the sum of its segments' arbitrages.
+    Each market is one row, and a market with segments one row per segment,
+    all owned by the market and quoting its token pair, because its arbitrage
+    is the sum of its segments' arbitrages.
     """
 
     n: int
@@ -77,30 +77,25 @@ class _Compiled:
     i1: np.ndarray  # (rows,) global index of the row's local asset 1
     i2: np.ndarray  # (rows,) ... and of its local asset 2
     batches: list  # (row indices, kernel, kernel arguments before the prices)
-    other: list  # (row index, market) pairs solved one at a time
+    other: list  # (row index, market) pairs with no kernel, solved one at a time
 
 
 def _compile(snapshot: MarketSnapshot) -> _Compiled:
-    gm_rows, bp_rows, other, owner, tokens = [], [], [], [], []
+    # kernel name (None: no kernel) -> (rows, parts); a tuple per row instead
+    # would give the garbage collector one more object per market to chase
+    groups, owner, tokens = defaultdict(lambda: ([], [])), [], []
     for i, mkt in enumerate(snapshot.markets):
         pair = mkt.token_map.global_indices
-        for part in mkt.segments if isinstance(mkt, AggregateMarket) else (mkt,):
-            row = len(owner)
+        for part in getattr(mkt, "segments", (mkt,)):
+            rows, parts = groups[part.kernel]
+            rows.append(len(owner))
+            parts.append(part)
             owner.append(i)
             tokens.append(pair)
-            # one tuple per row: its index, then the kernel's arguments before the prices
-            if isinstance(part, GeomMeanMarket):
-                gm_rows.append((row, *part.reserves.tolist(), *part.weights, part.fee))
-            elif isinstance(part, BoundedProductSegment):
-                bp_rows.append((row, *part.reserves.tolist(), part.alpha, part.beta, part.fee))
-            else:
-                other.append((row, part))
-
-    batches = []  # the kernels are looked up per solve, where a tracer can wrap them
-    for rows, kernel in ((gm_rows, kernels.gmean_arb_batch), (bp_rows, kernels.bounded_arb_batch)):
-        if rows:
-            cols = np.array(rows, dtype=float).T.copy()  # one contiguous row per argument
-            batches.append((cols[0].astype(np.intp), kernel, tuple(cols[1:])))
+    other = list(zip(*groups.pop(None, ((), ()))))
+    # the kernels are looked up per solve, where a tracer can wrap them
+    batches = [(np.array(rows, dtype=np.intp), getattr(kernels, name), kernels.columns(parts))
+               for name, (rows, parts) in groups.items()]
     tokens = np.array(tokens, dtype=np.intp).reshape(-1, 2)
     return _Compiled(snapshot.n, len(snapshot.markets), np.array(owner, dtype=np.intp),
                      tokens[:, 0], tokens[:, 1], batches, other)
@@ -119,15 +114,7 @@ def _arb(compiled: _Compiled, nu1, nu2) -> np.ndarray:
         except UnboundedError as e:
             raise UnboundedError(f"market {compiled.owner[r]}: {e}") from e
         (t1, t2), (o1, o2) = res.trade.tendered, res.trade.received
-        rows[:5, r] = (t1, o2, t2, o1, res.objective_value)
-        # the trade solves I(delta) = nu_in/nu_out; its derivative in nu1
-        # follows by the implicit-function theorem
-        direction, delta = (1, t1) if t1 > 0.0 else (2, t2)
-        if 0.0 < delta < mkt.max_in[direction - 1]:
-            di = mkt.impact_derivative(delta, direction)
-            if di < 0.0:
-                n1, n2 = nu1[r], nu2[r]
-                rows[5, r] = -1.0 / (n2 * di) if direction == 1 else -n2 * n2 / (n1 ** 3 * di)
+        rows[:, r] = (t1, o2, t2, o1, res.objective_value, res.curvature)
     return rows
 
 

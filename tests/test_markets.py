@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dexroute as dx
-from dexroute import generate, oracle
+from dexroute import generate, kernels, oracle
 from dexroute.errors import (
     ConfigurationError,
     DomainError,
@@ -27,6 +27,14 @@ def gmean(r1=100.0, r2=100.0, w=0.5, fee=1.0, tokens=(0, 1)):
 
 def bounded(r1=10.0, r2=10.0, alpha=90.0, beta=90.0, fee=1.0, tokens=(0, 1)):
     return dx.BoundedProductSegment(np.array([r1, r2]), alpha, beta, fee, dx.TokenMap(tokens))
+
+
+def generic(pool):
+    """A `GenericSwapMarket` quoting through `pool`'s own forward exchange
+    and price impact, so only its bisection and difference are its own."""
+    return dx.GenericSwapMarket(
+        lambda d: pool.forward_exchange(d, 1), lambda d: pool.forward_exchange(d, 2),
+        lambda d: pool.price_impact(d, 1), lambda d: pool.price_impact(d, 2), pool.token_map)
 
 
 class TestGeomMeanClosedForm:
@@ -291,6 +299,26 @@ class TestQuotesAgreeWithFindArb:
                 if hi < math.inf:
                     assert self._at(m, hi).tendered[1] == m.max_input(2), m
 
+    @pytest.mark.parametrize("fee", [1.0, 0.997])
+    def test_zero_trade_at_the_spread_of_a_dust_reserve(self, fee):
+        # a reserve of 1e-30 to 1e-8 against offsets of 1 to 3000 rounds the
+        # bid onto lo (mirrored, the ask onto hi), where the segment must not
+        # tender its input cap for that dust
+        rng = np.random.default_rng(0)
+        n = 20000
+        big, dust = rng.uniform(1.0, 2000.0, n), 10.0 ** rng.uniform(-30.0, -8.0, n)
+        alpha, beta = rng.uniform(1.0, 3000.0, (2, n))
+        fees, ones = np.full(n, fee), np.ones(n)
+        for r1, r2 in ((big, dust), (dust, big)):
+            bid, ask = kernels.bounded_quote(r1, r2, alpha, beta, fees)[4:]
+            for p in (bid, ask):
+                assert not kernels.bounded_arb_batch(r1, r2, alpha, beta, fees, p, ones)[:4].any()
+            # the segment's quotes and find_arb are these kernels on one row
+            for i in range(0, n, 200):
+                m = bounded(r1[i], r2[i], alpha[i], beta[i], fee)
+                for p in m.spread():
+                    assert dx.no_trade(m, np.array([p, 1.0])) and self._at(m, p).is_zero(), m
+
 
 class TestSwap:
     def test_swap_moves_reserves(self):
@@ -410,6 +438,22 @@ class TestGenericSwap:
         with pytest.raises(ConfigurationError):
             dx.swap(self._product_market(), dx.Trade(np.ones(2), np.zeros(2)))
 
+    @pytest.mark.parametrize("direction", [1, 2])
+    def test_curvature_on_a_flat_curve_is_right_or_absent(self, direction):
+        # the 1500/1600 amp-3 pool is constant-sum to about 9 digits: its I'
+        # of about 1e-13 is out of a difference's reach at small inputs
+        pool = dx.Curve2Market(np.array([1500.0, 1600.0]), 3.0, 0.999, dx.TokenMap((0, 1)))
+        m, resolved = generic(pool), 0
+        for delta in (1.0, 10.0, 100.0, 750.0):
+            target = pool.price_impact(delta, direction)
+            nu = np.array([target, 1.0]) if direction == 1 else np.array([1.0, target])
+            ref, res = pool.find_arb(nu), m.find_arb(nu)
+            assert res.trade.tendered[direction - 1] == ref.trade.tendered[direction - 1] > 0.0
+            if res.curvature != 0.0:
+                assert res.curvature == pytest.approx(ref.curvature, rel=0.01), delta
+                resolved += 1
+        assert resolved >= 2
+
 
 _CURVE2_POOLS = [(5.0, 6.0, 7.0), (100.0, 100.0, 50.0), (1500.0, 1600.0, 3.0)]
 
@@ -498,6 +542,35 @@ class TestCurve2:
         back = pickle.loads(pickle.dumps(moved))
         assert back.to_dict() == moved.to_dict()
         assert back.spread() == fresh.spread()
+
+
+class TestArbCurvature:
+    """`find_arb(nu).curvature` is d(received1 - tendered1)/dnu1 of the
+    market's own trade, and 0 where nothing trades."""
+
+    @pytest.mark.parametrize("market", [
+        gmean(1000.0, 1500.0, 0.5, 0.997),
+        bounded(10.0, 10.0, 90.0, 90.0, 0.997),  # interior within 10 % of its spot
+        generate.make_ladder(10, seed=3),
+        _inline_ladder(10, 3, 0.997),
+        dx.Curve2Market(np.array([100.0, 120.0]), 5.0, 0.999, dx.TokenMap((0, 1))),
+    ], ids=["gmean", "bounded", "aggregate", "inline-aggregate", "curve2"])
+    def test_matches_central_difference_of_the_trade(self, market):
+        bid, ask = market.spread()
+        if bid <= ask:  # a make_ladder's segments quote out of line: it trades at any price
+            quiet = market.find_arb(np.array([math.sqrt(bid * ask), 1.0]))
+            assert quiet.trade.is_zero() and quiet.curvature == 0.0
+
+        def net1(nu1):
+            trade = market.find_arb(np.array([nu1, 1.0])).trade
+            return trade.received[0] - trade.tendered[0]
+
+        for nu1 in (0.9 * bid, 1.1 * ask):  # below the bid and above the ask
+            res = market.find_arb(np.array([nu1, 1.0]))
+            assert res.curvature > 0.0
+            h = 1e-4 * nu1  # a smaller step meets the curve2 bisection's tolerance
+            fd = (net1(nu1 + h) - net1(nu1 - h)) / (2.0 * h)
+            assert res.curvature == pytest.approx(fd, rel=1e-5)
 
 
 class TestSerialization:

@@ -111,6 +111,29 @@ class TestCompile:
         assert [(r, mk) for r, mk in c.other] == [(len(parts) - 1, snap.markets[-1])]
 
 
+class TestGenericMarketRoutes:
+    """A market type the solver never names routes through its own
+    `find_arb`: a gmean pool rebuilt as a `GenericSwapMarket` from its own
+    forward exchange and price impact solves to the pool's utility."""
+
+    @pytest.mark.parametrize("snap, obj", [
+        (generate.generate_snapshot(12, 5), None),
+        (_triangle(), dx.BasketLiquidation(np.array([100.0, 0.0, 0.0]), 2)),
+    ], ids=["arbitrage", "liquidate"])
+    def test_matches_the_pool_it_wraps(self, snap, obj):
+        obj = obj or dx.TotalArbitrage(snap.prices)
+        pool = snap.markets[-1]
+        wrapped = dx.GenericSwapMarket(
+            lambda d: pool.forward_exchange(d, 1), lambda d: pool.forward_exchange(d, 2),
+            lambda d: pool.price_impact(d, 1), lambda d: pool.price_impact(d, 2), pool.token_map)
+        swapped = dx.MarketSnapshot(snap.universe, snap.markets[:-1] + [wrapped])
+        assert [mk for _, mk in solver._compile(swapped).other] == [wrapped]
+        ref, sol = dx.solve(snap, obj), dx.solve(swapped, obj)
+        assert ref.converged and sol.converged
+        assert ref.utility > 0.0 and np.any(sol.tendered[-1] > 0.0)
+        assert sol.utility == pytest.approx(ref.utility, rel=1e-6)
+
+
 class TestSolveArbitrage:
     def test_two_pool_price_discrepancy_is_profitable(self):
         snap = _two_pool_snapshot()
