@@ -7,12 +7,15 @@ local assets); no selection matrix is ever materialized.
 
 from __future__ import annotations
 
+import copy
 import json
 import operator
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .errors import ConfigurationError, DimensionError, DomainError
 
 
@@ -121,24 +124,41 @@ class NetworkTrade:
         object.__setattr__(self, "psi", np.asarray(self.psi, dtype=float))
 
 
-@dataclass
 class MarketSnapshot:
-    """The full problem data: the asset universe plus all markets."""
+    """The full problem data: the asset universe, and the markets held as the
+    columns of the batched kernels.
 
-    universe: AssetUniverse
-    markets: list
-    generator: str | None = None
-    prices: np.ndarray | None = None
+    Each market is one row, and an aggregate one row per segment, in market
+    order; `owner`, `i1` and `i2` give each row's market and the global
+    indices of its two assets.  `blocks[kernel]` holds, one row per kernel
+    argument, the columns of the rows that name that kernel, and
+    `block_rows[kernel]` places them among all rows; `other` holds the
+    (row, market) pairs that name none.  The closed-form markets and segments
+    in `markets`, a tuple, are views on their columns, so `swap` and
+    `update_liquidity` through them change what the next solve reads.
 
-    def __post_init__(self):
-        n = self.universe.n
-        for i, m in enumerate(self.markets):
-            if max(m.token_map.global_indices) >= n:
-                raise ConfigurationError(f"market {i} references unknown asset index")
-        if self.prices is not None:
-            self.prices = np.asarray(self.prices, dtype=float)
-            if self.prices.shape != (n,):
+    `MarketSnapshot(universe, markets)` stacks the objects' rows once and
+    binds them; a market bound to another snapshot is copied in, not moved.
+    A copy, deep copy or pickle of a snapshot owns its own columns.
+    """
+
+    def __init__(self, universe: AssetUniverse, markets, generator: str | None = None,
+                 prices: np.ndarray | None = None):
+        self._set(universe, _stack(markets, universe.n), generator, prices)
+
+    def _set(self, universe, columns, generator, prices) -> "MarketSnapshot":
+        markets, owner, i1, i2, blocks, block_rows, other = columns
+        if prices is not None:
+            prices = np.asarray(prices, dtype=float)
+            if prices.shape != (universe.n,):
                 raise ConfigurationError("prices length does not match universe")
+        self.universe, self.generator, self.prices = universe, generator, prices
+        self.markets, self.owner, self.i1, self.i2 = markets, owner, i1, i2
+        self.blocks, self.block_rows, self.other = blocks, block_rows, other
+        return self
+
+    def __reduce__(self):
+        return MarketSnapshot, (self.universe, self.markets, self.generator, self.prices)
 
     @property
     def n(self) -> int:
@@ -149,6 +169,50 @@ class MarketSnapshot:
         return len(self.markets)
 
 
+def _unbound(markets) -> tuple:
+    """The markets, each one copied if a view in it is bound to a snapshot's
+    block or comes earlier in the list, so that every view gets a column."""
+    seen, out = set(), []
+    for mkt in markets:
+        views = [p for p in getattr(mkt, "segments", (mkt,)) if hasattr(p, "_tok")]
+        if any(isinstance(p._tok, np.ndarray) or id(p) in seen for p in views):
+            mkt = copy.deepcopy(mkt)
+        else:
+            seen.update(map(id, views))
+        out.append(mkt)
+    return tuple(out)
+
+
+def _stack(markets, n: int) -> tuple:
+    """The snapshot columns of market objects over n assets, with every part
+    that names a kernel bound to its column (`_unbound` copies a market first
+    if needed)."""
+    markets = _unbound(markets)
+    # kernel name (None: no kernel) -> (rows, parts); a tuple per row instead
+    # would give the garbage collector one more object per market to chase
+    groups, owner, tokens = defaultdict(lambda: ([], [])), [], []
+    for i, mkt in enumerate(markets):
+        pair = mkt.token_map.global_indices
+        if max(pair) >= n:
+            raise ConfigurationError(f"market {i} references unknown asset index")
+        for part in getattr(mkt, "segments", (mkt,)):
+            rows, parts = groups[part.kernel]
+            rows.append(len(owner))
+            parts.append(part)
+            owner.append(i)
+            tokens.append(pair)
+    other = list(zip(*groups.pop(None, ((), ()))))
+    i1, i2 = np.array(tokens, dtype=np.intp).reshape(-1, 2).T.copy()
+    blocks, block_rows = {}, {}
+    for name, (rows, parts) in groups.items():
+        idx = block_rows[name] = np.array(rows, dtype=np.intp)
+        block = blocks[name] = kernels.columns(parts)
+        tok = np.stack([i1[idx], i2[idx]])
+        for j, part in enumerate(parts):
+            part._bind(block, tok, j)
+    return markets, np.array(owner, dtype=np.intp), i1, i2, blocks, block_rows, other
+
+
 def net_trade(snapshot: MarketSnapshot, tendered, received) -> NetworkTrade:
     """Sum the per-market signed trades into the network trade vector;
     `tendered` and `received` are (m, 2) arrays with rows in market order."""
@@ -156,7 +220,8 @@ def net_trade(snapshot: MarketSnapshot, tendered, received) -> NetworkTrade:
     if tendered.shape != (snapshot.m, 2) or received.shape != (snapshot.m, 2):
         raise DimensionError(f"expected ({snapshot.m}, 2) trade arrays, "
                              f"got {tendered.shape} and {received.shape}")
-    tokens = np.array([m.token_map.global_indices for m in snapshot.markets], dtype=np.intp)
+    first = np.flatnonzero(np.diff(snapshot.owner, prepend=-1))  # each market's first row
+    tokens = np.column_stack([snapshot.i1[first], snapshot.i2[first]])
     psi = np.bincount(tokens.ravel(), weights=(received - tendered).ravel(), minlength=snapshot.n)
     return NetworkTrade(psi)
 
@@ -166,6 +231,9 @@ def net_trade(snapshot: MarketSnapshot, tendered, received) -> NetworkTrade:
 # ---------------------------------------------------------------------------
 
 def snapshot_from_dict(doc: dict) -> MarketSnapshot:
+    """Read the markets column by column (`markets.read_columns`); if an entry
+    is malformed, build them one at a time, so the constructor that refuses
+    the first such entry names it."""
     from . import markets as mk  # deferred: markets imports core
 
     try:
@@ -175,21 +243,20 @@ def snapshot_from_dict(doc: dict) -> MarketSnapshot:
         raise ConfigurationError(f"snapshot missing field {e}") from e
     except TypeError as e:
         raise ConfigurationError(f"snapshot needs 'assets' and 'markets' lists: {e}") from e
-    market_list = []
-    for i, d in enumerate(market_docs):
-        try:
-            market_list.append(mk.market_from_dict(d))
-        except KeyError as e:
-            raise ConfigurationError(f"snapshot missing field {e} in market {i}") from e
-        except (TypeError, AttributeError, ConfigurationError, DomainError) as e:
-            # a market entry of the wrong JSON type, or one its constructor refuses
-            raise ConfigurationError(f"market {i}: {e}") from e
-    return MarketSnapshot(
-        universe,
-        market_list,
-        generator=doc.get("generator"),
-        prices=np.asarray(doc["prices"], dtype=float) if "prices" in doc else None,
-    )
+    columns = mk.read_columns(market_docs, universe.n)
+    if columns is None:
+        market_list = []
+        for i, d in enumerate(market_docs):
+            try:
+                market_list.append(mk.market_from_dict(d))
+            except KeyError as e:
+                raise ConfigurationError(f"snapshot missing field {e} in market {i}") from e
+            except (TypeError, AttributeError, ConfigurationError, DomainError) as e:
+                # a market entry of the wrong JSON type, or one its constructor refuses
+                raise ConfigurationError(f"market {i}: {e}") from e
+        columns = _stack(market_list, universe.n)
+    prices = np.asarray(doc["prices"], dtype=float) if "prices" in doc else None
+    return MarketSnapshot.__new__(MarketSnapshot)._set(universe, columns, doc.get("generator"), prices)
 
 
 def snapshot_to_dict(snapshot: MarketSnapshot) -> dict:

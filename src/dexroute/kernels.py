@@ -22,12 +22,13 @@ import numpy as np
 BACKEND = "numpy"
 
 
-def columns(parts) -> tuple:
-    """The arguments before the prices of the kernel that `parts` name, one
-    contiguous array per argument and one entry per part, from each part's
-    `_row()`: one market, an aggregate's segments or a solver batch."""
+def columns(parts) -> np.ndarray:
+    """The arguments before the prices of the kernel that `parts` name, as a
+    C-contiguous (arguments, parts) array, one row per argument, from each
+    part's `_row()`: one market, an aggregate's segments or a snapshot's
+    block."""
     flat = np.fromiter(chain.from_iterable(p._row() for p in parts), dtype=float)
-    return tuple(flat.reshape(len(parts), -1).T.copy())
+    return flat.reshape(len(parts), -1).T.copy()
 
 
 def _curvature(t, q, nu_in, nu_out):
@@ -118,3 +119,7 @@ def bounded_arb_batch(r1, r2, alpha, beta, fee, nu1, nu2):
 
     out[4] = np.maximum(nu1 * (out[3] - out[0]) + nu2 * (out[1] - out[2]), 0.0)
     return out
+
+
+# each kernel's quote function, whose last two rows are the bid and the ask
+QUOTES = {"gmean_arb_batch": gmean_quote, "bounded_arb_batch": bounded_quote}

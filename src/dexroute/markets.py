@@ -4,10 +4,11 @@ Every market trades two assets and answers one question: given local prices
 (nu1, nu2) > 0, which trade maximizes nu.(received - tendered) over the
 market's trading set?  The answer is a kernel row: trade, value, curvature.
 Geometric-mean and bounded-product markets answer in closed form: each names
-its kernel in `kernel`, states its arguments once in `_row()` and reads its
-quotes from the kernels' quote functions; an aggregate answers with the sum
-of its segments' answers, from one kernel call over its segments; generic
-swap markets, with no kernel, answer by bisection on the price impact.
+its kernel in `kernel`, keeps its arguments as one column of a block of that
+kernel's arguments (`_row()` reads it) and reads its quotes from the kernels'
+quote functions; an aggregate answers with the sum of its segments' answers,
+from one kernel call over its segments; generic swap markets, with no kernel,
+answer by bisection on the price impact.
 
 Every quote reads the market's current fields and nothing is cached, so a
 market, and each copy or pickle of it, quotes its own state after `swap` or
@@ -16,11 +17,12 @@ swap fills each tendered asset at one common marginal price, found on the
 kernel's rows.  `swap` refuses a trade that is not two finite amounts a side,
 and `update_liquidity` NaN or infinite amounts, before anything changes.
 
-Each constructor takes exactly two reserves, stores them as a float64 array
-and checks them, with its other numbers, by scalar comparisons: reserves,
+Each constructor takes exactly two reserves and checks them, with its other
+numbers, by scalar comparisons: a closed-form type by its `rules`, which
+`read_columns` applies to whole columns of a snapshot document.  Reserves,
 `alpha`, `beta` and `amp` must be finite, and a malformed market raises
-`ConfigurationError`.  `market_from_dict` builds every market through its
-constructor, so a snapshot file gets the same checks.
+`ConfigurationError`.  `market_from_dict` builds one market through its
+constructor, and so names an entry that `read_columns` refuses.
 """
 
 from __future__ import annotations
@@ -82,36 +84,121 @@ def _check_prices(nu) -> tuple[float, float]:
     return float(nu[0]), float(nu[1])
 
 
-def _kernel_arb(parts, nu) -> ArbResult:
-    """The summed rows of the kernel that `parts` name, all at local prices nu."""
+def _kernel_arb(kernel: str, cols, nu) -> ArbResult:
+    """The summed rows of `kernel` over the argument columns cols, all at local prices nu."""
     nu1, nu2 = _check_prices(nu)
-    kernel, s = getattr(kernels, parts[0].kernel), len(parts)
-    return _result(*kernel(*kernels.columns(parts), np.full(s, nu1), np.full(s, nu2)).sum(axis=1))
+    s = len(cols[0])
+    return _result(*getattr(kernels, kernel)(*cols, np.full(s, nu1), np.full(s, nu2)).sum(axis=1))
+
+
+class _Field:
+    """Entries k of a market's kernel row; a slice reads as a new array."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def __get__(self, market, owner=None):
+        if market is None:
+            return self
+        value = market._block[self.k, market._j]
+        return value.copy() if isinstance(self.k, slice) else float(value)
+
+    def __set__(self, market, value):
+        market._block[self.k, market._j] = value
+
+
+class _KernelRow:
+    """A closed-form market whose fields are column `_j` of `_block`, one row
+    per argument of its kernel, in the order of `_row()`.
+
+    The constructor's market owns a one-column block and keeps its `TokenMap`
+    in `_tok`; a snapshot's market is a view on the snapshot's block, and
+    `_tok` holds that block's (2, k) asset indices.  `reserves` reads as a new
+    array and assigning it writes the block, so `swap` and `update_liquidity`
+    change exactly what the next solve reads.  A copy, deep copy or unpickled
+    market owns a copy of the column.  Each subclass names its kernel, the
+    snapshot-JSON `fields` of its row with their widths (0: one number), and
+    its `rules`: (predicate, message) pairs elementwise over the row, which
+    the constructor applies to one row and `read_columns` to whole columns.
+    """
+
+    __slots__ = ("_block", "_tok", "_j")
+    kernel: str
+    fields: tuple
+    rules: tuple
+    reserves, fee = _Field(slice(0, 2)), _Field(4)
+
+    def _own(self, row: tuple, token_map: TokenMap, **shown):
+        """Check row against the rules, naming `shown` in the message, and hold it."""
+        for ok, message in self.rules:
+            if not ok(*row):
+                raise ConfigurationError(message.format(**shown))
+        self._bind(np.array(row)[:, None], token_map, 0)
+
+    def _bind(self, block: np.ndarray, tok, j: int):
+        self._block, self._tok, self._j = block, tok, j
+        return self
+
+    @classmethod
+    def _view(cls, block: np.ndarray, tok, j: int):
+        """A market of this type whose fields are column j of block."""
+        return cls.__new__(cls)._bind(block, tok, j)
+
+    def __reduce__(self):
+        return self._view, (self._cols().copy(), self.token_map, 0)
+
+    def __deepcopy__(self, memo):
+        return copy.copy(self)  # the column and the token map hold only numbers
+
+    def _pair(self) -> list[int]:
+        """The global indices of the two assets."""
+        if isinstance(self._tok, TokenMap):
+            return list(self._tok.global_indices)
+        return self._tok[:, self._j].tolist()
+
+    @property
+    def token_map(self) -> TokenMap:
+        return self._tok if isinstance(self._tok, TokenMap) else TokenMap(tuple(self._pair()))
+
+    def _row(self) -> tuple:
+        return tuple(self._block[:, self._j].tolist())
+
+    def _cols(self) -> np.ndarray:
+        """The kernel arguments as one-entry columns, views on the block."""
+        return self._block[:, self._j:self._j + 1]
+
+    def find_arb(self, nu) -> ArbResult:
+        return _kernel_arb(self.kernel, self._cols(), nu)
+
+    def apply_trade(self, trade: Trade):
+        _apply_phi_trade(self, trade)
 
 
 # ---------------------------------------------------------------------------
 # Weighted geometric mean (Balancer-style; w = 1/2 is the Uniswap v2 product)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GeomMeanMarket:
+class GeomMeanMarket(_KernelRow):
+    __slots__ = ()
     kernel = "gmean_arb_batch"
+    fields = (("reserves", 2), ("weights", 2), ("fee", 0))
+    rules = (
+        (lambda r1, r2, w1, w2, fee: (0.0 < w1) & (w1 < 1.0) & (0.0 < w2) & (w2 < 1.0)
+         & (abs(w1 + w2 - 1.0) < 1e-12), "weights must be in (0,1) and sum to 1: {weights}"),
+        (lambda r1, r2, w1, w2, fee: (0.0 < fee) & (fee <= 1.0), "fee must be in (0, 1]: {fee}"),
+        (lambda r1, r2, w1, w2, fee: (0.0 < r1) & (r1 < math.inf) & (0.0 < r2) & (r2 < math.inf),
+         "geometric-mean reserves must be positive and finite: {reserves}"),
+    )
 
-    reserves: np.ndarray
-    weights: tuple[float, float]
-    fee: float
-    token_map: TokenMap
+    def __init__(self, reserves, weights: tuple[float, float], fee: float, token_map: TokenMap):
+        arr, r1, r2 = _two_reserves(reserves)
+        w1, w2 = weights
+        self._own((r1, r2, float(w1), float(w2), float(fee)), token_map,
+                  reserves=arr, weights=weights, fee=fee)
 
-    def __post_init__(self):
-        self.reserves, r1, r2 = _two_reserves(self.reserves)
-        w1, w2 = self.weights
-        if not (0.0 < w1 < 1.0 and 0.0 < w2 < 1.0 and abs(w1 + w2 - 1.0) < 1e-12):
-            raise ConfigurationError(f"weights must be in (0,1) and sum to 1: {self.weights}")
-        if not (0.0 < self.fee <= 1.0):
-            raise ConfigurationError(f"fee must be in (0, 1]: {self.fee}")
-        if not (0.0 < r1 < math.inf and 0.0 < r2 < math.inf):
-            raise ConfigurationError(
-                f"geometric-mean reserves must be positive and finite: {self.reserves}")
+    @property
+    def weights(self) -> tuple[float, float]:
+        return tuple(self._block[2:4, self._j].tolist())
 
     def phi(self, reserves=None) -> float:
         r = self.reserves if reserves is None else np.asarray(reserves, dtype=float)
@@ -137,56 +224,41 @@ class GeomMeanMarket:
         g = self.fee
         return g * eta * (rout / rin) * (1.0 + g * delta / rin) ** (-eta - 1.0)
 
-    def _row(self) -> tuple:
-        return (*self.reserves.tolist(), *self.weights, self.fee)
-
     def spread(self) -> tuple[float, float]:
         """Bid-ask interval for the price of asset 1 in units of asset 2."""
-        return tuple(float(x[0]) for x in kernels.gmean_quote(*kernels.columns([self])))
-
-    def find_arb(self, nu) -> ArbResult:
-        return _kernel_arb([self], nu)
-
-    def apply_trade(self, trade: Trade):
-        _apply_phi_trade(self, trade)
+        return tuple(float(x[0]) for x in kernels.gmean_quote(*self._cols()))
 
     def add_liquidity(self, amounts):
         self.reserves = self.reserves + np.asarray(amounts, dtype=float)
 
     def to_dict(self) -> dict:
-        return {
-            "type": "gmean",
-            "tokens": list(self.token_map.global_indices),
-            "reserves": [float(x) for x in self.reserves],
-            "weights": [float(self.weights[0]), float(self.weights[1])],
-            "fee": float(self.fee),
-        }
+        r1, r2, w1, w2, fee = self._row()
+        return {"type": "gmean", "tokens": self._pair(), "reserves": [r1, r2], "weights": [w1, w2],
+                "fee": fee}
 
 
 # ---------------------------------------------------------------------------
 # Bounded-liquidity product segment (Uniswap v3 tick-range style)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BoundedProductSegment:
+class BoundedProductSegment(_KernelRow):
+    __slots__ = ()
     kernel = "bounded_arb_batch"
+    fields = (("reserves", 2), ("alpha", 0), ("beta", 0), ("fee", 0))
+    alpha, beta = _Field(2), _Field(3)
+    rules = (
+        (lambda r1, r2, alpha, beta, fee: (0.0 <= r1) & (r1 < math.inf) & (0.0 <= r2)
+         & (r2 < math.inf), "reserves must be nonnegative and finite: {reserves}"),
+        (lambda r1, r2, alpha, beta, fee: (0.0 <= alpha) & (alpha < math.inf) & (0.0 <= beta)
+         & (beta < math.inf), "virtual offsets must be nonnegative and finite"),
+        (lambda r1, r2, alpha, beta, fee: (0.0 < fee) & (fee <= 1.0), "fee must be in (0, 1]: {fee}"),
+        (lambda r1, r2, alpha, beta, fee: (r1 + alpha > 0.0) & (r2 + beta > 0.0),
+         "virtual reserves must be positive"),
+    )
 
-    reserves: np.ndarray
-    alpha: float
-    beta: float
-    fee: float
-    token_map: TokenMap
-
-    def __post_init__(self):
-        self.reserves, r1, r2 = _two_reserves(self.reserves)
-        if not (0.0 <= r1 < math.inf and 0.0 <= r2 < math.inf):
-            raise ConfigurationError(f"reserves must be nonnegative and finite: {self.reserves}")
-        if not (0.0 <= self.alpha < math.inf and 0.0 <= self.beta < math.inf):
-            raise ConfigurationError("virtual offsets must be nonnegative and finite")
-        if not (0.0 < self.fee <= 1.0):
-            raise ConfigurationError(f"fee must be in (0, 1]: {self.fee}")
-        if r1 + self.alpha <= 0 or r2 + self.beta <= 0:
-            raise ConfigurationError("virtual reserves must be positive")
+    def __init__(self, reserves, alpha: float, beta: float, fee: float, token_map: TokenMap):
+        arr, r1, r2 = _two_reserves(reserves)
+        self._own((r1, r2, float(alpha), float(beta), float(fee)), token_map, reserves=arr, fee=fee)
 
     @property
     def k(self) -> float:
@@ -197,12 +269,9 @@ class BoundedProductSegment:
         r = self.reserves if reserves is None else np.asarray(reserves, dtype=float)
         return math.sqrt((r[0] + self.alpha) * (r[1] + self.beta))
 
-    def _row(self) -> tuple:
-        return (*self.reserves.tolist(), self.alpha, self.beta, self.fee)
-
     def _quote(self) -> list[float]:
-        """lo, hi, d1max, d2max, bid, ask: `kernels.bounded_quote` on one row."""
-        return [float(x[0]) for x in kernels.bounded_quote(*kernels.columns([self]))]
+        """lo, hi, d1max, d2max, bid, ask: `kernels.bounded_quote` on the row."""
+        return [float(x[0]) for x in kernels.bounded_quote(*self._cols())]
 
     def active_interval(self) -> tuple[float, float]:
         """Open price range of interior trades; at or beyond it, outside the spread, `max_input`."""
@@ -235,12 +304,6 @@ class BoundedProductSegment:
     def spread(self) -> tuple[float, float]:
         return tuple(self._quote()[4:])
 
-    def find_arb(self, nu) -> ArbResult:
-        return _kernel_arb([self], nu)
-
-    def apply_trade(self, trade: Trade):
-        _apply_phi_trade(self, trade)
-
     def add_liquidity(self, amounts):
         """Deposit reserves while keeping the quoted price range fixed.
 
@@ -264,14 +327,9 @@ class BoundedProductSegment:
         self.reserves = np.array([big1, big2])
 
     def to_dict(self) -> dict:
-        return {
-            "type": "bounded_product",
-            "tokens": list(self.token_map.global_indices),
-            "reserves": [float(x) for x in self.reserves],
-            "alpha": float(self.alpha),
-            "beta": float(self.beta),
-            "fee": float(self.fee),
-        }
+        r1, r2, alpha, beta, fee = self._row()
+        return {"type": "bounded_product", "tokens": self._pair(), "reserves": [r1, r2],
+                "alpha": alpha, "beta": beta, "fee": fee}
 
 
 def _apply_phi_trade(market, trade: Trade):
@@ -358,7 +416,7 @@ class AggregateMarket:
 
     def find_arb(self, nu) -> ArbResult:
         """The sum of the segments' optimal arbitrages, from one kernel call."""
-        return _kernel_arb(self.segments, nu)
+        return _kernel_arb(BoundedProductSegment.kernel, kernels.columns(self.segments), nu)
 
     def apply_trade(self, trade: Trade):
         """Fill each tendered asset across the segments at one common marginal
@@ -663,3 +721,64 @@ def market_from_dict(doc: dict):
     if kind == "curve2":
         return Curve2Market(doc["reserves"], float(doc["amp"]), fee, token_map)
     raise ConfigurationError(f"unknown market type: {kind!r}")
+
+
+def _floats(values: list, width: int) -> np.ndarray:
+    """Snapshot-JSON numbers as (max(width, 1), k) float columns, for k entries
+    of width numbers each (0: one number); ValueError for any other shape."""
+    arr = np.array(values, dtype=float)
+    if values and arr.shape != ((len(values), width) if width else (len(values),)):
+        raise ValueError("malformed entry")
+    return arr.reshape(len(values), max(width, 1)).T
+
+
+def read_columns(docs: list, n: int) -> tuple | None:
+    """The snapshot-JSON market entries over n assets as `MarketSnapshot`
+    columns (markets, owner, i1, i2, blocks, block_rows, other): each block
+    read field by field across the entries, the types' `rules` applied to
+    whole columns, then every closed-form market a view on its column.  None
+    if an entry is malformed or breaks a rule, for `market_from_dict` to name."""
+    closed = (GeomMeanMarket, BoundedProductSegment)  # indexed by the code of a type
+    code = {"gmean": 0, "bounded_product": 1, "aggregate": 1, "curve2": 2}
+    try:
+        kind = [d["type"] for d in docs]
+        tok = np.array([d["tokens"] for d in docs])
+        sizes = [len(d["segments"]) if k == "aggregate" else 1 for d, k in zip(docs, kind)]
+        if (not set(kind) <= code.keys() or tok.shape != (len(docs), 2) or tok.dtype.kind not in "iu"
+                or 0 in sizes or tok.min() < 0 or tok.max() >= n or (tok[:, 0] == tok[:, 1]).any()):
+            return None
+        # each closed type's entries; an aggregate's segments take its fee
+        entries = ([d for d, k in zip(docs, kind) if k == "gmean"],
+                   [e for d, k in zip(docs, kind) if code[k] == 1
+                    for e in ([{**s, "fee": d["fee"]} for s in d["segments"]]
+                              if k == "aggregate" else (d,))])
+        row_code = np.repeat([code[k] for k in kind], sizes)
+        owner = np.repeat(np.arange(len(docs), dtype=np.intp), sizes)
+        i1, i2 = (np.repeat(tok[:, a].astype(np.intp), sizes) for a in (0, 1))
+        blocks, block_rows, views = {}, {}, []
+        for c, cls in enumerate(closed):
+            block = np.ascontiguousarray(np.concatenate(
+                [_floats([e[f] for e in entries[c]], width) for f, width in cls.fields]))
+            with np.errstate(all="ignore"):  # inf - inf is a NaN that breaks a rule, as on floats
+                if not all(ok(*block).all() for ok, _ in cls.rules):
+                    return None
+            idx = np.flatnonzero(row_code == c)
+            if idx.size:
+                blocks[cls.kernel], block_rows[cls.kernel] = block, idx
+            tokens = np.stack([i1[idx], i2[idx]])
+            views.append(iter([cls._view(block, tokens, j) for j in range(idx.size)]))
+        markets, other, row = [], [], 0
+        for d, k, size in zip(docs, kind, sizes):
+            if k == "aggregate":
+                segments = [next(views[1]) for _ in range(size)]
+                mkt = AggregateMarket(segments, float(d["fee"]), TokenMap(tuple(d["tokens"])))
+            elif k == "curve2":
+                mkt = market_from_dict(d)
+                other.append((row, mkt))
+            else:
+                mkt = next(views[code[k]])
+            markets.append(mkt)
+            row += size
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError):
+        return None
+    return tuple(markets), owner, i1, i2, blocks, block_rows, other

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,81 +61,44 @@ class RoutingSolution:
         return [Trade(t, r) for t, r in zip(self.tendered, self.received)]
 
 
-@dataclass
-class _Compiled:
-    """Struct-of-arrays view of the snapshot for the batched kernels.
-
-    Each market is one row, and a market with segments one row per segment,
-    all owned by the market and quoting its token pair, because its arbitrage
-    is the sum of its segments' arbitrages.
-    """
-
-    n: int
-    m: int
-    owner: np.ndarray  # (rows,) index of the market each row belongs to
-    i1: np.ndarray  # (rows,) global index of the row's local asset 1
-    i2: np.ndarray  # (rows,) ... and of its local asset 2
-    batches: list  # (row indices, kernel, kernel arguments before the prices)
-    other: list  # (row index, market) pairs with no kernel, solved one at a time
-
-
-def _compile(snapshot: MarketSnapshot) -> _Compiled:
-    # kernel name (None: no kernel) -> (rows, parts); a tuple per row instead
-    # would give the garbage collector one more object per market to chase
-    groups, owner, tokens = defaultdict(lambda: ([], [])), [], []
-    for i, mkt in enumerate(snapshot.markets):
-        pair = mkt.token_map.global_indices
-        for part in getattr(mkt, "segments", (mkt,)):
-            rows, parts = groups[part.kernel]
-            rows.append(len(owner))
-            parts.append(part)
-            owner.append(i)
-            tokens.append(pair)
-    other = list(zip(*groups.pop(None, ((), ()))))
-    # the kernels are looked up per solve, where a tracer can wrap them
-    batches = [(np.array(rows, dtype=np.intp), getattr(kernels, name), kernels.columns(parts))
-               for name, (rows, parts) in groups.items()]
-    tokens = np.array(tokens, dtype=np.intp).reshape(-1, 2)
-    return _Compiled(snapshot.n, len(snapshot.markets), np.array(owner, dtype=np.intp),
-                     tokens[:, 0], tokens[:, 1], batches, other)
-
-
-def _arb(compiled: _Compiled, nu1, nu2) -> np.ndarray:
+def _arb(snapshot: MarketSnapshot, nu1, nu2) -> np.ndarray:
     """Every row's optimal arbitrage at local prices (nu1, nu2): the rows
     t1, o2, t2, o1, value and curvature d(o1 - t1)/dnu1, in row order.
     Direction 1 tenders t1 of local asset 1 and receives o2 of asset 2."""
     rows = np.zeros((6, nu1.shape[0]))
-    for idx, kernel, params in compiled.batches:
-        rows[:, idx] = kernel(*params, nu1[idx], nu2[idx])
-    for r, mkt in compiled.other:
+    for name, block in snapshot.blocks.items():
+        idx = snapshot.block_rows[name]
+        # the kernel is looked up per call, where a tracer can wrap it
+        rows[:, idx] = getattr(kernels, name)(*block, nu1[idx], nu2[idx])
+    for r, mkt in snapshot.other:
         try:
             res = mkt.find_arb(np.array([nu1[r], nu2[r]]))
         except UnboundedError as e:
-            raise UnboundedError(f"market {compiled.owner[r]}: {e}") from e
+            raise UnboundedError(f"market {snapshot.owner[r]}: {e}") from e
         (t1, t2), (o1, o2) = res.trade.tendered, res.trade.received
         rows[:, r] = (t1, o2, t2, o1, res.objective_value, res.curvature)
     return rows
 
 
-def _eval(obj, nu, compiled):
+def _eval(obj, nu, snapshot):
     """Dual value and gradient at nu, and the `_arb` rows they came from."""
-    c = compiled
-    rows = _arb(c, nu[c.i1], nu[c.i2])
+    s = snapshot
+    rows = _arb(s, nu[s.i1], nu[s.i2])
     t1, o2, t2, o1, value, _ = rows
     g = obj.conjugate(nu) + float(value.sum())
-    grad = (obj.conjugate_gradient(nu) + np.bincount(c.i1, weights=o1 - t1, minlength=c.n)
-            + np.bincount(c.i2, weights=o2 - t2, minlength=c.n))
+    grad = (obj.conjugate_gradient(nu) + np.bincount(s.i1, weights=o1 - t1, minlength=s.n)
+            + np.bincount(s.i2, weights=o2 - t2, minlength=s.n))
     return g, grad, rows
 
 
-def _trade_arrays(compiled: _Compiled, rows):
+def _trade_arrays(snapshot: MarketSnapshot, rows):
     """(m, 2) tendered and received arrays: each market's `_arb` rows summed."""
-    c = compiled
-    t1, o2, t2, o1 = (np.bincount(c.owner, weights=w, minlength=c.m) for w in rows[:4])
+    s = snapshot
+    t1, o2, t2, o1 = (np.bincount(s.owner, weights=w, minlength=s.m) for w in rows[:4])
     return np.column_stack([t1, t2]), np.column_stack([o1, o2])
 
 
-def _hessian(compiled: _Compiled, nu, rows) -> np.ndarray:
+def _hessian(snapshot: MarketSnapshot, nu, rows) -> np.ndarray:
     """The dual Hessian at nu, assembled from one 2x2 block per row of the
     `_arb` rows evaluated there.
 
@@ -145,26 +107,24 @@ def _hessian(compiled: _Compiled, nu, rows) -> np.ndarray:
     the curvature row, d(o1 - t1)/dnu1.  Both objectives' conjugates are
     linear and add nothing.
     """
-    c = compiled
+    s = snapshot
     h11 = rows[5]
-    p = nu[c.i1] / nu[c.i2]
-    flat = np.concatenate([c.i1 * c.n + c.i1, c.i2 * c.n + c.i2,
-                           c.i1 * c.n + c.i2, c.i2 * c.n + c.i1])
+    p = nu[s.i1] / nu[s.i2]
+    flat = np.concatenate([s.i1 * s.n + s.i1, s.i2 * s.n + s.i2,
+                           s.i1 * s.n + s.i2, s.i2 * s.n + s.i1])
     blocks = np.concatenate([h11, h11 * p * p, -h11 * p, -h11 * p])
-    return np.bincount(flat, weights=blocks, minlength=c.n * c.n).reshape(c.n, c.n)
+    return np.bincount(flat, weights=blocks, minlength=s.n * s.n).reshape(s.n, s.n)
 
 
 def eval_dual(snapshot: MarketSnapshot, obj: Objective, nu):
     """Evaluate the dual function and its gradient at nu; also return the
     per-market trades as (m, 2) tendered and received arrays."""
-    compiled = _compile(snapshot)
-    g, grad, rows = _eval(obj, np.asarray(nu, dtype=float), compiled)
-    return (g, grad) + _trade_arrays(compiled, rows)
+    g, grad, rows = _eval(obj, np.asarray(nu, dtype=float), snapshot)
+    return (g, grad) + _trade_arrays(snapshot, rows)
 
 
-def _mid_spot(market) -> float | None:
+def _mid_spot(bid: float, ask: float) -> float | None:
     """Mid-spread price of local asset 1 in asset 2, if quotable."""
-    bid, ask = market.spread()
     if bid > 0 and math.isfinite(ask):
         return math.sqrt(bid * ask)
     if bid > 0:
@@ -180,17 +140,25 @@ def initial_point(obj: Objective, snapshot: MarketSnapshot) -> np.ndarray:
     if hasattr(obj, "valuation"):
         return np.maximum(obj.valuation, lower)
     # liquidation: seed each token with the geometric mean of its spot quotes
-    # against the output token, 1.0 where no market quotes the pair
-    t = obj.out_token
+    # against the output token, 1.0 where no market quotes the pair; a
+    # market's quote is the best bid and ask over its rows, which come from
+    # one quote call per kernel block
+    s, t = snapshot, obj.out_token
+    rows = np.flatnonzero((s.i1 == t) | (s.i2 == t))
+    bid, ask = np.zeros(s.owner.size), np.zeros(s.owner.size)
+    for name, block in s.blocks.items():
+        bid[s.block_rows[name]], ask[s.block_rows[name]] = kernels.QUOTES[name](*block)[-2:]
+    for r, mkt in s.other:
+        if r in rows:
+            bid[r], ask[r] = mkt.spread()
+    _, first = np.unique(s.owner[rows], return_index=True)  # each market's rows follow its first
     logs: dict[int, list[float]] = {}
-    for mkt in snapshot.markets:
-        a, b = mkt.token_map.global_indices
-        if t not in (a, b):
-            continue
-        mid = _mid_spot(mkt)
+    for r, b, a in zip(rows[first].tolist(), np.maximum.reduceat(bid[rows], first).tolist(),
+                       np.minimum.reduceat(ask[rows], first).tolist()):
+        mid = _mid_spot(b, a)
         if mid is None or mid <= 0:
             continue
-        j, logp = (a, math.log(mid)) if b == t else (b, -math.log(mid))
+        j, logp = (int(s.i1[r]), math.log(mid)) if s.i2[r] == t else (int(s.i2[r]), -math.log(mid))
         logs.setdefault(j, []).append(logp)
     nu0 = np.ones(snapshot.n)
     for j, vals in logs.items():
@@ -206,7 +174,7 @@ def _projected_grad_norm(nu, grad, lower) -> float:
     return float(np.abs(pg).max(initial=0.0))
 
 
-def minimize(obj, nu, lower, compiled, tol, max_rounds):
+def minimize(obj, nu, lower, snapshot, tol, max_rounds):
     """Projected Newton on the dual over the box nu >= lower.
 
     Each round solves the Newton system on the free set (the variables off
@@ -217,7 +185,7 @@ def minimize(obj, nu, lower, compiled, tol, max_rounds):
     search fails.  Returns nu, the `_eval` result there and the number of
     rounds.
     """
-    ev = _eval(obj, nu, compiled)
+    ev = _eval(obj, nu, snapshot)
     rounds = 0
     while rounds < max_rounds:
         g, grad, rows = ev
@@ -228,7 +196,7 @@ def minimize(obj, nu, lower, compiled, tol, max_rounds):
         idx = np.flatnonzero(~at_bound | (grad < 0.0))
         if idx.size == 0:
             break
-        hess = _hessian(compiled, nu, rows)[np.ix_(idx, idx)]
+        hess = _hessian(snapshot, nu, rows)[np.ix_(idx, idx)]
         reg = 1e-12 * max(1.0, float(np.abs(hess).max()))
         try:
             step = np.linalg.solve(hess + reg * np.eye(idx.size), -grad[idx])
@@ -244,7 +212,7 @@ def minimize(obj, nu, lower, compiled, tol, max_rounds):
             cand[idx] = np.maximum(nu[idx] + t * step, lower[idx])
             if np.array_equal(cand, nu):
                 break  # the step has fallen below the round-off of nu
-            ev_c = _eval(obj, cand, compiled)
+            ev_c = _eval(obj, cand, snapshot)
             if abs(ev_c[0] - g) > roundoff:
                 accept = ev_c[0] <= g + 1e-4 * float(grad @ (cand - nu))
             else:  # Armijo would pass a step that changes nothing
@@ -262,7 +230,6 @@ def solve(snapshot: MarketSnapshot, obj: Objective, config: SolverConfig | None 
     """Minimize the dual over the objective's box and recover the routing."""
     cfg = config or SolverConfig()
     t0 = time.perf_counter()
-    compiled = _compile(snapshot)
     lower, _ = obj.bounds()
     lower = np.maximum(lower, PRICE_EPS)
     nu = np.maximum(initial_point(obj, snapshot), lower)
@@ -272,8 +239,8 @@ def solve(snapshot: MarketSnapshot, obj: Objective, config: SolverConfig | None 
 
     # the subproblem solutions of the last evaluation are the primal routing
     nu, (dual_value, grad, rows), rounds = minimize(
-        obj, nu, lower, compiled, tol, cfg.max_iterations)
-    tendered, received = _trade_arrays(compiled, rows)
+        obj, nu, lower, snapshot, tol, cfg.max_iterations)
+    tendered, received = _trade_arrays(snapshot, rows)
     residual = _projected_grad_norm(nu, grad, lower)
     psi = net_trade(snapshot, tendered, received)
     utility = obj.utility(psi.psi)

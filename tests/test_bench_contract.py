@@ -2,13 +2,14 @@
 names must exist, `solve` must reach them, and uninstalling must put every
 original back."""
 
+import json
 import os
 import sys
 
 import numpy as np
 
 import dexroute as dx
-from dexroute import generate, solver
+from dexroute import generate, kernels, solver
 
 sys.path.append(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
 import tracer  # noqa: E402
@@ -58,3 +59,29 @@ def test_traced_solve_sees_every_market_kind():
     # the aggregate's segments ride in the bounded batch with the bounded market
     assert "markets.find_arb.aggregate" not in names
     assert all(s.attrs["m"] == 11 for s in rec.spans if s.name == "kernels.bounded")
+
+
+def test_a_loaded_snapshot_solves_with_no_per_market_objects(monkeypatch):
+    # per-market work coming back into the load or the solve would show as
+    # a stacking of market rows or a TokenMap per market
+    text = dx.dumps_snapshot(generate.generate_snapshot(2000, 5))
+    calls = {"columns": 0, "TokenMap": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(kernels, "columns", counted("columns", kernels.columns))
+    monkeypatch.setattr(dx.TokenMap, "__post_init__", counted("TokenMap", dx.TokenMap.__post_init__))
+    snap = dx.snapshot_from_dict(json.loads(text))
+    basket = np.zeros(snap.n)
+    basket[:3] = 10.0
+    for obj in (dx.TotalArbitrage(snap.prices), dx.BasketLiquidation(basket, 4)):
+        assert dx.solve(snap, obj).converged
+    assert calls == {"columns": 0, "TokenMap": 0}
+    dx.TokenMap((0, 1))
+    pool = dx.GeomMeanMarket(np.ones(2), (0.5, 0.5), 1.0, dx.TokenMap((0, 1)))
+    dx.MarketSnapshot(snap.universe, [pool])
+    assert calls == {"columns": 1, "TokenMap": 2}  # the counters see what they count

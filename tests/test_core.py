@@ -141,3 +141,85 @@ class TestSnapshotJSON:
     def test_missing_field_raises(self):
         with pytest.raises(ConfigurationError):
             dx.snapshot_from_dict({"markets": []})
+
+
+def _fifty_market_doc():
+    """A 50-market snapshot document with every kind of market, entry 37 a
+    bounded segment."""
+    from dexroute import generate
+
+    doc = dx.snapshot_to_dict(generate.generate_snapshot(50, 3))
+    ladder = generate.make_ladder(4, seed=1, token_map=dx.TokenMap((2, 5)))
+    doc["markets"][10] = ladder.to_dict()
+    pool = dx.Curve2Market(np.array([50.0, 60.0]), 3.0, 0.999, dx.TokenMap((4, 1)))
+    doc["markets"][20] = pool.to_dict()
+    doc["markets"][37] = _BOUNDED
+    return doc
+
+
+_GMEAN = {"type": "gmean", "tokens": [0, 1], "reserves": [100.0, 120.0], "weights": [0.5, 0.5],
+          "fee": 0.997}
+_BOUNDED = {"type": "bounded_product", "tokens": [1, 2], "reserves": [10.0, 10.0],
+            "alpha": 90.0, "beta": 90.0, "fee": 1.0}
+_SEGMENTS = [{"reserves": [5.0, 0.0], "alpha": 10.0, "beta": 20.0},
+             {"reserves": [0.0, 7.0], "alpha": 5.0, "beta": 40.0}]
+
+
+class TestLoaderErrors:
+    """One malformed entry among 50 raises what building that entry's market
+    on its own raises, naming it by its index."""
+
+    @pytest.mark.parametrize("entry, error, message", [
+        ({**_GMEAN, "weights": [0.6, 0.6]}, ConfigurationError,
+         "market 37: weights must be in (0,1) and sum to 1: (0.6, 0.6)"),
+        ({**_GMEAN, "fee": 1.5}, ConfigurationError, "market 37: fee must be in (0, 1]: 1.5"),
+        ({**_GMEAN, "reserves": [100.0, -1.0]}, ConfigurationError,
+         "market 37: geometric-mean reserves must be positive and finite: [100.  -1.]"),
+        ({**_GMEAN, "reserves": [100.0, 120.0, 80.0]}, ConfigurationError,
+         "market 37: a market holds exactly two reserves, got [100.0, 120.0, 80.0]"),
+        ({**_BOUNDED, "reserves": [-1.0, 10.0]}, ConfigurationError,
+         "market 37: reserves must be nonnegative and finite: [-1. 10.]"),
+        ({**_BOUNDED, "beta": float("inf")}, ConfigurationError,
+         "market 37: virtual offsets must be nonnegative and finite"),
+        ({**_BOUNDED, "fee": 0.0}, ConfigurationError, "market 37: fee must be in (0, 1]: 0.0"),
+        ({**_BOUNDED, "reserves": [0.0, 5.0], "alpha": 0.0}, ConfigurationError,
+         "market 37: virtual reserves must be positive"),
+        ({"type": "aggregate", "tokens": [1, 2], "fee": 1.0,
+          "segments": [_SEGMENTS[0], {**_SEGMENTS[1], "alpha": -5.0}]}, ConfigurationError,
+         "market 37: virtual offsets must be nonnegative and finite"),
+        ({"type": "aggregate", "tokens": [1, 2], "fee": 1.0, "segments": []}, ConfigurationError,
+         "market 37: aggregate market needs at least one segment"),
+        ({**_GMEAN, "tokens": [0, 1.5]}, ConfigurationError,
+         "market 37: token map indices must be integers: (0, 1.5)"),
+        ({**_BOUNDED, "tokens": [3, 3]}, ConfigurationError,
+         "market 37: token map indices must be distinct: (3, 3)"),
+        ({**_GMEAN, "tokens": [-1, 2]}, ConfigurationError,
+         "market 37: negative global index in token map: (-1, 2)"),
+        ({**_BOUNDED, "tokens": [0, 99]}, ConfigurationError,
+         "market 37 references unknown asset index"),
+        ({**_GMEAN, "tokens": [2 ** 70, 1]}, ConfigurationError,
+         "market 37 references unknown asset index"),
+        ({**_GMEAN, "tokens": [0, 1, 2]}, ConfigurationError,
+         "market 37: markets must trade exactly two assets"),
+        ({**_GMEAN, "type": "cpmm"}, ConfigurationError, "market 37: unknown market type: 'cpmm'"),
+        ({k: v for k, v in _BOUNDED.items() if k != "alpha"}, ConfigurationError,
+         "snapshot missing field 'alpha' in market 37"),
+        ({**_GMEAN, "fee": "high"}, ValueError, "could not convert string to float: 'high'"),
+        ({**_GMEAN, "fee": None}, ConfigurationError,
+         "market 37: float() argument must be a string or a real number, not 'NoneType'"),
+        ({**_BOUNDED, "alpha": [90.0]}, ConfigurationError,
+         "market 37: float() argument must be a string or a real number, not 'list'"),
+    ], ids=["gmean-weights", "gmean-fee", "gmean-reserves", "three-reserves", "bounded-reserves",
+            "bounded-offsets", "bounded-fee", "bounded-virtual-reserves", "segment-offsets",
+            "no-segments", "fractional-token", "repeated-token", "negative-token",
+            "token-outside-universe", "token-beyond-int64", "three-tokens", "unknown-type",
+            "missing-field",
+            "non-numeric-fee", "null-fee", "list-alpha"])
+    def test_same_error_as_one_market_at_a_time(self, entry, error, message):
+        doc = _fifty_market_doc()
+        dx.snapshot_from_dict(doc)
+        doc["markets"][37] = entry
+        with pytest.raises(ValueError) as exc:
+            dx.snapshot_from_dict(doc)
+        assert type(exc.value) is error
+        assert str(exc.value) == message

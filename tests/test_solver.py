@@ -2,6 +2,7 @@
 
 import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ import scipy.optimize
 from hypothesis import example, given, settings, strategies as st
 
 import dexroute as dx
-from dexroute import generate, kernels, oracle, solver
+from dexroute import generate, oracle, solver
+from dexroute.errors import RejectedTradeError
 from dexroute.objectives import PRICE_EPS
 from dexroute.solver import SolverConfig
 
@@ -74,8 +76,7 @@ class TestEvalDual:
         for nu in (np.array([2.0, 1.3, 1.45]), np.array([2.0, 1.45, 1.3])):
             _, _, tendered, _ = dx.eval_dual(snap, obj, nu)
             assert np.all(tendered.sum(axis=1) > 0.0)
-            compiled = solver._compile(snap)
-            hess = solver._hessian(compiled, nu, solver._eval(obj, nu, compiled)[2])
+            hess = solver._hessian(snap, nu, solver._eval(obj, nu, snap)[2])
             fd = np.empty((snap.n, snap.n))
             for j in range(snap.n):
                 e = np.zeros(snap.n)
@@ -87,28 +88,36 @@ class TestEvalDual:
 
 class TestCompile:
     def test_rows_hold_every_market_in_market_order(self):
+        # the snapshot's columns, built from objects or read from JSON, hold
+        # the rows the markets had before any snapshot held them
         core = generate.generate_snapshot(8, 1)
         tm = dx.TokenMap
-        snap = dx.MarketSnapshot(core.universe, core.markets + [
+        markets = [
+            *core.markets,
             dx.BoundedProductSegment(np.array([10.0, 12.0]), 90.0, 80.0, 0.997, tm((0, 2))),
             generate.make_ladder(5, seed=1, token_map=tm((2, 3))),
             dx.Curve2Market(np.array([5.0, 6.0]), 7.0, 0.999, tm((1, 3))),
-        ])
-        parts = [(i, p) for i, mk in enumerate(snap.markets) for p in getattr(mk, "segments", [mk])]
-        c = solver._compile(snap)
-        assert c.owner.tolist() == [i for i, _ in parts]
-        assert list(zip(c.i1.tolist(), c.i2.tolist())) == [
-            snap.markets[i].token_map.global_indices for i, _ in parts]
+        ]
         expected = {
-            kernels.gmean_arb_batch: lambda p: [*p.reserves, *p.weights, p.fee],
-            kernels.bounded_arb_batch: lambda p: [*p.reserves, p.alpha, p.beta, p.fee],
+            "gmean_arb_batch": lambda p: [*p.reserves, *p.weights, p.fee],
+            "bounded_arb_batch": lambda p: [*p.reserves, p.alpha, p.beta, p.fee],
+            None: lambda p: None,
         }
-        assert len(c.batches) == 2
-        for idx, kernel, params in c.batches:
-            assert idx.dtype == np.intp
-            assert all(a.dtype == np.float64 and a.flags.c_contiguous for a in params)
-            assert np.stack(params).T.tolist() == [expected[kernel](parts[r][1]) for r in idx]
-        assert [(r, mk) for r, mk in c.other] == [(len(parts) - 1, snap.markets[-1])]
+        rows = [(i, mk.token_map.global_indices, p.kernel, expected[p.kernel](p))
+                for i, mk in enumerate(markets) for p in getattr(mk, "segments", [mk])]
+        built = dx.MarketSnapshot(core.universe, markets)
+        for snap in (built, dx.snapshot_from_dict(dx.snapshot_to_dict(built))):
+            assert snap.owner.tolist() == [i for i, _, _, _ in rows]
+            assert list(zip(snap.i1.tolist(), snap.i2.tolist())) == [pair for _, pair, _, _ in rows]
+            names = ["bounded_arb_batch", "gmean_arb_batch"]
+            assert sorted(snap.blocks) == sorted(snap.block_rows) == names
+            for name, block in snap.blocks.items():
+                idx = snap.block_rows[name]
+                assert idx.dtype == np.intp
+                assert idx.tolist() == [r for r, row in enumerate(rows) if row[2] == name]
+                assert block.dtype == np.float64 and block.flags.c_contiguous
+                assert block.T.tolist() == [rows[r][3] for r in idx]
+            assert [(r, mk) for r, mk in snap.other] == [(len(rows) - 1, snap.markets[-1])]
 
 
 class TestGenericMarketRoutes:
@@ -126,8 +135,8 @@ class TestGenericMarketRoutes:
         wrapped = dx.GenericSwapMarket(
             lambda d: pool.forward_exchange(d, 1), lambda d: pool.forward_exchange(d, 2),
             lambda d: pool.price_impact(d, 1), lambda d: pool.price_impact(d, 2), pool.token_map)
-        swapped = dx.MarketSnapshot(snap.universe, snap.markets[:-1] + [wrapped])
-        assert [mk for _, mk in solver._compile(swapped).other] == [wrapped]
+        swapped = dx.MarketSnapshot(snap.universe, [*snap.markets[:-1], wrapped])
+        assert [mk for _, mk in swapped.other] == [wrapped]
         ref, sol = dx.solve(snap, obj), dx.solve(swapped, obj)
         assert ref.converged and sol.converged
         assert ref.utility > 0.0 and np.any(sol.tendered[-1] > 0.0)
@@ -233,6 +242,126 @@ class TestSolveArbitrage:
         assert not any(t.is_zero() for t in trades)
 
 
+def _view_network(source):
+    """Every kind of market on three assets, built from objects or read from
+    the objects' snapshot document."""
+    tm = dx.TokenMap
+    markets = [
+        dx.GeomMeanMarket(np.array([1000.0, 1500.0]), (0.5, 0.5), 0.997, tm((0, 1))),
+        dx.GeomMeanMarket(np.array([800.0, 900.0]), (0.8, 0.2), 0.997, tm((1, 2))),
+        dx.BoundedProductSegment(np.array([10.0, 10.0]), 90.0, 90.0, 0.997, tm((0, 2))),
+        generate.make_ladder(10, seed=3, token_map=tm((1, 2))),
+        dx.Curve2Market(np.array([100.0, 120.0]), 5.0, 0.999, tm((0, 2))),
+    ]
+    snap = dx.MarketSnapshot(dx.AssetUniverse(("A", "B", "C")), markets)
+    return snap if source == "objects" else dx.snapshot_from_dict(dx.snapshot_to_dict(snap))
+
+
+def _assert_same_solve(a, b):
+    for field in ("nu", "tendered", "received"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+    assert np.array_equal(a.psi.psi, b.psi.psi)
+    assert (a.utility, a.dual_value, a.iterations, a.converged) == (
+        b.utility, b.dual_value, b.iterations, b.converged)
+
+
+def _sell(market, amount, direction=1):
+    """A trade tendering `amount` of local asset `direction` for its output."""
+    out = market.forward_exchange(amount, direction) * (1.0 - 1e-9)
+    t, r = np.zeros(2), np.zeros(2)
+    t[direction - 1], r[2 - direction] = amount, out
+    return dx.Trade(t, r)
+
+
+class TestSnapshotViews:
+    """A snapshot's closed-form markets are views on its columns: a change
+    through one reaches the next solve, and a copy or a second snapshot owns
+    its own row."""
+
+    _OBJ = dx.TotalArbitrage(np.array([1.0, 1.2, 0.9]))
+
+    @pytest.mark.parametrize("source", ["objects", "json"])
+    def test_resolve_after_view_mutation_matches_fresh_snapshot(self, source):
+        snap = _view_network(source)
+        dx.solve(snap, self._OBJ)
+
+        def assert_matches_fresh():
+            fresh = dx.snapshot_from_dict(dx.snapshot_to_dict(snap))
+            _assert_same_solve(dx.solve(snap, self._OBJ), dx.solve(fresh, self._OBJ))
+
+        pool, seg, ladder = snap.markets[0], snap.markets[2], snap.markets[3]
+        before = dx.solve(snap, self._OBJ)
+        dx.swap(pool, _sell(pool, 10.0))
+        assert_matches_fresh()
+        assert not np.array_equal(dx.solve(snap, self._OBJ).nu, before.nu)
+        dx.update_liquidity(snap.markets[1], [50.0, 20.0])
+        assert_matches_fresh()
+        dx.swap(seg, _sell(seg, 2.0, 2))
+        dx.update_liquidity(seg, [3.0, 1.0])
+        assert_matches_fresh()
+        part = ladder.segments[4]
+        dx.swap(part, _sell(part, 0.5 * part.max_input(2), 2))
+        dx.update_liquidity(ladder, [5.0, 5.0], part.active_interval())
+        assert_matches_fresh()
+        dx.swap(ladder, dx.Trade(np.array([3.0, 0.0]), np.zeros(2)))
+        dx.swap(snap.markets[4], _sell(snap.markets[4], 5.0))
+        assert_matches_fresh()
+
+    @pytest.mark.parametrize("source", ["objects", "json"])
+    def test_rejected_aggregate_trade_leaves_the_columns_unchanged(self, source):
+        # the first fill runs on copies of the segments before the trade is refused
+        snap = _view_network(source)
+        ladder = snap.markets[3]
+        before = {name: block.copy() for name, block in snap.blocks.items()}
+        capacity = sum(s.reserves for s in ladder.segments)
+        for trade in (dx.Trade(np.array([1.0, 10.0 * capacity[0]]), np.zeros(2)),
+                      dx.Trade(np.array([1.0, 0.0]), np.array([0.0, capacity[1]]))):
+            with pytest.raises(RejectedTradeError):
+                dx.swap(ladder, trade)
+            assert all(np.array_equal(before[k], b) for k, b in snap.blocks.items())
+
+    def test_copies_detach_from_the_snapshot(self):
+        snap = _view_network("json")
+        sol = dx.solve(snap, self._OBJ)
+        for view in (snap.markets[0], snap.markets[2], snap.markets[3].segments[4]):
+            spread = view.spread()
+            for dup in (copy.copy(view), copy.deepcopy(view), pickle.loads(pickle.dumps(view))):
+                assert type(dup) is type(view) and dup.to_dict() == view.to_dict()
+                dx.swap(dup, _sell(dup, 1.0, 2))
+                assert not np.array_equal(dup.reserves, view.reserves)
+            assert view.spread() == spread
+        _assert_same_solve(dx.solve(snap, self._OBJ), sol)
+
+    def test_a_market_in_two_snapshots_is_copied_into_the_second(self):
+        core = generate.generate_snapshot(16, 1)
+        ladder = generate.make_ladder(10, seed=3, token_map=dx.TokenMap((0, 1)))
+        first = dx.MarketSnapshot(core.universe, [*core.markets, ladder], prices=core.prices)
+        second = dx.MarketSnapshot(core.universe, [*first.markets], prices=core.prices)
+        obj = dx.TotalArbitrage(core.prices)
+        for mutated, other in ((first, second), (second, first), (core, first)):
+            sols = {id(s): dx.solve(s, obj) for s in (first, second, core)}
+            dx.swap(mutated.markets[0], _sell(mutated.markets[0], 20.0))
+            if mutated is not core:
+                dx.swap(mutated.markets[-1], dx.Trade(np.array([5.0, 0.0]), np.zeros(2)))
+            assert not np.array_equal(dx.solve(mutated, obj).nu, sols[id(mutated)].nu)
+            _assert_same_solve(dx.solve(other, obj), sols[id(other)])
+            assert np.array_equal(dx.eval_dual(mutated, obj, core.prices)[2],
+                                  dx.eval_dual(dx.snapshot_from_dict(dx.snapshot_to_dict(mutated)),
+                                               obj, core.prices)[2])
+
+    def test_a_market_listed_twice_gets_a_column_each(self):
+        pool = dx.GeomMeanMarket(np.array([100.0, 400.0]), (0.5, 0.5), 1.0, dx.TokenMap((0, 1)))
+        ladder = generate.make_ladder(3, seed=2)
+        snap = dx.MarketSnapshot(dx.AssetUniverse(("A", "B")), [pool, ladder, pool, ladder])
+        assert snap.markets[0] is pool and snap.markets[1] is ladder
+        assert snap.markets[2] is not pool and snap.markets[3] is not ladder
+        dx.swap(snap.markets[2], _sell(snap.markets[2], 10.0))
+        dx.swap(snap.markets[3].segments[1], _sell(snap.markets[3].segments[1], 1.0, 2))
+        obj = dx.TotalArbitrage(np.array([1.0, 2.0]))
+        fresh = dx.snapshot_from_dict(dx.snapshot_to_dict(snap))
+        _assert_same_solve(dx.solve(snap, obj), dx.solve(fresh, obj))
+
+
 class TestAggregateDecomposition:
     """An aggregate solves as its segments listed as standalone markets."""
 
@@ -248,7 +377,7 @@ class TestAggregateDecomposition:
             dx.swap(ladder, dx.Trade(np.array([d, 0.0]), np.zeros(2)))
         standalone = [dx.BoundedProductSegment(s.reserves.copy(), s.alpha, s.beta, fee, s.token_map)
                       for s in ladder.segments]
-        return tuple(dx.MarketSnapshot(core.universe, core.markets + extra, prices=core.prices)
+        return tuple(dx.MarketSnapshot(core.universe, [*core.markets, *extra], prices=core.prices)
                      for extra in ([ladder], standalone))
 
     @pytest.mark.parametrize("seed", [1, 2])
@@ -479,3 +608,49 @@ class TestConfig:
         lower, _ = obj.bounds()
         assert np.all(nu0 >= lower)
         assert nu0[2] == 1.0
+
+
+class TestInitialPoint:
+    @pytest.mark.parametrize("source", ["objects", "json"])
+    def test_liquidation_seed_matches_each_markets_spread(self, source):
+        # the columns' quotes give the seed bit for bit, for every kind of
+        # market, either token order, and a bid of 0 or an ask of inf
+        tm = dx.TokenMap
+        markets = [
+            dx.GeomMeanMarket(np.array([1000.0, 1500.0]), (0.5, 0.5), 0.997, tm((0, 3))),
+            dx.GeomMeanMarket(np.array([700.0, 900.0]), (0.8, 0.2), 0.99, tm((3, 1))),
+            dx.GeomMeanMarket(np.array([500.0, 400.0]), (0.5, 0.5), 0.997, tm((0, 1))),
+            dx.BoundedProductSegment(np.array([10.0, 12.0]), 90.0, 80.0, 0.997, tm((1, 3))),
+            dx.BoundedProductSegment(np.array([10.0, 0.0]), 90.0, 80.0, 0.997, tm((3, 2))),
+            dx.BoundedProductSegment(np.array([0.0, 7.0]), 5.0, 40.0, 0.997, tm((2, 3))),
+            generate.make_ladder(10, seed=3, token_map=tm((0, 3))),
+            generate.make_ladder(6, seed=4, token_map=tm((3, 2))),
+            dx.Curve2Market(np.array([100.0, 120.0]), 5.0, 0.999, tm((3, 0))),
+            dx.Curve2Market(np.array([50.0, 60.0]), 3.0, 0.999, tm((1, 2))),
+        ]
+        snap = dx.MarketSnapshot(dx.AssetUniverse(("A", "B", "C", "D")), markets)
+        if source == "json":
+            snap = dx.snapshot_from_dict(dx.snapshot_to_dict(snap))
+        t = 3
+        obj = dx.BasketLiquidation(np.array([10.0, 5.0, 2.0, 0.0]), t)
+        logs = {}
+        for mkt in snap.markets:
+            a, b = mkt.token_map.global_indices
+            if t not in (a, b):
+                continue
+            bid, ask = mkt.spread()
+            if bid > 0 and math.isfinite(ask):
+                mid = math.sqrt(bid * ask)
+            elif bid > 0 or (math.isfinite(ask) and ask > 0):
+                mid = bid if bid > 0 else ask
+            else:
+                continue
+            j, logp = (a, math.log(mid)) if b == t else (b, -math.log(mid))
+            logs.setdefault(j, []).append(logp)
+        expected = np.ones(snap.n)
+        for j, vals in logs.items():
+            expected[j] = math.exp(sum(vals) / len(vals))
+        expected[t] = 1.0
+        expected = np.maximum(expected, np.maximum(obj.bounds()[0], PRICE_EPS))
+        assert len(logs) == 3
+        assert np.array_equal(dx.initial_point(obj, snap), expected)
