@@ -171,14 +171,20 @@ class MarketSnapshot:
 
 def _unbound(markets) -> tuple:
     """The markets, each one copied if a view in it is bound to a snapshot's
-    block or comes earlier in the list, so that every view gets a column."""
+    block, comes earlier in the list or repeats in the market, so that every
+    view gets a column.  A copy is made part by part: `copy.deepcopy` would
+    keep a segment listed twice in an aggregate one object."""
     seen, out = set(), []
     for mkt in markets:
         views = [p for p in getattr(mkt, "segments", (mkt,)) if hasattr(p, "_tok")]
-        if any(isinstance(p._tok, np.ndarray) or id(p) in seen for p in views):
-            mkt = copy.deepcopy(mkt)
+        ids = {id(p) for p in views}
+        if (len(ids) < len(views) or not seen.isdisjoint(ids)
+                or any(isinstance(p._tok, np.ndarray) for p in views)):
+            mkt = copy.copy(mkt)  # a view's copy owns its column
+            if hasattr(mkt, "segments"):
+                mkt.segments = [copy.copy(p) for p in mkt.segments]
         else:
-            seen.update(map(id, views))
+            seen |= ids
         out.append(mkt)
     return tuple(out)
 

@@ -465,7 +465,9 @@ class GenericSwapMarket:
     """Two-asset market given by evaluators for the forward exchange functions
     and their one-sided derivatives; arbitrage is solved by bisection.  Every
     quote goes through `forward_exchange` and `price_impact`, which a subclass
-    may override with its own closed forms."""
+    may override with its own closed forms.  A market whose output runs out
+    reports zero price impact past capacity, so its arbitrage stops there
+    with no more input: the market needs no input cap."""
 
     kernel = None  # no batched kernel: the solver calls `find_arb` row by row
 
@@ -476,19 +478,15 @@ class GenericSwapMarket:
         impact_1: Callable[[float], float],
         impact_2: Callable[[float], float],
         token_map: TokenMap,
-        max_in_1: float = math.inf,
-        max_in_2: float = math.inf,
     ):
         self.fn_out = (fn_out_1, fn_out_2)
         self.impact = (impact_1, impact_2)
         self.token_map = token_map
-        self.max_in = (max_in_1, max_in_2)
         self._probe()
 
     def _probe(self):
+        grid = np.linspace(0.0, 1e4, 9)
         for d in (1, 2):
-            cap = self.max_in[d - 1]
-            grid = np.linspace(0.0, cap if math.isfinite(cap) else 1e4, 9)
             f = [self.forward_exchange(x, d) for x in grid]
             fp = [self.price_impact(x, d) for x in grid]
             if abs(f[0]) > 1e-9 or not math.isfinite(fp[0]):
@@ -506,13 +504,13 @@ class GenericSwapMarket:
         return self.impact[direction - 1](delta)
 
     def impact_derivative(self, delta: float, direction: int = 1) -> float:
-        """I'(delta) for 0 < delta < max_in: a central difference of the impact
-        I whose step grows tenfold from 1e-6*delta until the difference clears
-        1000*eps*|I|, far above its round-off; 0 if no step within half the way
-        to either end does, as on a curve constant-sum to working precision."""
+        """I'(delta) for delta > 0: a central difference of the impact I whose
+        step grows tenfold from 1e-6*delta until the difference clears
+        1000*eps*|I|, far above its round-off; 0 if no step up to delta/2
+        does, as on a curve constant-sum to working precision."""
         floor = 1e3 * np.finfo(float).eps * abs(self.price_impact(delta, direction))
-        h, cap = 1e-6 * delta, 0.5 * min(delta, self.max_in[direction - 1] - delta)
-        while h <= cap:
+        h = 1e-6 * delta
+        while h <= 0.5 * delta:
             diff = self.price_impact(delta + h, direction) - self.price_impact(delta - h, direction)
             if abs(diff) >= floor:
                 return diff / (2.0 * h)
@@ -524,22 +522,23 @@ class GenericSwapMarket:
         ask2 = self.price_impact(0.0, 2)
         return bid, (math.inf if ask2 == 0.0 else 1.0 / ask2)
 
-    def _solve_direction(self, nu_in, nu_out, direction) -> tuple[float, float]:
-        target = nu_in / nu_out
-        hi = self.max_in[direction - 1]
-        if math.isfinite(hi):
-            if self.price_impact(hi, direction) >= target:
-                return hi, self.forward_exchange(hi, direction)
-        else:
-            hi = 1.0
-            while self.price_impact(hi, direction) >= target:
-                hi *= 4.0
-                if hi > _BRACKET_CAP:
-                    raise UnboundedError(
-                        "price impact never falls below the reference price; "
-                        "trading set appears to contain a line"
-                    )
-        lo = 0.0
+    def find_arb(self, nu) -> ArbResult:
+        nu1, nu2 = _check_prices(nu)
+        p = nu1 / nu2
+        bid, ask = self.spread()
+        if bid <= p <= ask:
+            return _result(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        direction, nu_in, nu_out = (1, nu1, nu2) if p < bid else (2, nu2, nu1)
+        # the trade tenders delta where the impact falls to target: bracket
+        # it by growing hi fourfold, then bisect
+        target, lo, hi = nu_in / nu_out, 0.0, 1.0
+        while self.price_impact(hi, direction) >= target:
+            hi *= 4.0
+            if hi > _BRACKET_CAP:
+                raise UnboundedError(
+                    "price impact never falls below the reference price; "
+                    "trading set appears to contain a line"
+                )
         for _ in range(_BISECT_MAXIT):
             mid = 0.5 * (lo + hi)
             if self.price_impact(mid, direction) >= target:
@@ -549,26 +548,16 @@ class GenericSwapMarket:
             if hi - lo <= _BISECT_RTOL * max(1.0, hi):
                 break
         delta = 0.5 * (lo + hi)
-        return delta, self.forward_exchange(delta, direction)
-
-    def find_arb(self, nu) -> ArbResult:
-        nu1, nu2 = _check_prices(nu)
-        p = nu1 / nu2
-        bid, ask = self.spread()
-        if bid <= p <= ask:
-            return _result(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        direction, nu_in, nu_out = (1, nu1, nu2) if p < bid else (2, nu2, nu1)
-        delta, lam = self._solve_direction(nu_in, nu_out, direction)
+        lam = self.forward_exchange(delta, direction)
         value = nu_out * lam - nu_in * delta
         if value <= 0.0 or delta <= 0.0:
             return _result(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         # the trade solves I(delta) = nu_in/nu_out; its derivative in nu1
         # follows by the implicit-function theorem
         curvature = 0.0
-        if delta < self.max_in[direction - 1]:
-            di = self.impact_derivative(delta, direction)
-            if di < 0.0:
-                curvature = -1.0 / (nu2 * di) if direction == 1 else -nu2 * nu2 / (nu1 ** 3 * di)
+        di = self.impact_derivative(delta, direction)
+        if di < 0.0:
+            curvature = -1.0 / (nu2 * di) if direction == 1 else -nu2 * nu2 / (nu1 ** 3 * di)
         row = (delta, lam, 0.0, 0.0) if direction == 1 else (0.0, 0.0, delta, lam)
         return _result(*row, value, curvature)
 
@@ -587,8 +576,6 @@ class Curve2Market(GenericSwapMarket):
     or finite difference; the arbitrage is the generic bisection on the impact.
     They are methods that read the current reserves, so a copy quotes its own.
     """
-
-    max_in = (math.inf, math.inf)
 
     def __init__(self, reserves, amp: float, fee: float, token_map: TokenMap):
         self.reserves, r1, r2 = _two_reserves(reserves)

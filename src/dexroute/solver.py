@@ -232,7 +232,7 @@ def solve(snapshot: MarketSnapshot, obj: Objective, config: SolverConfig | None 
     t0 = time.perf_counter()
     lower, _ = obj.bounds()
     lower = np.maximum(lower, PRICE_EPS)
-    nu = np.maximum(initial_point(obj, snapshot), lower)
+    nu = initial_point(obj, snapshot)  # already at or above lower
     tol = cfg.gradient_tolerance
     if tol is None:
         tol = 1e-8 * max(1.0, float(np.abs(nu).max(initial=0.0)))

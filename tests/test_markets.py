@@ -209,6 +209,14 @@ class TestBoundedSegment:
         assert m.forward_exchange(dmax) == pytest.approx(10.0, rel=1e-12)
         assert m.forward_exchange(dmax * 3) == 10.0
 
+    def test_liquidity_into_an_empty_segment_keeps_its_interval(self):
+        # reserves 0, 0 make k = alpha*beta, so the growth t solves a linear equation
+        m = bounded(0.0, 0.0, 90.0, 40.0, 0.997)
+        interval = m.active_interval()
+        dx.update_liquidity(m, np.array([5.0, 3.0]))
+        assert np.array_equal(m.reserves, [5.0, 3.0])
+        assert m.active_interval() == pytest.approx(interval, rel=1e-12)
+
 
 class TestBoundedProperties:
     @given(
@@ -421,6 +429,23 @@ class TestGenericSwap:
         )
         with pytest.raises(UnboundedError):
             m.find_arb(np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("fee", [1.0, 0.997])
+    def test_zero_impact_past_capacity_ends_the_trade(self, fee):
+        # a segment's own quotes with no input cap: past either end of its
+        # active interval the bisection stops where the output runs out
+        seg = bounded(25.0, 4.0, 30.0, 55.0, fee)
+        m = generic(seg)
+        lo, hi = seg.active_interval()
+        for nu, direction in ((np.array([0.5 * lo, 1.0]), 1), (np.array([2.0 * hi, 1.0]), 2)):
+            a, b = direction - 1, 2 - direction
+            dmax = seg.max_input(direction)
+            assert seg.price_impact(1.5 * dmax, direction) == 0.0
+            res, ref = m.find_arb(nu), seg.find_arb(nu)
+            assert ref.trade.tendered[a] == dmax and ref.trade.received[b] == seg.reserves[b]
+            assert res.trade.tendered[a] == pytest.approx(dmax, rel=1e-9)
+            assert res.trade.received[b] == pytest.approx(seg.reserves[b], rel=1e-9)
+            assert res.objective_value == pytest.approx(ref.objective_value, rel=1e-9)
 
     def test_invalid_market_detected(self):
         from dexroute.errors import InvalidMarketError

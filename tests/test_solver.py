@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import dexroute as dx
 from dexroute import generate, oracle, solver
-from dexroute.errors import RejectedTradeError
+from dexroute.errors import RejectedTradeError, UnboundedError
 from dexroute.objectives import PRICE_EPS
 from dexroute.solver import SolverConfig
 
@@ -141,6 +141,17 @@ class TestGenericMarketRoutes:
         assert ref.converged and sol.converged
         assert ref.utility > 0.0 and np.any(sol.tendered[-1] > 0.0)
         assert sol.utility == pytest.approx(ref.utility, rel=1e-6)
+
+    def test_an_unbounded_market_is_named(self):
+        # constant price impact: the trading set holds a ray with profit
+        tm = dx.TokenMap
+        line = dx.GenericSwapMarket(lambda d: 2.0 * d, lambda d: 0.0, lambda d: 2.0, lambda d: 0.0,
+                                    tm((0, 2)))
+        markets = [dx.GeomMeanMarket(np.array([100.0, 120.0]), (0.5, 0.5), 0.997, tm((0, 1))),
+                   dx.GeomMeanMarket(np.array([100.0, 90.0]), (0.5, 0.5), 0.997, tm((1, 2))), line]
+        snap = dx.MarketSnapshot(dx.AssetUniverse(("A", "B", "C")), markets)
+        with pytest.raises(UnboundedError, match=r"^market 2: "):
+            dx.solve(snap, dx.TotalArbitrage(np.ones(3)))
 
 
 class TestSolveArbitrage:
@@ -306,6 +317,10 @@ class TestSnapshotViews:
         dx.swap(ladder, dx.Trade(np.array([3.0, 0.0]), np.zeros(2)))
         dx.swap(snap.markets[4], _sell(snap.markets[4], 5.0))
         assert_matches_fresh()
+        before = dx.solve(snap, self._OBJ)
+        dx.update_liquidity(snap.markets[4], [40.0, 10.0])
+        assert not np.array_equal(dx.solve(snap, self._OBJ).tendered[4], before.tendered[4])
+        assert_matches_fresh()
 
     @pytest.mark.parametrize("source", ["objects", "json"])
     def test_rejected_aggregate_trade_leaves_the_columns_unchanged(self, source):
@@ -357,6 +372,16 @@ class TestSnapshotViews:
         assert snap.markets[2] is not pool and snap.markets[3] is not ladder
         dx.swap(snap.markets[2], _sell(snap.markets[2], 10.0))
         dx.swap(snap.markets[3].segments[1], _sell(snap.markets[3].segments[1], 1.0, 2))
+        obj = dx.TotalArbitrage(np.array([1.0, 2.0]))
+        fresh = dx.snapshot_from_dict(dx.snapshot_to_dict(snap))
+        _assert_same_solve(dx.solve(snap, obj), dx.solve(fresh, obj))
+
+    def test_a_segment_listed_twice_in_an_aggregate_gets_a_column_each(self):
+        ladder = generate.make_ladder(3, seed=2)
+        ladder.segments.append(ladder.segments[0])
+        snap = dx.MarketSnapshot(dx.AssetUniverse(("A", "B")), [ladder])
+        assert len({id(s) for s in snap.markets[0].segments}) == 4
+        dx.swap(snap.markets[0].segments[0], dx.Trade(np.array([0.0, 1.0]), np.zeros(2)))
         obj = dx.TotalArbitrage(np.array([1.0, 2.0]))
         fresh = dx.snapshot_from_dict(dx.snapshot_to_dict(snap))
         _assert_same_solve(dx.solve(snap, obj), dx.solve(fresh, obj))
