@@ -8,6 +8,7 @@ local assets); no selection matrix is ever materialized.
 from __future__ import annotations
 
 import copy
+import gc
 import json
 import operator
 from collections import defaultdict
@@ -276,8 +277,18 @@ def snapshot_to_dict(snapshot: MarketSnapshot) -> dict:
 
 
 def load_snapshot(path) -> MarketSnapshot:
-    with open(path) as f:
-        return snapshot_from_dict(json.load(f))
+    # json builds a dict and lists per market entry, none of them cyclic, so
+    # the cyclic collector is paused until the document is read and freed:
+    # at m = 10^4 it would run some 50 gen-0 collections over it, and paused
+    # in json alone, one collection over all of it right after
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path) as f:
+            return snapshot_from_dict(json.load(f))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def dumps_snapshot(snapshot: MarketSnapshot) -> str:

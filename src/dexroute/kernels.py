@@ -11,6 +11,11 @@ tendered2, received1, objective, curvature): direction 1 tenders asset 1 and
 receives asset 2, and the curvature is d(received1 - tendered1)/dnu1, the
 (1, 1) entry of the market's Hessian block.  It is 0 where nothing trades or
 the trade is full liquidity.
+
+Each kernel takes, after the prices, an optional `quote`: the result of its
+quote function (`QUOTES`) on the same columns.  The quote does not depend on
+the prices, so a caller that evaluates one block at many prices computes it
+once and passes it in; without it the kernel computes its own.
 """
 
 from __future__ import annotations
@@ -47,26 +52,27 @@ def gmean_quote(r1, r2, w1, w2, fee):
     return fee * eta1 * r2 / r1, eta1 * r2 / (fee * r1)
 
 
-def gmean_arb_batch(r1, r2, w1, w2, fee, nu1, nu2):
-    bid, ask = gmean_quote(r1, r2, w1, w2, fee)
+def gmean_arb_batch(r1, r2, w1, w2, fee, nu1, nu2, quote=None):
+    bid, ask = gmean_quote(r1, r2, w1, w2, fee) if quote is None else quote
     p = nu1 / nu2
-    out = np.zeros((6, r1.shape[0]))
-    # per direction: the tendered and received rows, where it pays, and
-    # (reserve in, reserve out, eta, fee, price in, price out)
-    for t, o, mask, *cols in (
-        (0, 1, p < bid, r1, r2, w1 / w2, fee, nu1, nu2),
-        (2, 3, p > ask, r2, r1, w2 / w1, fee, nu2, nu1),
-    ):
-        if mask.any():
-            rin, rout, eta, f, nu_in, nu_out = (x[mask] for x in cols)
-            ratio = eta * f * nu_out * rout / (nu_in * rin)
-            d = np.maximum(rin / f * (ratio ** (1.0 / (eta + 1.0)) - 1.0), 0.0)
-            lam = rout * (1.0 - (1.0 + f * d / rin) ** (-eta))
-            val = nu_out * lam - nu_in * d
-            h = _curvature(t, (rin + f * d) / ((eta + 1.0) * f), nu_in, nu_out)
-            for row, x in zip((t, o, 4, 5), (d, lam, val, h)):
-                out[row][mask] = np.where(val > 0.0, x, 0.0)
-    return out
+    # both directions in one pass: a row above the ask (`two`) tenders asset
+    # 2, any other asset 1, so each row takes (reserve in, reserve out, eta,
+    # price in, price out) of that direction; a row inside the spread is
+    # worked out for direction 1 and not kept
+    two = p > ask
+    rin, rout = np.where(two, r2, r1), np.where(two, r1, r2)
+    eta = np.where(two, w2 / w1, w1 / w2)
+    nu_in, nu_out = np.where(two, nu2, nu1), np.where(two, nu1, nu2)
+    ratio = eta * fee * nu_out * rout / (nu_in * rin)
+    d = np.maximum(rin / fee * (ratio ** (1.0 / (eta + 1.0)) - 1.0), 0.0)
+    lam = rout * (1.0 - (1.0 + fee * d / rin) ** (-eta))
+    val = nu_out * lam - nu_in * d
+    q = (rin + fee * d) / ((eta + 1.0) * fee)
+    h = np.where(two, q * nu_in / (nu_out * nu_out), q / nu_in)
+    keep = ((p < bid) | two) & (val > 0.0)
+    one, two = keep & ~two, keep & two
+    return np.stack([np.where(one, d, 0.0), np.where(one, lam, 0.0), np.where(two, d, 0.0),
+                     np.where(two, lam, 0.0), np.where(keep, val, 0.0), np.where(keep, h, 0.0)])
 
 
 # ---------------------------------------------------------------------------
@@ -90,8 +96,8 @@ def bounded_quote(r1, r2, alpha, beta, fee):
     return lo, hi, d1max, d2max, bid, ask
 
 
-def bounded_arb_batch(r1, r2, alpha, beta, fee, nu1, nu2):
-    lo, hi, d1max, d2max, bid, ask = bounded_quote(r1, r2, alpha, beta, fee)
+def bounded_arb_batch(r1, r2, alpha, beta, fee, nu1, nu2, quote=None):
+    lo, hi, d1max, d2max, bid, ask = bounded_quote(r1, r2, alpha, beta, fee) if quote is None else quote
     v1, v2 = r1 + alpha, r2 + beta
     p = nu1 / nu2
     out = np.zeros((6, r1.shape[0]))

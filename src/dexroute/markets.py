@@ -309,7 +309,9 @@ class BoundedProductSegment(_KernelRow):
 
         The virtual offsets are rescaled by the implied liquidity growth t,
         the positive root of (R1'+t*alpha)(R2'+t*beta) = t^2*k, so both
-        active-interval endpoints are exactly preserved.
+        active-interval endpoints are exactly preserved.  An empty segment
+        (reserves 0, 0) has no such root: its deposit raises `DomainError`
+        and changes nothing.
         """
         a1, a2 = np.asarray(amounts, dtype=float)
         big1 = self.reserves[0] + a1
@@ -322,6 +324,9 @@ class BoundedProductSegment(_KernelRow):
                 t = -qc / qb if qb != 0.0 else 1.0
             else:
                 t = (-qb + math.sqrt(qb * qb - 4.0 * qa * qc)) / (2.0 * qa)
+            if not t > 0.0:
+                raise DomainError(f"deposit {[float(a1), float(a2)]} has no positive liquidity growth "
+                                  f"on reserves {self.reserves.tolist()}: t = {t}")
             self.alpha *= t
             self.beta *= t
         self.reserves = np.array([big1, big2])
@@ -373,8 +378,9 @@ def _fill(segments, total: float, a: int) -> tuple[np.ndarray, np.ndarray]:
     # is while q is at or below its ask with the assets swapped
     lo = float(np.sqrt(kernels.bounded_quote(*swapped)[5][live].min()))
     hi, u, ones, fill = math.inf, lo * (1.0 + 1e-6), np.ones(len(r1)), None
+    quote = kernels.bounded_quote(*cols)  # the columns are fixed for the whole fill
     for _ in range(_BISECT_MAXIT):
-        rows = kernels.bounded_arb_batch(*cols, ones, np.full(len(r1), u * u))
+        rows = kernels.bounded_arb_batch(*cols, ones, np.full(len(r1), u * u), quote)
         got, trading = float(rows[0].sum()), rows[0] > 0.0
         slope = 2.0 * float(rows[5][trading].sum()) / u
         if got < total and slope == 0.0 and trading[live].all():
@@ -530,9 +536,9 @@ class GenericSwapMarket:
             return _result(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         direction, nu_in, nu_out = (1, nu1, nu2) if p < bid else (2, nu2, nu1)
         # the trade tenders delta where the impact falls to target: bracket
-        # it by growing hi fourfold, then bisect
+        # it by growing hi fourfold, then bisect, keeping the impact at hi
         target, lo, hi = nu_in / nu_out, 0.0, 1.0
-        while self.price_impact(hi, direction) >= target:
+        while (impact_hi := self.price_impact(hi, direction)) >= target:
             hi *= 4.0
             if hi > _BRACKET_CAP:
                 raise UnboundedError(
@@ -541,10 +547,11 @@ class GenericSwapMarket:
                 )
         for _ in range(_BISECT_MAXIT):
             mid = 0.5 * (lo + hi)
-            if self.price_impact(mid, direction) >= target:
+            impact = self.price_impact(mid, direction)
+            if impact >= target:
                 lo = mid
             else:
-                hi = mid
+                hi, impact_hi = mid, impact
             if hi - lo <= _BISECT_RTOL * max(1.0, hi):
                 break
         delta = 0.5 * (lo + hi)
@@ -553,9 +560,10 @@ class GenericSwapMarket:
         if value <= 0.0 or delta <= 0.0:
             return _result(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         # the trade solves I(delta) = nu_in/nu_out; its derivative in nu1
-        # follows by the implicit-function theorem
+        # follows by the implicit-function theorem.  A trade stopped at
+        # capacity, where the impact at hi is zero, does not move with nu1
         curvature = 0.0
-        di = self.impact_derivative(delta, direction)
+        di = self.impact_derivative(delta, direction) if impact_hi > 0.0 else 0.0
         if di < 0.0:
             curvature = -1.0 / (nu2 * di) if direction == 1 else -nu2 * nu2 / (nu1 ** 3 * di)
         row = (delta, lam, 0.0, 0.0) if direction == 1 else (0.0, 0.0, delta, lam)
@@ -605,7 +613,8 @@ class Curve2Market(GenericSwapMarket):
         """
         if delta < 0:
             raise DomainError("tendered amount must be nonnegative")
-        rin, rout = (self.reserves if direction == 1 else self.reserves[::-1])
+        r1, r2 = self.reserves.tolist()  # Python floats: this runs ~50 times a find_arb
+        rin, rout = (r1, r2) if direction == 1 else (r2, r1)
         amp, fd = self.amp, self.fee * delta
         x = rin + fd
         q = 1.0 / (rin * rout)

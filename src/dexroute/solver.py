@@ -61,7 +61,14 @@ class RoutingSolution:
         return [Trade(t, r) for t, r in zip(self.tendered, self.received)]
 
 
-def _arb(snapshot: MarketSnapshot, nu1, nu2) -> np.ndarray:
+def _quotes(snapshot: MarketSnapshot) -> dict:
+    """Each kernel block's quote, `kernels.QUOTES[name](*block)`.  A quote
+    reads only the block, not the prices, so a solve computes it once and
+    passes it to every evaluation."""
+    return {name: kernels.QUOTES[name](*block) for name, block in snapshot.blocks.items()}
+
+
+def _arb(snapshot: MarketSnapshot, nu1, nu2, quotes) -> np.ndarray:
     """Every row's optimal arbitrage at local prices (nu1, nu2): the rows
     t1, o2, t2, o1, value and curvature d(o1 - t1)/dnu1, in row order.
     Direction 1 tenders t1 of local asset 1 and receives o2 of asset 2."""
@@ -69,7 +76,7 @@ def _arb(snapshot: MarketSnapshot, nu1, nu2) -> np.ndarray:
     for name, block in snapshot.blocks.items():
         idx = snapshot.block_rows[name]
         # the kernel is looked up per call, where a tracer can wrap it
-        rows[:, idx] = getattr(kernels, name)(*block, nu1[idx], nu2[idx])
+        rows[:, idx] = getattr(kernels, name)(*block, nu1[idx], nu2[idx], quotes[name])
     for r, mkt in snapshot.other:
         try:
             res = mkt.find_arb(np.array([nu1[r], nu2[r]]))
@@ -80,10 +87,11 @@ def _arb(snapshot: MarketSnapshot, nu1, nu2) -> np.ndarray:
     return rows
 
 
-def _eval(obj, nu, snapshot):
-    """Dual value and gradient at nu, and the `_arb` rows they came from."""
+def _eval(obj, nu, snapshot, quotes=None):
+    """Dual value and gradient at nu, and the `_arb` rows they came from;
+    `quotes` are the snapshot's `_quotes`, computed here if not given."""
     s = snapshot
-    rows = _arb(s, nu[s.i1], nu[s.i2])
+    rows = _arb(s, nu[s.i1], nu[s.i2], _quotes(s) if quotes is None else quotes)
     t1, o2, t2, o1, value, _ = rows
     g = obj.conjugate(nu) + float(value.sum())
     grad = (obj.conjugate_gradient(nu) + np.bincount(s.i1, weights=o1 - t1, minlength=s.n)
@@ -134,7 +142,7 @@ def _mid_spot(bid: float, ask: float) -> float | None:
     return None
 
 
-def initial_point(obj: Objective, snapshot: MarketSnapshot) -> np.ndarray:
+def initial_point(obj: Objective, snapshot: MarketSnapshot, quotes=None) -> np.ndarray:
     lower, _ = obj.bounds()
     lower = np.maximum(lower, PRICE_EPS)
     if hasattr(obj, "valuation"):
@@ -142,12 +150,12 @@ def initial_point(obj: Objective, snapshot: MarketSnapshot) -> np.ndarray:
     # liquidation: seed each token with the geometric mean of its spot quotes
     # against the output token, 1.0 where no market quotes the pair; a
     # market's quote is the best bid and ask over its rows, which come from
-    # one quote call per kernel block
+    # each kernel block's quote (`_quotes`, computed here if not given)
     s, t = snapshot, obj.out_token
     rows = np.flatnonzero((s.i1 == t) | (s.i2 == t))
     bid, ask = np.zeros(s.owner.size), np.zeros(s.owner.size)
-    for name, block in s.blocks.items():
-        bid[s.block_rows[name]], ask[s.block_rows[name]] = kernels.QUOTES[name](*block)[-2:]
+    for name, quote in (_quotes(s) if quotes is None else quotes).items():
+        bid[s.block_rows[name]], ask[s.block_rows[name]] = quote[-2:]
     for r, mkt in s.other:
         if r in rows:
             bid[r], ask[r] = mkt.spread()
@@ -174,7 +182,7 @@ def _projected_grad_norm(nu, grad, lower) -> float:
     return float(np.abs(pg).max(initial=0.0))
 
 
-def minimize(obj, nu, lower, snapshot, tol, max_rounds):
+def minimize(obj, nu, lower, snapshot, tol, max_rounds, quotes):
     """Projected Newton on the dual over the box nu >= lower.
 
     Each round solves the Newton system on the free set (the variables off
@@ -182,10 +190,10 @@ def minimize(obj, nu, lower, snapshot, tol, max_rounds):
     the projection arc until one is accepted: by Armijo on the dual value, or,
     where the value moves by no more than its round-off, by a lower projected
     gradient.  The loop stops at tol, with no free variable, or when the line
-    search fails.  Returns nu, the `_eval` result there and the number of
-    rounds.
+    search fails.  Every evaluation reads the snapshot's `quotes`.  Returns
+    nu, the `_eval` result there and the number of rounds.
     """
-    ev = _eval(obj, nu, snapshot)
+    ev = _eval(obj, nu, snapshot, quotes)
     rounds = 0
     while rounds < max_rounds:
         g, grad, rows = ev
@@ -212,7 +220,7 @@ def minimize(obj, nu, lower, snapshot, tol, max_rounds):
             cand[idx] = np.maximum(nu[idx] + t * step, lower[idx])
             if np.array_equal(cand, nu):
                 break  # the step has fallen below the round-off of nu
-            ev_c = _eval(obj, cand, snapshot)
+            ev_c = _eval(obj, cand, snapshot, quotes)
             if abs(ev_c[0] - g) > roundoff:
                 accept = ev_c[0] <= g + 1e-4 * float(grad @ (cand - nu))
             else:  # Armijo would pass a step that changes nothing
@@ -232,14 +240,15 @@ def solve(snapshot: MarketSnapshot, obj: Objective, config: SolverConfig | None 
     t0 = time.perf_counter()
     lower, _ = obj.bounds()
     lower = np.maximum(lower, PRICE_EPS)
-    nu = initial_point(obj, snapshot)  # already at or above lower
+    quotes = _quotes(snapshot)
+    nu = initial_point(obj, snapshot, quotes)  # already at or above lower
     tol = cfg.gradient_tolerance
     if tol is None:
         tol = 1e-8 * max(1.0, float(np.abs(nu).max(initial=0.0)))
 
     # the subproblem solutions of the last evaluation are the primal routing
     nu, (dual_value, grad, rows), rounds = minimize(
-        obj, nu, lower, snapshot, tol, cfg.max_iterations)
+        obj, nu, lower, snapshot, tol, cfg.max_iterations, quotes)
     tendered, received = _trade_arrays(snapshot, rows)
     residual = _projected_grad_norm(nu, grad, lower)
     psi = net_trade(snapshot, tendered, received)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import dexroute as dx
-from dexroute import kernels
+from dexroute import generate, kernels
 
 
 def _random_gmean_batch(rng, m):
@@ -108,3 +108,110 @@ class TestCurvatureRow:
         interior = (plus[5] > 0.0) & (minus[5] > 0.0) & ((plus[0] > 0.0) == (minus[0] > 0.0))
         assert interior.sum() > 1000
         np.testing.assert_allclose(curv[interior], fd[interior], rtol=1e-6)
+
+
+def _mixed_batches(rng, m):
+    """A gmean and a bounded batch, each as (kernel, argument columns, nu1,
+    nu2), whose rows trade at a random price, sit at the spot price, take full
+    liquidity, hold a zero reserve and quote a bid of 0 or an ask of inf."""
+    w1 = rng.choice([0.5, 0.8, 0.2], m)
+    gmean = (rng.uniform(10.0, 1e4, m), rng.uniform(10.0, 1e4, m), w1, 1.0 - w1,
+             rng.choice([1.0, 0.997], m))
+    r1 = rng.uniform(0.0, 1e3, m) * (rng.random(m) > 0.2)
+    r2 = rng.uniform(0.0, 1e3, m) * (rng.random(m) > 0.2)
+    alpha = rng.uniform(1.0, 500.0, m) * (rng.random(m) > 0.1)
+    beta = rng.uniform(1.0, 500.0, m) * (rng.random(m) > 0.1)
+    keep = (r1 + alpha > 0.0) & (r2 + beta > 0.0)
+    bounded = tuple(c[keep] for c in (r1, r2, alpha, beta, rng.choice([1.0, 0.997], m)))
+    out = []
+    for name, cols in (("gmean_arb_batch", gmean), ("bounded_arb_batch", bounded)):
+        k = len(cols[0])
+        quote = kernels.QUOTES[name](*cols)
+        if name == "gmean_arb_batch":
+            lo, hi = quote
+            spot = np.sqrt(lo * hi)
+        else:  # full liquidity past lo and hi, where they are finite and positive
+            lo, hi = quote[:2]
+            spot = (cols[1] + cols[3]) / (cols[0] + cols[2])
+        price = np.choose(rng.integers(4, size=k), [
+            spot * 10.0 ** rng.uniform(-2.0, 2.0, k), spot,
+            np.where(lo > 0.0, 0.5 * lo, 1e-3 * spot), np.where(np.isfinite(hi), 2.0 * hi, 1e3 * spot)])
+        nu2 = rng.uniform(0.1, 10.0, k)
+        out.append((getattr(kernels, name), cols, price * nu2, nu2))
+    return out
+
+
+class TestRowsAreIndependent:
+    def test_a_batch_row_is_bit_identical_to_a_batch_of_one(self):
+        for kernel, cols, nu1, nu2 in _mixed_batches(np.random.default_rng(11), 400):
+            rows = kernel(*cols, nu1, nu2)
+            for i in range(len(nu1)):
+                one = kernel(*(c[i:i + 1] for c in cols), nu1[i:i + 1], nu2[i:i + 1])
+                assert one[:, 0].tobytes() == rows[:, i].tobytes(), (kernel.__name__, i)
+            trading, t1, t2 = rows[4] > 0.0, rows[0], rows[2]
+            assert 50 < trading.sum() < len(nu1) - 50
+            assert (trading & (t1 > 0.0)).any() and (trading & (t2 > 0.0)).any()
+            assert (rows[5][trading] == 0.0).any() == (kernel is kernels.bounded_arb_batch)
+        r1, r2 = cols[:2]  # the bounded batch: empty sides, and full-liquidity trades
+        assert (r1 == 0.0).sum() > 20 and (r2 == 0.0).sum() > 20
+        assert ((rows[1] == r2) & (r2 > 0.0)).sum() > 20 and ((rows[3] == r1) & (r1 > 0.0)).sum() > 20
+
+    def test_a_passed_quote_gives_the_rows_of_the_kernels_own(self):
+        for kernel, cols, nu1, nu2 in _mixed_batches(np.random.default_rng(12), 2000):
+            quote = kernels.QUOTES[kernel.__name__](*cols)
+            assert kernel(*cols, nu1, nu2, quote).tobytes() == kernel(*cols, nu1, nu2).tobytes()
+
+
+def _masked_gmean(r1, r2, w1, w2, fee, nu1, nu2):
+    """The gmean kernel one direction at a time, on the rows that direction
+    picks by boolean masks: the reference for its one-pass form."""
+    bid, ask = kernels.gmean_quote(r1, r2, w1, w2, fee)
+    p = nu1 / nu2
+    out = np.zeros((6, r1.shape[0]))
+    for t, o, mask, *cols in ((0, 1, p < bid, r1, r2, w1 / w2, fee, nu1, nu2),
+                              (2, 3, p > ask, r2, r1, w2 / w1, fee, nu2, nu1)):
+        rin, rout, eta, f, nu_in, nu_out = (x[mask] for x in cols)
+        ratio = eta * f * nu_out * rout / (nu_in * rin)
+        d = np.maximum(rin / f * (ratio ** (1.0 / (eta + 1.0)) - 1.0), 0.0)
+        lam = rout * (1.0 - (1.0 + f * d / rin) ** (-eta))
+        val = nu_out * lam - nu_in * d
+        q = (rin + f * d) / ((eta + 1.0) * f)
+        h = q / nu_in if t == 0 else q * nu_in / (nu_out * nu_out)
+        for row, x in zip((t, o, 4, 5), (d, lam, val, h)):
+            out[row][mask] = np.where(val > 0.0, x, 0.0)
+    return out
+
+
+def test_the_gmean_kernel_equals_its_per_direction_masked_form():
+    (_, cols, nu1, nu2), _ = _mixed_batches(np.random.default_rng(13), 20000)
+    assert kernels.gmean_arb_batch(*cols, nu1, nu2).tobytes() == _masked_gmean(*cols, nu1, nu2).tobytes()
+
+
+def test_a_solve_computes_each_block_quote_once(monkeypatch):
+    # a quote reads no price, so a solve computes it once, not once per
+    # evaluation; a kernel computing its own would call its module's function
+    calls = {}
+    for name, fn in list(kernels.QUOTES.items()):
+        def counted(*args, _fn=fn):
+            calls[_fn.__name__] = calls.get(_fn.__name__, 0) + 1
+            return _fn(*args)
+        monkeypatch.setitem(kernels.QUOTES, name, counted)
+        monkeypatch.setattr(kernels, fn.__name__, counted)
+    tm = dx.TokenMap
+    markets = [
+        dx.GeomMeanMarket(np.array([1000.0, 1500.0]), (0.5, 0.5), 0.997, tm((0, 1))),
+        dx.GeomMeanMarket(np.array([800.0, 700.0]), (0.8, 0.2), 0.997, tm((1, 2))),
+        dx.BoundedProductSegment(np.array([10.0, 10.0]), 90.0, 90.0, 1.0, tm((1, 2))),
+        dx.Curve2Market(np.array([100.0, 120.0]), 5.0, 0.999, tm((0, 2))),
+        generate.make_ladder(10, seed=3, token_map=tm((0, 2))),
+    ]
+    snap = dx.MarketSnapshot(dx.AssetUniverse(("A", "B", "C")), markets)
+    rounds = []
+    for obj in (dx.TotalArbitrage(np.array([1.0, 1.3, 0.9])),
+                dx.BasketLiquidation(np.array([10.0, 5.0, 0.0]), 2)):
+        calls.clear()
+        sol = dx.solve(snap, obj)
+        assert sol.converged
+        assert calls == {"gmean_quote": 1, "bounded_quote": 1}
+        rounds.append(sol.iterations)
+    assert max(rounds) > 3  # each round evaluates the dual at least once

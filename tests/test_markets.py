@@ -209,13 +209,19 @@ class TestBoundedSegment:
         assert m.forward_exchange(dmax) == pytest.approx(10.0, rel=1e-12)
         assert m.forward_exchange(dmax * 3) == 10.0
 
-    def test_liquidity_into_an_empty_segment_keeps_its_interval(self):
-        # reserves 0, 0 make k = alpha*beta, so the growth t solves a linear equation
-        m = bounded(0.0, 0.0, 90.0, 40.0, 0.997)
-        interval = m.active_interval()
-        dx.update_liquidity(m, np.array([5.0, 3.0]))
-        assert np.array_equal(m.reserves, [5.0, 3.0])
-        assert m.active_interval() == pytest.approx(interval, rel=1e-12)
+    def test_liquidity_into_an_empty_segment_is_refused(self):
+        # reserves 0, 0 make k = alpha*beta, so the growth t solves a linear
+        # equation with no positive root: t = -a1*a2/(alpha*a2 + beta*a1),
+        # which for [5, 3] would make alpha -2.87 and beta -1.28, and t = 0
+        # for a one-sided deposit
+        for amounts in ([5.0, 3.0], [5.0, 0.0], [0.0, 3.0]):
+            m = bounded(0.0, 0.0, 90.0, 40.0, 0.997)
+            column = m._cols().tobytes()
+            with pytest.raises(DomainError):
+                dx.update_liquidity(m, np.array(amounts))
+            assert m._cols().tobytes() == column
+        dx.update_liquidity(m, np.zeros(2))  # no deposit, no growth
+        assert m._cols().tobytes() == column
 
 
 class TestBoundedProperties:
@@ -446,6 +452,8 @@ class TestGenericSwap:
             assert res.trade.tendered[a] == pytest.approx(dmax, rel=1e-9)
             assert res.trade.received[b] == pytest.approx(seg.reserves[b], rel=1e-9)
             assert res.objective_value == pytest.approx(ref.objective_value, rel=1e-9)
+            # a full-liquidity trade does not move with nu1, as in the kernel
+            assert ref.curvature == 0.0 and res.curvature == 0.0
 
     def test_invalid_market_detected(self):
         from dexroute.errors import InvalidMarketError
