@@ -79,9 +79,10 @@ def _check_prices(nu) -> tuple[float, float]:
     nu = np.asarray(nu, dtype=float)
     if nu.shape != (2,):
         raise DomainError(f"expected two local prices, got shape {nu.shape}")
-    if not (nu[0] > 0 and nu[1] > 0) or not np.all(np.isfinite(nu)):
+    nu1, nu2 = nu.tolist()
+    if not (0.0 < nu1 < math.inf and 0.0 < nu2 < math.inf):
         raise DomainError(f"local prices must be positive and finite: {nu}")
-    return float(nu[0]), float(nu[1])
+    return nu1, nu2
 
 
 def _kernel_arb(kernel: str, cols, nu) -> ArbResult:

@@ -9,6 +9,14 @@ per-market trades of the final evaluation at the minimizer are summed into the
 network trade, so the recovered primal satisfies the coupling constraint by
 construction.  The paper minimizes the same dual with L-BFGS-B; the tests keep
 that as the reference.
+
+Each Newton round's move is bounded twice, in the manner of a trust region
+(Nocedal and Wright, ch. 4).  No price falls below a tenth of its value, and
+none rises by more than ten times it; without the fall limit, a liquidation's
+first round sends every price but the output token's to its lower bound.  And
+a flat row, one of `snapshot.other` whose price impact barely moves over its
+reserves, is not carried across its whole spread in one step; without that
+cut its trade reverses round after round.  `minimize` says how.
 """
 
 from __future__ import annotations
@@ -66,6 +74,12 @@ def _quotes(snapshot: MarketSnapshot) -> dict:
     reads only the block, not the prices, so a solve computes it once and
     passes it to every evaluation."""
     return {name: kernels.QUOTES[name](*block) for name, block in snapshot.blocks.items()}
+
+
+def _spreads(snapshot: MarketSnapshot) -> list[tuple[float, float]]:
+    """Each `snapshot.other` row's (bid, ask), computed once per solve like
+    the quotes."""
+    return [mkt.spread() for _, mkt in snapshot.other]
 
 
 def _arb(snapshot: MarketSnapshot, nu1, nu2, quotes) -> np.ndarray:
@@ -142,7 +156,7 @@ def _mid_spot(bid: float, ask: float) -> float | None:
     return None
 
 
-def initial_point(obj: Objective, snapshot: MarketSnapshot, quotes=None) -> np.ndarray:
+def initial_point(obj: Objective, snapshot: MarketSnapshot, quotes=None, spreads=None) -> np.ndarray:
     lower, _ = obj.bounds()
     lower = np.maximum(lower, PRICE_EPS)
     if hasattr(obj, "valuation"):
@@ -150,15 +164,16 @@ def initial_point(obj: Objective, snapshot: MarketSnapshot, quotes=None) -> np.n
     # liquidation: seed each token with the geometric mean of its spot quotes
     # against the output token, 1.0 where no market quotes the pair; a
     # market's quote is the best bid and ask over its rows, which come from
-    # each kernel block's quote (`_quotes`, computed here if not given)
+    # each kernel block's quote (`_quotes`) and each `other` row's spread
+    # (`_spreads`), computed here if not given
     s, t = snapshot, obj.out_token
     rows = np.flatnonzero((s.i1 == t) | (s.i2 == t))
     bid, ask = np.zeros(s.owner.size), np.zeros(s.owner.size)
     for name, quote in (_quotes(s) if quotes is None else quotes).items():
         bid[s.block_rows[name]], ask[s.block_rows[name]] = quote[-2:]
-    for r, mkt in s.other:
+    for (r, _), spread in zip(s.other, _spreads(s) if spreads is None else spreads):
         if r in rows:
-            bid[r], ask[r] = mkt.spread()
+            bid[r], ask[r] = spread
     _, first = np.unique(s.owner[rows], return_index=True)  # each market's rows follow its first
     logs: dict[int, list[float]] = {}
     for r, b, a in zip(rows[first].tolist(), np.maximum.reduceat(bid[rows], first).tolist(),
@@ -182,7 +197,48 @@ def _projected_grad_norm(nu, grad, lower) -> float:
     return float(np.abs(pg).max(initial=0.0))
 
 
-def minimize(obj, nu, lower, snapshot, tol, max_rounds, quotes):
+def _first_length(nu, direction, floor, flat) -> float:
+    """The first trial length of a round: 1, unless the full step carries a
+    trading flat row's ratio p = nu1/nu2 past the far end of its spread
+    [bid, ask], so that the row would reverse.  Then it is the length at which
+    the first such row's p reaches the near end, advanced by ulps until that
+    p lies inside the spread.
+
+    The trial at length t is max(nu + t*direction, floor).  Each price on it
+    is linear in t up to where it meets its floor, so nu1 - near*nu2 is
+    piecewise linear with at most two knots, and its root is interpolated on
+    the piece where it changes sign.  `flat` holds (i1, i2, bid, ask) for
+    each row of `snapshot.other`.
+    """
+    if not flat:
+        return 1.0
+    nu, direction, floor = nu.tolist(), direction.tolist(), floor.tolist()
+
+    def price(k, t):
+        return max(nu[k] + t * direction[k], floor[k])
+
+    first = 1.0
+    for a, b, bid, ask in flat:
+        p, q = nu[a] / nu[b], price(a, 1.0) / price(b, 1.0)
+        if not ((p < bid and q > ask) or (p > ask and q < bid)):
+            continue
+        near = bid if p < bid else ask
+        knots = [0.0, 1.0] + [(floor[k] - nu[k]) / direction[k] for k in (a, b) if direction[k] < 0.0]
+        ts = sorted(k for k in set(knots) if k <= 1.0)
+        h = [price(a, t) - near * price(b, t) for t in ts]
+        j = next((j for j in range(len(ts) - 1) if (h[j + 1] >= 0.0) != (h[0] >= 0.0)), None)
+        if j is None:  # a spread narrower than its own round-off: no near end to stop at
+            continue
+        t = ts[j] + (ts[j + 1] - ts[j]) * h[j] / (h[j] - h[j + 1])
+        for _ in range(64):  # a few ulps of t move p by one of its own
+            if bid <= price(a, t) / price(b, t) <= ask:
+                break
+            t = math.nextafter(t, 2.0)
+        first = min(first, t)
+    return first
+
+
+def minimize(obj, nu, lower, snapshot, tol, max_rounds, quotes, spreads):
     """Projected Newton on the dual over the box nu >= lower.
 
     Each round solves the Newton system on the free set (the variables off
@@ -190,9 +246,25 @@ def minimize(obj, nu, lower, snapshot, tol, max_rounds, quotes):
     the projection arc until one is accepted: by Armijo on the dual value, or,
     where the value moves by no more than its round-off, by a lower projected
     gradient.  The loop stops at tol, with no free variable, or when the line
-    search fails.  Every evaluation reads the snapshot's `quotes`.  Returns
-    nu, the `_eval` result there and the number of rounds.
+    search fails.  Every evaluation reads the snapshot's `quotes`; `spreads`
+    holds each `snapshot.other` row's (bid, ask).
+
+    Two limits bound a round's move:
+    - Each price falls to no less than a tenth of its value, and the step is
+      scaled so that none rises by more than ten times it.  Without the fall
+      limit, the first round of a liquidation sends every price but the
+      output token's to its lower bound, and the loop climbs back by about a
+      factor of two a round.
+    - A flat row (one of `snapshot.other`, solved one at a time) has a Newton
+      model that holds only over a tiny price range.  When the full step
+      would carry a trading flat row's price ratio across its whole spread,
+      so that its trade reverses, the first trial length stops the ratio
+      just inside the spread (`_first_length`).  Without it such a row's
+      trade flips direction round after round.
+    Returns nu, the `_eval` result there and the number of rounds.
     """
+    flat = [(int(snapshot.i1[r]), int(snapshot.i2[r]), bid, ask)
+            for (r, _), (bid, ask) in zip(snapshot.other, spreads)]
     ev = _eval(obj, nu, snapshot, quotes)
     rounds = 0
     while rounds < max_rounds:
@@ -212,12 +284,13 @@ def minimize(obj, nu, lower, snapshot, tol, max_rounds, quotes):
             break
         # a price with no curvature behind it would take a 1/reg step
         step /= max(1.0, float(np.max(np.abs(step) / nu[idx])) / 10.0)
+        direction, floor = np.zeros_like(nu), nu.copy()
+        direction[idx], floor[idx] = step, np.maximum(lower[idx], nu[idx] / 10.0)
         roundoff = 1e-13 * (abs(g) + float(rows[4].sum()))
         rounds += 1
-        t = 1.0
+        t = _first_length(nu, direction, floor, flat)
         for _ in range(40):
-            cand = nu.copy()
-            cand[idx] = np.maximum(nu[idx] + t * step, lower[idx])
+            cand = np.maximum(nu + t * direction, floor)
             if np.array_equal(cand, nu):
                 break  # the step has fallen below the round-off of nu
             ev_c = _eval(obj, cand, snapshot, quotes)
@@ -241,14 +314,15 @@ def solve(snapshot: MarketSnapshot, obj: Objective, config: SolverConfig | None 
     lower, _ = obj.bounds()
     lower = np.maximum(lower, PRICE_EPS)
     quotes = _quotes(snapshot)
-    nu = initial_point(obj, snapshot, quotes)  # already at or above lower
+    spreads = _spreads(snapshot)
+    nu = initial_point(obj, snapshot, quotes, spreads)  # already at or above lower
     tol = cfg.gradient_tolerance
     if tol is None:
         tol = 1e-8 * max(1.0, float(np.abs(nu).max(initial=0.0)))
 
     # the subproblem solutions of the last evaluation are the primal routing
     nu, (dual_value, grad, rows), rounds = minimize(
-        obj, nu, lower, snapshot, tol, cfg.max_iterations, quotes)
+        obj, nu, lower, snapshot, tol, cfg.max_iterations, quotes, spreads)
     tendered, received = _trade_arrays(snapshot, rows)
     residual = _projected_grad_norm(nu, grad, lower)
     psi = net_trade(snapshot, tendered, received)

@@ -100,8 +100,13 @@ class TestGeomMeanClosedForm:
             gmean().forward_exchange(-1.0)
 
     def test_nonpositive_prices_rejected(self):
-        with pytest.raises(DomainError):
-            gmean().find_arb(np.array([0.0, 1.0]))
+        # also NaN and infinite ones, by a kernel market and a generic one
+        for m in (gmean(), dx.Curve2Market(np.array([100.0, 120.0]), 3.0, 0.999, dx.TokenMap((0, 1)))):
+            for bad in ([0.0, 1.0], [1.0, -2.0], [math.nan, 1.0], [1.0, math.inf], [-math.inf, 1.0]):
+                with pytest.raises(DomainError, match=r"local prices must be positive and finite: \["):
+                    m.find_arb(np.array(bad))
+            with pytest.raises(DomainError, match=r"expected two local prices, got shape \(3,\)"):
+                m.find_arb(np.ones(3))
 
     def test_bad_weights_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -2,7 +2,9 @@
 
 import copy
 import math
+import os
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +16,9 @@ from dexroute import generate, oracle, solver
 from dexroute.errors import RejectedTradeError, UnboundedError
 from dexroute.objectives import PRICE_EPS
 from dexroute.solver import SolverConfig
+
+sys.path.append(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+import workloads  # noqa: E402
 
 
 def _two_pool_snapshot():
@@ -679,3 +684,76 @@ class TestInitialPoint:
         expected = np.maximum(expected, np.maximum(obj.bounds()[0], PRICE_EPS))
         assert len(logs) == 3
         assert np.array_equal(dx.initial_point(obj, snap), expected)
+
+
+class TestStepLimits:
+    """Each price falls by at most tenfold a round, and a flat row whose
+    trade would reverse stops just inside its spread."""
+
+    @staticmethod
+    def _ratio(t, nu, direction, floor, a, b):
+        cand = np.maximum(nu + t * direction, floor)
+        return cand[a] / cand[b]
+
+    def test_a_reversing_row_stops_at_the_near_end_on_the_projection_arc(self):
+        # p = 1 starts below bid 20 and the full step takes it to 60 > ask;
+        # nu2 meets its floor at t = 0.1, so p reaches bid at t = 0.2 on the
+        # arc, where the straight line from nu would put it at t = 19/185
+        nu, direction, floor = np.array([1.0, 1.0]), np.array([5.0, -9.0]), np.array([0.1, 0.1])
+        t = solver._first_length(nu, direction, floor, [(0, 1, 20.0, 21.0)])
+        assert t == pytest.approx(0.2, rel=1e-12)
+        assert 20.0 <= self._ratio(t, nu, direction, floor, 0, 1) <= 21.0
+
+    def test_a_root_rounded_outside_the_spread_is_advanced_into_it(self):
+        # here t = h0/(h0 - h1) puts p = 1.4097999999999997, one ulp below
+        # bid, where the row still trades a sliver
+        nu, direction, floor = np.array([1.0, 1.0]), np.array([1.594, 0.0]), np.array([0.1, 0.1])
+        t = solver._first_length(nu, direction, floor, [(0, 1, 1.4098, 1.5)])
+        assert t == pytest.approx(0.4098 / 1.594, rel=1e-12)
+        assert 1.4098 <= self._ratio(t, nu, direction, floor, 0, 1) <= 1.5
+
+    def test_rows_that_do_not_reverse_keep_the_full_step(self):
+        nu, floor = np.array([1.0, 1.0]), np.array([0.1, 0.1])
+        for direction, spread in (([0.5, 0.0], (2.0, 3.0)),    # stays below bid
+                                  ([2.0, 0.0], (2.0, 3.0)),    # enters the spread
+                                  ([5.0, 0.0], (0.5, 0.9))):   # trading the other way, moves away
+            assert solver._first_length(nu, np.array(direction), floor, [(0, 1, *spread)]) == 1.0
+        assert solver._first_length(nu, np.array([5.0, 0.0]), floor, []) == 1.0
+
+    def test_the_first_reversal_on_the_step_sets_the_length(self):
+        nu, direction, floor = np.array([1.0, 1.0, 1.0]), np.array([9.0, 0.0, -0.5]), np.full(3, 0.1)
+        flat = [(0, 1, 4.0, 4.1), (0, 2, 1.5, 1.6)]
+        t = solver._first_length(nu, direction, floor, flat)
+        assert t == min(solver._first_length(nu, direction, floor, [row]) for row in flat)
+        assert 1.5 <= self._ratio(t, nu, direction, floor, 0, 2) <= 1.6
+
+    def test_no_price_falls_more_than_tenfold_in_a_round(self):
+        snap, basket, out = workloads.mixed_snapshot(2, 1)
+        obj = dx.BasketLiquidation(basket, out)
+        lower = np.maximum(obj.bounds()[0], PRICE_EPS)
+        quotes, spreads = solver._quotes(snap), solver._spreads(snap)
+        nu = dx.initial_point(obj, snap)
+        for k in range(3):
+            after = solver.minimize(obj, nu, lower, snap, 0.0, 1, quotes, spreads)[0]
+            assert np.all(after >= np.maximum(lower, nu / 10.0))
+            if k == 0:  # round 1 wants every price but the output token's far lower
+                assert np.count_nonzero(after == nu / 10.0) == snap.n - 1
+            nu = after
+
+    def test_mixed_liquidation_converges_in_few_rounds(self):
+        # round 1 used to send every price but the output token's to its
+        # lower bound, and the loop took 31 rounds to climb back
+        snap, basket, out = workloads.mixed_snapshot(2, 1)
+        sol = dx.solve(snap, dx.BasketLiquidation(basket, out))
+        assert sol.converged
+        assert sol.iterations <= 12
+
+    @pytest.mark.parametrize("n, seed", [(2, 47776), (6, 12715)])
+    def test_a_lone_flat_pool_lands_inside_its_spread(self, n, seed):
+        # the pool is the only market, so nothing trades at the optimum; a
+        # cut that leaves p one ulp outside the spread trades a sliver with
+        # a huge curvature, and one past the far end reverses the trade
+        snap = _random_network(n, ["curve2"], seed)
+        sol = dx.solve(snap, dx.TotalArbitrage(snap.prices))
+        assert sol.converged
+        assert sol.utility == 0.0
