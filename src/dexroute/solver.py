@@ -10,6 +10,15 @@ network trade, so the recovered primal satisfies the coupling constraint by
 construction.  The paper minimizes the same dual with L-BFGS-B; the tests keep
 that as the reference.
 
+Newton steps are taken in square-root prices s = sqrt(nu).  A constant-product
+pool with fee gamma that trades has the arbitrage value
+(sqrt(nu2 R2) - sqrt(nu1 R1 / gamma))^2, and so has a bounded segment's
+interior with its virtual reserves (Angeris et al., arXiv 2204.05238): the
+dual is close to a quadratic in s, where in nu it is a square-root curve and
+each Newton round only about halves the residual.  Where the system in s is
+not positive definite (a row that trades its full liquidity is linear in nu,
+hence concave in s), the round takes the Newton step in nu.
+
 Each Newton round's move is bounded twice, in the manner of a trust region
 (Nocedal and Wright, ch. 4).  No price falls below a tenth of its value, and
 none rises by more than ten times it; without the fall limit, a liquidation's
@@ -26,6 +35,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from . import kernels
 from .core import MarketSnapshot, NetworkTrade, Trade, net_trade
@@ -33,6 +43,7 @@ from .errors import UnboundedError
 from .objectives import PRICE_EPS, Objective
 
 _BOUND_SLACK = 1e-14
+_SQRT10 = math.sqrt(10.0)
 
 
 @dataclass
@@ -249,6 +260,15 @@ def minimize(obj, nu, lower, snapshot, tol, max_rounds, quotes, spreads):
     search fails.  Every evaluation reads the snapshot's `quotes`; `spreads`
     holds each `snapshot.other` row's (bid, ask).
 
+    The system is solved in s = sqrt(nu), where a trading constant-product
+    pool's arbitrage value is a quadratic: with S = diag(s) and H the Hessian
+    in nu on the free set, the gradient is 2 s*grad and the Hessian
+    4 S H S + 2 diag(grad), factored once by Cholesky.  A free price whose
+    row of that Hessian is zero (no gradient, no curvature) keeps its value.
+    The step is mapped back as max(s + ds, s/sqrt(10))^2 - nu.  Where
+    Cholesky refuses the matrix, the round takes the Newton step in nu.
+    Either way the step is a move in nu, and everything below acts on nu.
+
     Two limits bound a round's move:
     - Each price falls to no less than a tenth of its value, and the step is
       scaled so that none rises by more than ten times it.  Without the fall
@@ -277,11 +297,22 @@ def minimize(obj, nu, lower, snapshot, tol, max_rounds, quotes, spreads):
         if idx.size == 0:
             break
         hess = _hessian(snapshot, nu, rows)[np.ix_(idx, idx)]
-        reg = 1e-12 * max(1.0, float(np.abs(hess).max()))
+        # Newton in s = sqrt(nu); a price with neither gradient nor curvature
+        # stays where it is
+        s, gi = np.sqrt(nu[idx]), grad[idx]
+        hs = 4.0 * s[:, None] * hess * s + np.diag(2.0 * gi)
+        live = np.any(hs != 0.0, axis=1)
+        ds = np.zeros_like(s)
         try:
-            step = np.linalg.solve(hess + reg * np.eye(idx.size), -grad[idx])
-        except np.linalg.LinAlgError:
-            break
+            factor = scipy.linalg.cho_factor(hs[np.ix_(live, live)])
+            ds[live] = scipy.linalg.cho_solve(factor, -2.0 * (s * gi)[live])
+            step = np.maximum(s + ds, s / _SQRT10) ** 2 - nu[idx]
+        except np.linalg.LinAlgError:  # not convex in s: the Newton step in nu
+            reg = 1e-12 * max(1.0, float(np.abs(hess).max()))
+            try:
+                step = np.linalg.solve(hess + reg * np.eye(idx.size), -gi)
+            except np.linalg.LinAlgError:
+                break
         # a price with no curvature behind it would take a 1/reg step
         step /= max(1.0, float(np.max(np.abs(step) / nu[idx])) / 10.0)
         direction, floor = np.zeros_like(nu), nu.copy()

@@ -686,6 +686,40 @@ class TestInitialPoint:
         assert np.array_equal(dx.initial_point(obj, snap), expected)
 
 
+def _cpmm_network(seed, n=8, m=20):
+    """Fee-free constant-product pools on random pairs, as in `_random_network`."""
+    r = np.random.default_rng(seed)
+    markets = []
+    for i in range(m):
+        a = int(r.integers(n)) if i else 0
+        b = int((a + 1 + r.integers(n - 1)) % n) if i else 1
+        markets.append(dx.GeomMeanMarket(r.uniform(1000.0, 2000.0, 2), (0.5, 0.5), 1.0, dx.TokenMap((a, b))))
+    uni = dx.AssetUniverse(tuple(f"T{j}" for j in range(n)))
+    return dx.MarketSnapshot(uni, markets, prices=r.uniform(0.2, 1.0, n))
+
+
+class TestSqrtPriceNewton:
+    """A fee-free constant-product pool's arbitrage value is
+    (sqrt(nu2 R2) - sqrt(nu1 R1))^2, so on these networks the dual is a
+    quadratic in s = sqrt(nu) and Newton in s lands near the optimum at once;
+    Newton in nu took 5-7 rounds here."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fee_free_constant_product_networks_converge_in_few_rounds(self, seed):
+        snap = _cpmm_network(seed)
+        sol = dx.solve(snap, dx.TotalArbitrage(snap.prices))
+        assert sol.converged
+        assert sol.iterations <= 3
+        basket = np.zeros(snap.n)
+        basket[0] = 50.0
+        sol = dx.solve(snap, dx.BasketLiquidation(basket, 1))
+        assert sol.converged
+        # the liquidation seed prices a token that one pool quotes against
+        # the output token exactly at that pool's spot, where a fee-free pool
+        # reports no curvature; seed 3 takes 5 rounds for it, the rest 2-3
+        assert sol.iterations <= 5
+
+
 class TestStepLimits:
     """Each price falls by at most tenfold a round, and a flat row whose
     trade would reverse stops just inside its spread."""
@@ -736,17 +770,18 @@ class TestStepLimits:
         for k in range(3):
             after = solver.minimize(obj, nu, lower, snap, 0.0, 1, quotes, spreads)[0]
             assert np.all(after >= np.maximum(lower, nu / 10.0))
-            if k == 0:  # round 1 wants every price but the output token's far lower
-                assert np.count_nonzero(after == nu / 10.0) == snap.n - 1
+            if k == 0:  # round 1 wants some prices far lower, and the floor binds
+                assert np.count_nonzero(after == nu / 10.0) >= 1
             nu = after
 
     def test_mixed_liquidation_converges_in_few_rounds(self):
         # round 1 used to send every price but the output token's to its
-        # lower bound, and the loop took 31 rounds to climb back
+        # lower bound, and the loop took 31 rounds to climb back; with the
+        # floor, Newton in nu took 11
         snap, basket, out = workloads.mixed_snapshot(2, 1)
         sol = dx.solve(snap, dx.BasketLiquidation(basket, out))
         assert sol.converged
-        assert sol.iterations <= 12
+        assert sol.iterations <= 8
 
     @pytest.mark.parametrize("n, seed", [(2, 47776), (6, 12715)])
     def test_a_lone_flat_pool_lands_inside_its_spread(self, n, seed):
