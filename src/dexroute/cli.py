@@ -96,7 +96,8 @@ def cmd_route(args) -> int:
         _fail(EXIT_UNBOUNDED, str(e))
     _write(_solution_json(sol), args.out)
     if not sol.converged:
-        print(f"warning: not converged after {sol.iterations} iterations", file=sys.stderr)
+        print(f"warning: not converged after {sol.iterations} rounds, "
+              f"projected residual {sol.coupling_residual:.3g}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
     return 0
 

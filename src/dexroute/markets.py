@@ -2,7 +2,8 @@
 
 Every market trades two assets and answers one question: given local prices
 (nu1, nu2) > 0, which trade maximizes nu.(received - tendered) over the
-market's trading set?  The answer is a kernel row: trade, value, curvature.
+market's trading set?  The answer, `ArbResult`, is a kernel row in kernel
+order (t1, o2, t2, o1, value, curvature); its `trade` is built on request.
 Geometric-mean and bounded-product markets answer in closed form: each names
 its kernel in `kernel`, keeps its arguments as one column of a block of that
 kernel's arguments (`_row()` reads it) and reads its quotes from the kernels'
@@ -30,7 +31,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -50,19 +51,25 @@ _BISECT_MAXIT = 200
 _BRACKET_CAP = 1e30
 
 
-@dataclass(frozen=True)
-class ArbResult:
-    """Optimal trade for one market at given local prices, its value, and its
-    curvature d(received1 - tendered1)/dnu1, 0 where nothing trades."""
+class ArbResult(NamedTuple):
+    """One market's optimal arbitrage at given local prices as its kernel row:
+    tender t1 of local asset 1 for o2 of asset 2, or t2 for o1; the value;
+    and the curvature d(o1 - t1)/dnu1, 0 where nothing trades."""
 
-    trade: Trade
+    t1: float
+    o2: float
+    t2: float
+    o1: float
     objective_value: float
     curvature: float
 
+    @property
+    def trade(self) -> Trade:
+        """The trade as a validated `Trade`, built on request."""
+        return Trade(np.array([self.t1, self.t2]), np.array([self.o1, self.o2]))
 
-def _result(t1, o2, t2, o1, value, curvature) -> ArbResult:
-    """The `ArbResult` of one kernel row (t1, o2, t2, o1, value, curvature)."""
-    return ArbResult(Trade(np.array([t1, t2]), np.array([o1, o2])), float(value), float(curvature))
+
+_NO_ARB = ArbResult(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def _two_reserves(reserves) -> tuple[np.ndarray, float, float]:
@@ -89,7 +96,8 @@ def _kernel_arb(kernel: str, cols, nu) -> ArbResult:
     """The summed rows of `kernel` over the argument columns cols, all at local prices nu."""
     nu1, nu2 = _check_prices(nu)
     s = len(cols[0])
-    return _result(*getattr(kernels, kernel)(*cols, np.full(s, nu1), np.full(s, nu2)).sum(axis=1))
+    rows = getattr(kernels, kernel)(*cols, np.full(s, nu1), np.full(s, nu2))
+    return ArbResult(*rows.sum(axis=1).tolist())
 
 
 class _Field:
@@ -534,7 +542,7 @@ class GenericSwapMarket:
         p = nu1 / nu2
         bid, ask = self.spread()
         if bid <= p <= ask:
-            return _result(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+            return _NO_ARB
         direction, nu_in, nu_out = (1, nu1, nu2) if p < bid else (2, nu2, nu1)
         # the trade tenders delta where the impact falls to target: bracket
         # it by growing hi fourfold, then bisect, keeping the impact at hi
@@ -559,7 +567,7 @@ class GenericSwapMarket:
         lam = self.forward_exchange(delta, direction)
         value = nu_out * lam - nu_in * delta
         if value <= 0.0 or delta <= 0.0:
-            return _result(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+            return _NO_ARB
         # the trade solves I(delta) = nu_in/nu_out; its derivative in nu1
         # follows by the implicit-function theorem.  A trade stopped at
         # capacity, where the impact at hi is zero, does not move with nu1
@@ -568,7 +576,7 @@ class GenericSwapMarket:
         if di < 0.0:
             curvature = -1.0 / (nu2 * di) if direction == 1 else -nu2 * nu2 / (nu1 ** 3 * di)
         row = (delta, lam, 0.0, 0.0) if direction == 1 else (0.0, 0.0, delta, lam)
-        return _result(*row, value, curvature)
+        return ArbResult(*row, value, curvature)
 
     def apply_trade(self, trade: Trade):
         raise ConfigurationError("generic swap markets carry no reserve state")

@@ -2,7 +2,10 @@
 
 Nothing here reuses the closed-form arbitrage or forward-exchange code in
 `markets`: outputs are re-derived from the trading functions themselves by
-bisection, so a shared bug cannot cancel out.
+bisection, so a shared bug cannot cancel out; `naive_aggregate_arb` alone
+sums the segments' own `find_arb` rows, to check the aggregation.  Only the
+return type is shared: `grid_arb` and `naive_aggregate_arb` return a
+`markets.ArbResult`, the kernel-order row whose `trade` is built on request.
 """
 
 from __future__ import annotations
@@ -85,7 +88,7 @@ def grid_arb(market, nu, grid_step: float, bracket: float | None = None) -> ArbR
     By concavity the best grid point is within one cell of the optimum.
     """
     nu = np.asarray(nu, dtype=float)
-    best = ArbResult(Trade.zero(), 0.0, 0.0)
+    best = ArbResult(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     for direction in (1, 2):
         nu_in, nu_out = (nu[0], nu[1]) if direction == 1 else (nu[1], nu[0])
         rout = market.reserves[1] if direction == 1 else market.reserves[0]
@@ -103,27 +106,17 @@ def grid_arb(market, nu, grid_step: float, bracket: float | None = None) -> ArbR
         objs = nu_out * outs - nu_in * deltas
         j = int(np.argmax(objs))
         if objs[j] > best.objective_value:
-            d, lam = deltas[j], outs[j]
-            local = (np.array([d, 0.0]), np.array([0.0, lam]))
-            if direction == 2:
-                local = (local[0][::-1], local[1][::-1])
-            best = ArbResult(Trade(*local), float(objs[j]), math.nan)  # no curvature on a grid
+            d, lam = float(deltas[j]), float(outs[j])
+            row = (d, lam, 0.0, 0.0) if direction == 1 else (0.0, 0.0, d, lam)
+            best = ArbResult(*row, float(objs[j]), math.nan)  # no curvature on a grid
     return best
 
 
 def naive_aggregate_arb(market: AggregateMarket, nu) -> ArbResult:
-    """Per-segment loop of scalar solves; the batched aggregate path must
-    reproduce this."""
-    tendered = np.zeros(2)
-    received = np.zeros(2)
-    obj = curvature = 0.0
-    for seg in market.segments:
-        res = seg.find_arb(nu)
-        tendered += res.trade.tendered
-        received += res.trade.received
-        obj += res.objective_value
-        curvature += res.curvature
-    return ArbResult(Trade(tendered, received), obj, curvature)
+    """Per-segment loop of scalar solves, summed row by row; the batched
+    aggregate path must reproduce this."""
+    rows = [seg.find_arb(nu) for seg in market.segments]
+    return ArbResult(*np.sum(rows, axis=0).tolist())
 
 
 # ---------------------------------------------------------------------------

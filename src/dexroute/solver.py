@@ -35,7 +35,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import kernels
 from .core import MarketSnapshot, NetworkTrade, Trade, net_trade
@@ -94,9 +93,8 @@ def _spreads(snapshot: MarketSnapshot) -> list[tuple[float, float]]:
 
 
 def _arb(snapshot: MarketSnapshot, nu1, nu2, quotes) -> np.ndarray:
-    """Every row's optimal arbitrage at local prices (nu1, nu2): the rows
-    t1, o2, t2, o1, value and curvature d(o1 - t1)/dnu1, in row order.
-    Direction 1 tenders t1 of local asset 1 and receives o2 of asset 2."""
+    """Every row's optimal arbitrage at local prices (nu1, nu2), one kernel
+    row (t1, o2, t2, o1, value, curvature) per column, in row order."""
     rows = np.zeros((6, nu1.shape[0]))
     for name, block in snapshot.blocks.items():
         idx = snapshot.block_rows[name]
@@ -104,11 +102,9 @@ def _arb(snapshot: MarketSnapshot, nu1, nu2, quotes) -> np.ndarray:
         rows[:, idx] = getattr(kernels, name)(*block, nu1[idx], nu2[idx], quotes[name])
     for r, mkt in snapshot.other:
         try:
-            res = mkt.find_arb(np.array([nu1[r], nu2[r]]))
+            rows[:, r] = mkt.find_arb(np.array([nu1[r], nu2[r]]))
         except UnboundedError as e:
             raise UnboundedError(f"market {snapshot.owner[r]}: {e}") from e
-        (t1, t2), (o1, o2) = res.trade.tendered, res.trade.received
-        rows[:, r] = (t1, o2, t2, o1, res.objective_value, res.curvature)
     return rows
 
 
@@ -283,6 +279,7 @@ def minimize(obj, nu, lower, snapshot, tol, max_rounds, quotes, spreads):
       trade flips direction round after round.
     Returns nu, the `_eval` result there and the number of rounds.
     """
+    import scipy.linalg  # deferred: `import dexroute` need not load it
     flat = [(int(snapshot.i1[r]), int(snapshot.i2[r]), bid, ask)
             for (r, _), (bid, ask) in zip(snapshot.other, spreads)]
     ev = _eval(obj, nu, snapshot, quotes)

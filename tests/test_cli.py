@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -46,6 +49,16 @@ class TestGen:
         run(["gen", "--m", "6", "--seed", "1", "--out", str(p)])
         snap = dx.load_snapshot(p)
         assert snap.m == 6
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    """A one-shot `dexroute route` process does not pay for `scipy.linalg`
+    until a solve factors its first Newton system."""
+    src = os.path.dirname(os.path.dirname(dx.__file__))
+    code = f"import sys; sys.path.insert(0, {src!r}); import dexroute.cli; print(sorted(sys.modules))"
+    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True).stdout
+    assert "'dexroute.solver'" in loaded and "'scipy.linalg'" not in loaded
 
 
 class TestRoute:
@@ -150,7 +163,7 @@ class TestRoute:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_nonconvergence_exits_2_with_output(self, snapshot_path, tmp_path):
+    def test_nonconvergence_exits_2_with_output(self, snapshot_path, tmp_path, capsys):
         out = tmp_path / "sol.json"
         code = run([
             "route", "--snapshot", str(snapshot_path), "--objective", "arbitrage",
@@ -159,6 +172,12 @@ class TestRoute:
         assert code == 2
         doc = json.loads(out.read_text())  # partial result still written
         assert doc["converged"] is False
+        snap = dx.load_snapshot(snapshot_path)
+        sol = dx.solve(snap, dx.TotalArbitrage(snap.prices),
+                       dx.SolverConfig(max_iterations=1, gradient_tolerance=1e-300))
+        assert sol.iterations == doc["iterations"] == 1 and sol.coupling_residual > 0.0
+        assert capsys.readouterr().err == (
+            f"warning: not converged after 1 rounds, projected residual {sol.coupling_residual:.3g}\n")
 
 
 def _one_market_snapshot(market: dict) -> dict:

@@ -36,7 +36,7 @@ class TestAgainstScalarPath:
     def test_gmean_batch_matches_find_arb(self):
         rng = np.random.default_rng(1)
         b = _random_gmean_batch(rng, 300)
-        t1, o2, t2, o1, obj, _ = kernels.gmean_arb_batch(
+        rows = kernels.gmean_arb_batch(
             b["r1"], b["r2"], b["w1"], 1.0 - b["w1"], b["fee"], b["nu1"], b["nu2"]
         )
         for i in range(300):
@@ -47,11 +47,7 @@ class TestAgainstScalarPath:
                 dx.TokenMap((0, 1)),
             )
             res = m.find_arb(np.array([b["nu1"][i], b["nu2"][i]]))
-            assert t1[i] == pytest.approx(res.trade.tendered[0], rel=1e-12, abs=1e-12)
-            assert t2[i] == pytest.approx(res.trade.tendered[1], rel=1e-12, abs=1e-12)
-            assert o1[i] == pytest.approx(res.trade.received[0], rel=1e-12, abs=1e-12)
-            assert o2[i] == pytest.approx(res.trade.received[1], rel=1e-12, abs=1e-12)
-            assert obj[i] == pytest.approx(res.objective_value, rel=1e-12, abs=1e-12)
+            assert rows[:, i].tolist() == pytest.approx(list(res), rel=1e-12, abs=1e-12)
 
     def test_bounded_batch_matches_find_arb(self):
         rng = np.random.default_rng(2)
@@ -59,7 +55,7 @@ class TestAgainstScalarPath:
         keep = (b["r1"] + b["alpha"] > 1e-9) & (b["r2"] + b["beta"] > 1e-9)
         for key in b:
             b[key] = b[key][keep]
-        t1, o2, t2, o1, obj, _ = kernels.bounded_arb_batch(
+        rows = kernels.bounded_arb_batch(
             b["r1"], b["r2"], b["alpha"], b["beta"], b["fee"], b["nu1"], b["nu2"]
         )
         for i in range(len(b["r1"])):
@@ -71,10 +67,7 @@ class TestAgainstScalarPath:
                 dx.TokenMap((0, 1)),
             )
             res = m.find_arb(np.array([b["nu1"][i], b["nu2"][i]]))
-            assert t1[i] == pytest.approx(res.trade.tendered[0], rel=1e-12, abs=1e-12)
-            assert t2[i] == pytest.approx(res.trade.tendered[1], rel=1e-12, abs=1e-12)
-            assert o1[i] == pytest.approx(res.trade.received[0], rel=1e-12, abs=1e-12)
-            assert o2[i] == pytest.approx(res.trade.received[1], rel=1e-12, abs=1e-12)
+            assert rows[:, i].tolist() == pytest.approx(list(res), rel=1e-12, abs=1e-12)
 
 
 def _gmean_case(b, nu1):
