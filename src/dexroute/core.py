@@ -12,7 +12,7 @@ import gc
 import json
 import operator
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,6 +48,8 @@ class TokenMap:
 
     def __post_init__(self):
         try:
+            if any(isinstance(i, bool) for i in self.global_indices):
+                raise TypeError("a boolean is not an index")
             idx = tuple(map(operator.index, self.global_indices))
         except TypeError as e:
             raise ConfigurationError(
@@ -138,9 +140,10 @@ class MarketSnapshot:
     in `markets`, a tuple, are views on their columns, so `swap` and
     `update_liquidity` through them change what the next solve reads.
 
-    `MarketSnapshot(universe, markets)` stacks the objects' rows once and
-    binds them; a market bound to another snapshot is copied in, not moved.
-    A copy, deep copy or pickle of a snapshot owns its own columns.
+    A snapshot owns its markets: `MarketSnapshot(universe, markets)` stacks
+    the objects' rows into new blocks and builds its markets on them, and
+    never changes the objects it is given.  So does a copy, deep copy or
+    pickle of a snapshot.
     """
 
     def __init__(self, universe: AssetUniverse, markets, generator: str | None = None,
@@ -170,31 +173,12 @@ class MarketSnapshot:
         return len(self.markets)
 
 
-def _unbound(markets) -> tuple:
-    """The markets, each one copied if a view in it is bound to a snapshot's
-    block, comes earlier in the list or repeats in the market, so that every
-    view gets a column.  A copy is made part by part: `copy.deepcopy` would
-    keep a segment listed twice in an aggregate one object."""
-    seen, out = set(), []
-    for mkt in markets:
-        views = [p for p in getattr(mkt, "segments", (mkt,)) if hasattr(p, "_tok")]
-        ids = {id(p) for p in views}
-        if (len(ids) < len(views) or not seen.isdisjoint(ids)
-                or any(isinstance(p._tok, np.ndarray) for p in views)):
-            mkt = copy.copy(mkt)  # a view's copy owns its column
-            if hasattr(mkt, "segments"):
-                mkt.segments = [copy.copy(p) for p in mkt.segments]
-        else:
-            seen |= ids
-        out.append(mkt)
-    return tuple(out)
-
-
 def _stack(markets, n: int) -> tuple:
-    """The snapshot columns of market objects over n assets, with every part
-    that names a kernel bound to its column (`_unbound` copies a market first
-    if needed)."""
-    markets = _unbound(markets)
+    """The snapshot columns of market objects over n assets, with markets of
+    its own: each part that names a kernel a view on its row of a new block,
+    each aggregate a new one over such views and each other market a deep
+    copy.  The objects passed in are only read."""
+    markets = tuple(markets)
     # kernel name (None: no kernel) -> (rows, parts); a tuple per row instead
     # would give the garbage collector one more object per market to chase
     groups, owner, tokens = defaultdict(lambda: ([], [])), [], []
@@ -208,16 +192,17 @@ def _stack(markets, n: int) -> tuple:
             parts.append(part)
             owner.append(i)
             tokens.append(pair)
-    other = list(zip(*groups.pop(None, ((), ()))))
+    other = [(r, copy.deepcopy(p)) for r, p in zip(*groups.pop(None, ((), ())))]
     i1, i2 = np.array(tokens, dtype=np.intp).reshape(-1, 2).T.copy()
-    blocks, block_rows = {}, {}
+    blocks, block_rows, own = {}, {}, {None: iter([mkt for _, mkt in other])}
     for name, (rows, parts) in groups.items():
         idx = block_rows[name] = np.array(rows, dtype=np.intp)
         block = blocks[name] = kernels.columns(parts)
         tok = np.stack([i1[idx], i2[idx]])
-        for j, part in enumerate(parts):
-            part._bind(block, tok, j)
-    return markets, np.array(owner, dtype=np.intp), i1, i2, blocks, block_rows, other
+        own[name] = iter([type(p)._view(block, tok, j) for j, p in enumerate(parts)])
+    owned = [replace(mkt, segments=[next(own[s.kernel]) for s in mkt.segments])
+             if hasattr(mkt, "segments") else next(own[mkt.kernel]) for mkt in markets]
+    return tuple(owned), np.array(owner, dtype=np.intp), i1, i2, blocks, block_rows, other
 
 
 def net_trade(snapshot: MarketSnapshot, tendered, received) -> NetworkTrade:

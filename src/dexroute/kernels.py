@@ -10,7 +10,8 @@ All kernels return one (6, m) array with the rows (tendered1, received2,
 tendered2, received1, objective, curvature): direction 1 tenders asset 1 and
 receives asset 2, and the curvature is d(received1 - tendered1)/dnu1, the
 (1, 1) entry of the market's Hessian block.  It is 0 where nothing trades or
-the trade is full liquidity.
+the trade is full liquidity, except at a fee-free gmean pool's spot, where
+the curvatures from both sides agree.
 
 Each kernel takes, after the prices, an optional `quote`: the result of its
 quote function (`QUOTES`) on the same columns.  The quote does not depend on
@@ -71,8 +72,11 @@ def gmean_arb_batch(r1, r2, w1, w2, fee, nu1, nu2, quote=None):
     h = np.where(two, q * nu_in / (nu_out * nu_out), q / nu_in)
     keep = ((p < bid) | two) & (val > 0.0)
     one, two = keep & ~two, keep & two
+    # a fee-free pool exactly at its spot trades nothing, but its curvatures
+    # from both sides agree there, with direction 1's worked out for the row
+    spot = (p == bid) & (p == ask)
     return np.stack([np.where(one, d, 0.0), np.where(one, lam, 0.0), np.where(two, d, 0.0),
-                     np.where(two, lam, 0.0), np.where(keep, val, 0.0), np.where(keep, h, 0.0)])
+                     np.where(two, lam, 0.0), np.where(keep, val, 0.0), np.where(keep | spot, h, 0.0)])
 
 
 # ---------------------------------------------------------------------------

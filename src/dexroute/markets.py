@@ -142,16 +142,14 @@ class _KernelRow:
         for ok, message in self.rules:
             if not ok(*row):
                 raise ConfigurationError(message.format(**shown))
-        self._bind(np.array(row)[:, None], token_map, 0)
-
-    def _bind(self, block: np.ndarray, tok, j: int):
-        self._block, self._tok, self._j = block, tok, j
-        return self
+        self._block, self._tok, self._j = np.array(row)[:, None], token_map, 0
 
     @classmethod
     def _view(cls, block: np.ndarray, tok, j: int):
         """A market of this type whose fields are column j of block."""
-        return cls.__new__(cls)._bind(block, tok, j)
+        view = cls.__new__(cls)
+        view._block, view._tok, view._j = block, tok, j
+        return view
 
     def __reduce__(self):
         return self._view, (self._cols().copy(), self.token_map, 0)
@@ -752,6 +750,9 @@ def read_columns(docs: list, n: int) -> tuple | None:
         if (not set(kind) <= code.keys() or tok.shape != (len(docs), 2) or tok.dtype.kind not in "iu"
                 or 0 in sizes or tok.min() < 0 or tok.max() >= n or (tok[:, 0] == tok[:, 1]).any()):
             return None
+        # JSON true and false join an integer array as 1 and 0; `TokenMap` refuses them
+        if any(type(t) is bool for i in np.flatnonzero(tok.min(axis=1) <= 1) for t in docs[i]["tokens"]):
+            return None
         # each closed type's entries; an aggregate's segments take its fee
         entries = ([d for d, k in zip(docs, kind) if k == "gmean"],
                    [e for d, k in zip(docs, kind) if code[k] == 1
@@ -760,6 +761,8 @@ def read_columns(docs: list, n: int) -> tuple | None:
         row_code = np.repeat([code[k] for k in kind], sizes)
         owner = np.repeat(np.arange(len(docs), dtype=np.intp), sizes)
         i1, i2 = (np.repeat(tok[:, a].astype(np.intp), sizes) for a in (0, 1))
+        curve2 = [market_from_dict(d) for d, k in zip(docs, kind) if k == "curve2"]
+        other = list(zip(np.flatnonzero(row_code == 2).tolist(), curve2))
         blocks, block_rows, views = {}, {}, []
         for c, cls in enumerate(closed):
             block = np.ascontiguousarray(np.concatenate(
@@ -772,18 +775,11 @@ def read_columns(docs: list, n: int) -> tuple | None:
                 blocks[cls.kernel], block_rows[cls.kernel] = block, idx
             tokens = np.stack([i1[idx], i2[idx]])
             views.append(iter([cls._view(block, tokens, j) for j in range(idx.size)]))
-        markets, other, row = [], [], 0
-        for d, k, size in zip(docs, kind, sizes):
-            if k == "aggregate":
-                segments = [next(views[1]) for _ in range(size)]
-                mkt = AggregateMarket(segments, float(d["fee"]), TokenMap(tuple(d["tokens"])))
-            elif k == "curve2":
-                mkt = market_from_dict(d)
-                other.append((row, mkt))
-            else:
-                mkt = next(views[code[k]])
-            markets.append(mkt)
-            row += size
+        views.append(iter(curve2))
+        markets = tuple(AggregateMarket([next(views[1]) for _ in range(size)], float(d["fee"]),
+                                        TokenMap(tuple(d["tokens"])))
+                        if k == "aggregate" else next(views[code[k]])
+                        for d, k, size in zip(docs, kind, sizes))
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError):
         return None
-    return tuple(markets), owner, i1, i2, blocks, block_rows, other
+    return markets, owner, i1, i2, blocks, block_rows, other

@@ -28,6 +28,8 @@ from .markets import (
 from .objectives import BasketLiquidation, Objective, TotalArbitrage
 
 _FWD_ITERS = 80
+_TERNARY_ITERS = 130
+_PG_STEPS = 2000
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,7 @@ def reference_forward(market, delta, direction: int = 1):
     return lo
 
 
-def grid_arb(market, nu, grid_step: float, bracket: float | None = None) -> ArbResult:
+def grid_arb(market, nu, grid_step: float) -> ArbResult:
     """Exhaustive grid search over both trade directions.
 
     By concavity the best grid point is within one cell of the optimum.
@@ -97,8 +99,6 @@ def grid_arb(market, nu, grid_step: float, bracket: float | None = None) -> ArbR
             dmax = market.max_input(direction)
             if math.isfinite(dmax):
                 cap = min(cap, dmax)
-        if bracket is not None:
-            cap = min(cap, bracket)
         if cap <= 0.0:
             continue
         deltas = np.arange(0.0, cap + grid_step, grid_step)
@@ -123,7 +123,7 @@ def naive_aggregate_arb(market: AggregateMarket, nu) -> ArbResult:
 # Batched ternary-search reference for geometric-mean markets
 # ---------------------------------------------------------------------------
 
-def gmean_reference_objective(r1, r2, w1, w2, fee, nu1, nu2, ternary_iters: int = 130):
+def gmean_reference_objective(r1, r2, w1, w2, fee, nu1, nu2):
     """Optimal arbitrage value for a batch of geometric-mean markets,
     computed from the trading function only (bisected forward exchange +
     ternary search on the concave objective)."""
@@ -144,7 +144,7 @@ def gmean_reference_objective(r1, r2, w1, w2, fee, nu1, nu2, ternary_iters: int 
     def best(rin, rout, win, wout, g, nu_in, nu_out):
         lo = np.zeros_like(rin)
         hi = nu_out * rout / nu_in  # objective negative beyond this input
-        for _ in range(ternary_iters):
+        for _ in range(_TERNARY_ITERS):
             m1 = lo + (hi - lo) / 3.0
             m2 = hi - (hi - lo) / 3.0
             v1 = nu_out * fwd(m1, rin, rout, win, wout, g) - nu_in * m1
@@ -178,12 +178,7 @@ def _value_vec(obj: Objective, n: int) -> np.ndarray:
     return v
 
 
-def primal_projected_gradient(
-    snapshot: MarketSnapshot,
-    obj: Objective,
-    steps: int = 2000,
-    rate: float = 1.0,
-) -> OracleResult:
+def primal_projected_gradient(snapshot: MarketSnapshot, obj: Objective) -> OracleResult:
     """Best-effort primal maximizer over per-market tendered amounts.
 
     One signed variable per market (sign picks the tendered asset); outputs
@@ -232,8 +227,8 @@ def primal_projected_gradient(
     x = np.zeros(m)
     fx = penalized(x)
     scale = np.maximum(1.0, np.abs(hi_x - lo_x)) * 1e-7
-    step = rate
-    for _ in range(steps):
+    step = 1.0
+    for _ in range(_PG_STEPS):
         grad = np.empty(m)
         for i in range(m):
             e = np.zeros(m)

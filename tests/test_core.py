@@ -191,6 +191,8 @@ class TestLoaderErrors:
          "market 37: aggregate market needs at least one segment"),
         ({**_GMEAN, "tokens": [0, 1.5]}, ConfigurationError,
          "market 37: token map indices must be integers: (0, 1.5)"),
+        ({**_GMEAN, "tokens": [True, False]}, ConfigurationError,
+         "market 37: token map indices must be integers: (True, False)"),
         ({**_BOUNDED, "tokens": [3, 3]}, ConfigurationError,
          "market 37: token map indices must be distinct: (3, 3)"),
         ({**_GMEAN, "tokens": [-1, 2]}, ConfigurationError,
@@ -211,7 +213,7 @@ class TestLoaderErrors:
          "market 37: float() argument must be a string or a real number, not 'list'"),
     ], ids=["gmean-weights", "gmean-fee", "gmean-reserves", "three-reserves", "bounded-reserves",
             "bounded-offsets", "bounded-fee", "bounded-virtual-reserves", "segment-offsets",
-            "no-segments", "fractional-token", "repeated-token", "negative-token",
+            "no-segments", "fractional-token", "boolean-token", "repeated-token", "negative-token",
             "token-outside-universe", "token-beyond-int64", "three-tokens", "unknown-type",
             "missing-field",
             "non-numeric-fee", "null-fee", "list-alpha"])

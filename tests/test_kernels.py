@@ -90,10 +90,13 @@ class TestCurvatureRow:
         b = batch(np.random.default_rng(3), 2000)
         nu1 = b["nu1"]
         nu1[:500] = (b["nu2"] * case(b, nu1)[1])[:500]  # at the spot price nothing trades
-        (t1, _, t2, _, _, curv), _ = case(b, nu1)
+        (t1, _, t2, _, _, curv), spot = case(b, nu1)
         idle = (t1 == 0.0) & (t2 == 0.0)
         assert idle.sum() > 400
-        assert np.all(curv[idle] == 0.0)
+        # of the rows that trade nothing only a fee-free gmean pool exactly at
+        # its spot has a curvature, the same from both sides
+        flat = (case is _gmean_case) & (b["fee"] == 1.0) & (nu1 / b["nu2"] == spot)
+        assert np.array_equal(curv[idle] != 0.0, flat[idle])
         h = 1e-6 * nu1
         plus, minus = case(b, nu1 + h)[0], case(b, nu1 - h)[0]
         fd = ((plus[3] - plus[0]) - (minus[3] - minus[0])) / (2.0 * h)
@@ -101,6 +104,23 @@ class TestCurvatureRow:
         interior = (plus[5] > 0.0) & (minus[5] > 0.0) & ((plus[0] > 0.0) == (minus[0] > 0.0))
         assert interior.sum() > 1000
         np.testing.assert_allclose(curv[interior], fd[interior], rtol=1e-6)
+
+    def test_a_fee_free_gmean_pool_at_its_spot_keeps_its_curvature(self):
+        """Nothing trades there, but the one-sided curvatures from both
+        directions are equal, r1/((eta1 + 1) nu1), and so is the central
+        difference of the kernel's received1 - tendered1."""
+        b = _random_gmean_batch(np.random.default_rng(4), 200)
+        b["fee"], b["nu2"] = np.ones(200), np.ones(200)
+        nu1 = _gmean_case(b, b["nu1"])[1]  # p = nu1 / 1 is the spot bit for bit
+        (t1, _, t2, _, _, curv), _ = _gmean_case(b, nu1)
+        assert not (t1.any() or t2.any())
+        eta1 = b["w1"] / (1.0 - b["w1"])
+        np.testing.assert_allclose(curv, b["r1"] / ((eta1 + 1.0) * nu1), rtol=1e-12)
+        h = 1e-6 * nu1
+        plus, minus = _gmean_case(b, nu1 + h)[0], _gmean_case(b, nu1 - h)[0]
+        assert (plus[2] > 0.0).all() and (minus[0] > 0.0).all()  # one step into each direction
+        fd = ((plus[3] - plus[0]) - (minus[3] - minus[0])) / (2.0 * h)
+        np.testing.assert_allclose(curv, fd, rtol=1e-5)
 
 
 def _mixed_batches(rng, m):
@@ -161,7 +181,8 @@ def _masked_gmean(r1, r2, w1, w2, fee, nu1, nu2):
     bid, ask = kernels.gmean_quote(r1, r2, w1, w2, fee)
     p = nu1 / nu2
     out = np.zeros((6, r1.shape[0]))
-    for t, o, mask, *cols in ((0, 1, p < bid, r1, r2, w1 / w2, fee, nu1, nu2),
+    spot = (p == bid) & (p == ask)  # a fee-free pool at its spot: direction 1's curvature only
+    for t, o, mask, *cols in ((0, 1, (p < bid) | spot, r1, r2, w1 / w2, fee, nu1, nu2),
                               (2, 3, p > ask, r2, r1, w2 / w1, fee, nu2, nu1)):
         rin, rout, eta, f, nu_in, nu_out = (x[mask] for x in cols)
         ratio = eta * f * nu_out * rout / (nu_in * rin)
@@ -170,8 +191,9 @@ def _masked_gmean(r1, r2, w1, w2, fee, nu1, nu2):
         val = nu_out * lam - nu_in * d
         q = (rin + f * d) / ((eta + 1.0) * f)
         h = q / nu_in if t == 0 else q * nu_in / (nu_out * nu_out)
+        trades = (val > 0.0) & ~spot[mask]
         for row, x in zip((t, o, 4, 5), (d, lam, val, h)):
-            out[row][mask] = np.where(val > 0.0, x, 0.0)
+            out[row][mask] = np.where(trades | (row == 5) & spot[mask], x, 0.0)
     return out
 
 

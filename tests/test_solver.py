@@ -141,7 +141,8 @@ class TestGenericMarketRoutes:
             lambda d: pool.forward_exchange(d, 1), lambda d: pool.forward_exchange(d, 2),
             lambda d: pool.price_impact(d, 1), lambda d: pool.price_impact(d, 2), pool.token_map)
         swapped = dx.MarketSnapshot(snap.universe, [*snap.markets[:-1], wrapped])
-        assert [mk for _, mk in swapped.other] == [wrapped]
+        [(_, own)] = swapped.other
+        assert own is not wrapped and type(own) is dx.GenericSwapMarket
         ref, sol = dx.solve(snap, obj), dx.solve(swapped, obj)
         assert ref.converged and sol.converged
         assert ref.utility > 0.0 and np.any(sol.tendered[-1] > 0.0)
@@ -373,13 +374,53 @@ class TestSnapshotViews:
         pool = dx.GeomMeanMarket(np.array([100.0, 400.0]), (0.5, 0.5), 1.0, dx.TokenMap((0, 1)))
         ladder = generate.make_ladder(3, seed=2)
         snap = dx.MarketSnapshot(dx.AssetUniverse(("A", "B")), [pool, ladder, pool, ladder])
-        assert snap.markets[0] is pool and snap.markets[1] is ladder
+        assert snap.markets[0] is not pool and snap.markets[1] is not ladder
         assert snap.markets[2] is not pool and snap.markets[3] is not ladder
         dx.swap(snap.markets[2], _sell(snap.markets[2], 10.0))
         dx.swap(snap.markets[3].segments[1], _sell(snap.markets[3].segments[1], 1.0, 2))
         obj = dx.TotalArbitrage(np.array([1.0, 2.0]))
         fresh = dx.snapshot_from_dict(dx.snapshot_to_dict(snap))
         _assert_same_solve(dx.solve(snap, obj), dx.solve(fresh, obj))
+
+    def test_a_curve2_pool_in_two_snapshots_stays_independent(self):
+        markets = _view_network("objects").markets
+        first, second = (dx.MarketSnapshot(dx.AssetUniverse(("A", "B", "C")), markets) for _ in "ab")
+        before = dx.solve(second, self._OBJ)
+        dx.swap(first.markets[4], _sell(first.markets[4], 20.0))
+        assert not np.array_equal(dx.solve(first, self._OBJ).nu, before.nu)
+        _assert_same_solve(dx.solve(second, self._OBJ), before)
+        assert second.markets[4].reserves.tolist() == markets[4].reserves.tolist() == [100.0, 120.0]
+
+    def test_a_curve2_pool_listed_twice_gets_a_row_each(self):
+        *rest, pool = _view_network("objects").markets
+        snap = dx.MarketSnapshot(dx.AssetUniverse(("A", "B", "C")), [*rest, pool, pool])
+        assert [r for r, _ in snap.other] == [13, 14]
+        dx.swap(snap.markets[4], _sell(snap.markets[4], 20.0))
+        assert snap.markets[5].reserves.tolist() == pool.reserves.tolist() == [100.0, 120.0]
+        fresh = dx.snapshot_from_dict(dx.snapshot_to_dict(snap))
+        _assert_same_solve(dx.solve(snap, self._OBJ), dx.solve(fresh, self._OBJ))
+
+    def test_the_objects_passed_in_are_never_changed(self):
+        tm = dx.TokenMap
+        markets = [dx.GeomMeanMarket(np.array([1000.0, 1500.0]), (0.5, 0.5), 0.997, tm((0, 1))),
+                   generate.make_ladder(10, seed=3, token_map=tm((1, 2))),
+                   dx.Curve2Market(np.array([100.0, 120.0]), 5.0, 0.999, tm((0, 2)))]
+        docs = [mk.to_dict() for mk in markets]
+        snap = dx.MarketSnapshot(dx.AssetUniverse(("A", "B", "C")), markets)
+        assert not {id(p) for mk in markets for p in (mk, *getattr(mk, "segments", ()))} & {
+            id(p) for mk in snap.markets for p in (mk, *getattr(mk, "segments", ()))}
+        dx.swap(snap.markets[0], _sell(snap.markets[0], 50.0))
+        dx.swap(snap.markets[1], dx.Trade(np.array([3.0, 0.0]), np.zeros(2)))
+        dx.update_liquidity(snap.markets[1], [5.0, 5.0], snap.markets[1].segments[4].active_interval())
+        dx.swap(snap.markets[2], _sell(snap.markets[2], 20.0))
+        assert all(mk.to_dict() != d for mk, d in zip(snap.markets, docs))
+        assert [mk.to_dict() for mk in markets] == docs
+        # and the snapshot does not see a change to them
+        sol = dx.solve(snap, self._OBJ)
+        for mk in markets[::2]:
+            dx.swap(mk, _sell(mk, 10.0))
+        dx.swap(markets[1], dx.Trade(np.array([3.0, 0.0]), np.zeros(2)))
+        _assert_same_solve(dx.solve(snap, self._OBJ), sol)
 
     def test_a_segment_listed_twice_in_an_aggregate_gets_a_column_each(self):
         ladder = generate.make_ladder(3, seed=2)
@@ -714,10 +755,7 @@ class TestSqrtPriceNewton:
         basket[0] = 50.0
         sol = dx.solve(snap, dx.BasketLiquidation(basket, 1))
         assert sol.converged
-        # the liquidation seed prices a token that one pool quotes against
-        # the output token exactly at that pool's spot, where a fee-free pool
-        # reports no curvature; seed 3 takes 5 rounds for it, the rest 2-3
-        assert sol.iterations <= 5
+        assert sol.iterations <= 3
 
 
 class TestStepLimits:
