@@ -10,8 +10,8 @@ All kernels return one (6, m) array with the rows (tendered1, received2,
 tendered2, received1, objective, curvature): direction 1 tenders asset 1 and
 receives asset 2, and the curvature is d(received1 - tendered1)/dnu1, the
 (1, 1) entry of the market's Hessian block.  It is 0 where nothing trades or
-the trade is full liquidity, except at a fee-free gmean pool's spot, where
-the curvatures from both sides agree.
+the trade is full liquidity, except at a fee-free gmean pool's or bounded
+segment's spot, where the curvatures from both sides agree.
 
 Each kernel takes, after the prices, an optional `quote`: the result of its
 quote function (`QUOTES`) on the same columns.  The quote does not depend on
@@ -127,6 +127,10 @@ def bounded_arb_batch(r1, r2, alpha, beta, fee, nu1, nu2, quote=None):
             for row, x in zip((t, o, 5), (d, lam, h)):
                 out[row][mask] = np.where(keep, x, 0.0)
 
+    # a fee-free segment exactly at its spot trades nothing, but its
+    # curvatures from both sides agree there: direction 1's at d = 0
+    spot = (p == bid) & (p == ask)
+    out[5][spot] = v1[spot] / (2.0 * nu1[spot])
     out[4] = np.maximum(nu1 * (out[3] - out[0]) + nu2 * (out[1] - out[2]), 0.0)
     return out
 

@@ -93,9 +93,10 @@ class TestCurvatureRow:
         (t1, _, t2, _, _, curv), spot = case(b, nu1)
         idle = (t1 == 0.0) & (t2 == 0.0)
         assert idle.sum() > 400
-        # of the rows that trade nothing only a fee-free gmean pool exactly at
-        # its spot has a curvature, the same from both sides
-        flat = (case is _gmean_case) & (b["fee"] == 1.0) & (nu1 / b["nu2"] == spot)
+        # of the rows that trade nothing only a fee-free pool or segment
+        # exactly at its spot has a curvature, the same from both sides
+        flat = (b["fee"] == 1.0) & (nu1 / b["nu2"] == spot)
+        assert flat[idle].sum() > 50
         assert np.array_equal(curv[idle] != 0.0, flat[idle])
         h = 1e-6 * nu1
         plus, minus = case(b, nu1 + h)[0], case(b, nu1 - h)[0]
@@ -121,6 +122,21 @@ class TestCurvatureRow:
         assert (plus[2] > 0.0).all() and (minus[0] > 0.0).all()  # one step into each direction
         fd = ((plus[3] - plus[0]) - (minus[3] - minus[0])) / (2.0 * h)
         np.testing.assert_allclose(curv, fd, rtol=1e-5)
+
+    def test_a_fee_free_bounded_segment_at_its_spot_keeps_its_curvature(self):
+        """As for gmean: both one-sided curvatures are (r1 + alpha)/(2 nu1),
+        500/2.8 = 178.57... at r = (400, 500), alpha = 100, beta = 200."""
+        b = {k: np.array([v]) for k, v in
+             dict(r1=400.0, r2=500.0, alpha=100.0, beta=200.0, fee=1.0, nu2=1.0).items()}
+        nu1 = np.array([1.4])  # the spot (r2 + beta)/(r1 + alpha), bit for bit
+        (t1, _, t2, _, value, curv), spot = _bounded_case(b, nu1)
+        assert nu1[0] == spot[0] and t1[0] == t2[0] == value[0] == 0.0
+        assert curv[0] == pytest.approx(500.0 / 2.8, rel=1e-12)
+        h = 1e-6 * nu1
+        plus, minus = _bounded_case(b, nu1 + h)[0], _bounded_case(b, nu1 - h)[0]
+        assert plus[2, 0] > 0.0 and minus[0, 0] > 0.0  # one step into each direction
+        fd = ((plus[3] - plus[0]) - (minus[3] - minus[0])) / (2.0 * h)
+        assert curv[0] == pytest.approx(fd[0], rel=1e-5)
 
 
 def _mixed_batches(rng, m):

@@ -830,3 +830,62 @@ class TestStepLimits:
         sol = dx.solve(snap, dx.TotalArbitrage(snap.prices))
         assert sol.converged
         assert sol.utility == 0.0
+
+
+def _linear_first_stop(stops, n):
+    """The line search before galloping: every trial in turn."""
+    return next((k for k in range(n) if stops(k)), None)
+
+
+class TestGallopingLineSearch:
+    """`minimize` finds a round's first stopping trial by galloping search
+    over the same trials t0 * 0.5**k that halving tries in turn."""
+
+    @pytest.mark.parametrize("first", [*range(40), None])
+    def test_finds_the_first_stop_of_a_monotone_predicate(self, first):
+        probed = []
+
+        def stops(k):
+            probed.append(k)
+            return first is not None and k >= first
+
+        assert solver._first_stop(stops, 40) == first
+        assert len(set(probed)) == len(probed) and all(0 <= k < 40 for k in probed)
+        assert len(probed) <= 2 + 2 * math.ceil(math.log2((40 if first is None else first) + 1))
+
+    @staticmethod
+    def _solve_counting(monkeypatch, snap, obj):
+        calls = [0]
+        real = solver._eval
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_eval", counted)
+        sol = dx.solve(snap, obj)
+        monkeypatch.setattr(solver, "_eval", real)
+        return sol, calls[0]
+
+    # 35223 is the network whose liquidation the step limits once lost; the last case
+    # has a round whose acceptance is not monotone in k and whose galloping
+    # result is no move, where the skipped trials are tried in turn
+    @pytest.mark.parametrize("n, kinds, seed, objective, converges", [
+        (3, ["aggregate", "curve2", "gmean"], 35223, "liquidate", True),
+        (3, ["aggregate", "curve2", "gmean"], 35223, "arbitrage", True),
+        (4, ["curve2", "aggregate", "curve2"], 18384, "liquidate", False),
+    ])
+    def test_the_same_solve_as_trying_every_trial_in_fewer_evaluations(
+            self, monkeypatch, n, kinds, seed, objective, converges):
+        snap = _random_network(n, kinds, seed)
+        basket = np.zeros(n)
+        basket[0] = 20.0
+        obj = dx.TotalArbitrage(snap.prices) if objective == "arbitrage" else dx.BasketLiquidation(basket, 1)
+        fast, fast_evals = self._solve_counting(monkeypatch, snap, obj)
+        monkeypatch.setattr(solver, "_first_stop", _linear_first_stop)
+        slow, slow_evals = self._solve_counting(monkeypatch, snap, obj)
+        assert fast.converged == slow.converged == converges
+        assert fast.iterations == slow.iterations
+        for a, b in ((fast.nu, slow.nu), (fast.tendered, slow.tendered), (fast.received, slow.received)):
+            assert a.tobytes() == b.tobytes()
+        assert fast_evals < slow_evals

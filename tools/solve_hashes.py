@@ -1,0 +1,163 @@
+"""Fingerprint the solver's results on fixed inputs, to compare two trees.
+
+    python3 tools/solve_hashes.py [--sweep-out sweep.json]
+
+For each group of solves it prints one SHA-256 over every solve's `nu`,
+tendered, received, rounds and `converged`, and the number of dual
+evaluations (calls of `solver._eval`) the group took:
+
+- mixed: the 64 mixed-network solves (templates 0-7, arbitrage and
+  liquidation, seeds 1, 2, 3 and 1001), each snapshot read back from JSON;
+- desk: `generate_snapshot(10_000, seed)` arbitrage at seeds 42 and 7, read
+  back from JSON;
+- block: every block-stream block on seeds 1, 2, 3 and 1001, with
+  perfbench's own mutations;
+- sweep: the 300 random solves (150 networks from `default_rng(0)`, each
+  under arbitrage and the liquidation of 20 of token 0 into token 1).
+
+Each group of several seeds also gets a line per seed, and the sweep one
+line with its converged count.  `--sweep-out` writes each sweep solve's rounds,
+`converged`, residual and evaluations as JSON.  The inputs come from
+`perfbench/workloads.py` and `tests/test_solver.py._random_network`; the
+script imports the `dexroute` beside it, so a copy of the tree fingerprints
+that tree.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, d) for d in ("src", "perfbench", "tests")]
+
+import numpy as np  # noqa: E402
+
+import dexroute as dx  # noqa: E402
+from dexroute import generate, solver  # noqa: E402
+
+import workloads  # noqa: E402
+from test_solver import _random_network  # noqa: E402
+
+SEEDS = (1, 2, 3, 1001)
+KINDS = ("gmean", "bounded", "aggregate", "curve2")
+
+
+class Counter:
+    """Counts calls of `solver._eval` while installed."""
+
+    def __init__(self):
+        self.calls, self._eval = 0, solver._eval
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self._eval(*args, **kwargs)
+
+
+COUNT = Counter()
+solver._eval = COUNT
+
+
+def _digest(sol) -> bytes:
+    h = hashlib.sha256()
+    for a in (sol.nu, sol.tendered, sol.received):
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    h.update(f"{sol.iterations} {bool(sol.converged)}".encode())
+    return h.digest()
+
+
+def _from_json(snap):
+    return dx.snapshot_from_dict(json.loads(dx.dumps_snapshot(snap)))
+
+
+def mixed(seed):
+    for j in range(workloads.MixedNetwork.templates):
+        snap, basket, out = workloads.mixed_snapshot(j, seed)
+        snap = _from_json(snap)
+        yield dx.solve(snap, dx.TotalArbitrage(snap.prices))
+        yield dx.solve(snap, dx.BasketLiquidation(basket, out))
+
+
+def desk(seed):
+    snap = _from_json(generate.generate_snapshot(workloads.DeskGmean.m, seed))
+    yield dx.solve(snap, dx.TotalArbitrage(snap.prices))
+
+
+def block(seed):
+    """`BlockStream.round` without the timing and the verifier."""
+    wl = workloads.BlockStream(seed, None)
+    snap = _from_json(workloads.block_snapshot(seed))
+    gm_idx = [i for i, mk in enumerate(snap.markets) if isinstance(mk, dx.GeomMeanMarket)]
+    agg_idx = [i for i, mk in enumerate(snap.markets) if isinstance(mk, dx.AggregateMarket)]
+    prices = snap.prices
+    for k in range(wl.blocks):
+        swaps, updates, prices = wl._plan(snap, gm_idx, agg_idx, k, prices)
+        yield wl._block(snap, swaps, updates, prices)
+
+
+def sweep_cases():
+    """The 150 random networks: n in [2, 7), 1-8 markets of random kinds with
+    at least one curve2 pool, and a network seed below 2**16."""
+    r = np.random.default_rng(0)
+    for _ in range(150):
+        n, m = int(r.integers(2, 7)), int(r.integers(1, 9))
+        kinds = [KINDS[int(i)] for i in r.integers(4, size=m)]
+        if "curve2" not in kinds:
+            kinds[int(r.integers(m))] = "curve2"
+        yield n, kinds, int(r.integers(2 ** 16))
+
+
+def sweep(records):
+    for n, kinds, seed in sweep_cases():
+        snap = _random_network(n, kinds, seed)
+        basket = np.zeros(n)
+        basket[0] = 20.0
+        for name, obj in (("arbitrage", dx.TotalArbitrage(snap.prices)),
+                          ("liquidate", dx.BasketLiquidation(basket, 1))):
+            before = COUNT.calls
+            sol = dx.solve(snap, obj)
+            records.append({"n": n, "kinds": kinds, "seed": seed, "objective": name,
+                            "rounds": sol.iterations, "converged": bool(sol.converged),
+                            "residual": sol.coupling_residual, "evals": COUNT.calls - before})
+            yield sol
+
+
+def _report(name, parts):
+    """Print a line per part, if more than one, and one for the group: hash,
+    solves, evaluations."""
+    group, total_solves, total_evals = hashlib.sha256(), 0, 0
+    for label, solves in parts:
+        h, count, before = hashlib.sha256(), 0, COUNT.calls
+        for sol in solves:
+            d = _digest(sol)
+            h.update(d)
+            group.update(d)
+            count += 1
+        evals = COUNT.calls - before
+        total_solves, total_evals = total_solves + count, total_evals + evals
+        if len(parts) > 1:
+            print(f"{name:6} {label:10} {h.hexdigest()[:16]}  solves {count:3}  evals {evals}", flush=True)
+    print(f"{name:6} {'all':10} {group.hexdigest()}  solves {total_solves}  evals {total_evals}", flush=True)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--sweep-out", help="write each sweep solve's record to this JSON file")
+    args = parser.parse_args(argv)
+    _report("mixed", [(f"seed {s}", mixed(s)) for s in SEEDS])
+    _report("desk", [(f"seed {s}", desk(s)) for s in (42, 7)])
+    _report("block", [(f"seed {s}", block(s)) for s in SEEDS])
+    records = []
+    _report("sweep", [("", sweep(records))])
+    print(f"sweep  converged {sum(r['converged'] for r in records)} of {len(records)}")
+    if args.sweep_out:
+        with open(args.sweep_out, "w") as f:
+            json.dump(records, f, indent=0)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
