@@ -474,6 +474,15 @@ class AggregateMarket:
 # Generic swap market: defined by forward exchange + price impact evaluators
 # ---------------------------------------------------------------------------
 
+def _impact_curvature(direction: int, nu1: float, nu2: float, di: float) -> float:
+    """d(o1 - t1)/dnu1 of a trade that tenders delta in `direction` where
+    the impact I(delta) = nu_in/nu_out, with di = I'(delta), by the
+    implicit-function theorem; 0 unless di < 0."""
+    if not di < 0.0:
+        return 0.0
+    return -1.0 / (nu2 * di) if direction == 1 else -nu2 * nu2 / (nu1 ** 3 * di)
+
+
 class GenericSwapMarket:
     """Two-asset market given by evaluators for the forward exchange functions
     and their one-sided derivatives; arbitrage is solved by bisection.  Every
@@ -517,11 +526,23 @@ class GenericSwapMarket:
         return self.impact[direction - 1](delta)
 
     def impact_derivative(self, delta: float, direction: int = 1) -> float:
-        """I'(delta) for delta > 0: a central difference of the impact I whose
-        step grows tenfold from 1e-6*delta until the difference clears
-        1000*eps*|I|, far above its round-off; 0 if no step up to delta/2
-        does, as on a curve constant-sum to working precision."""
-        floor = 1e3 * np.finfo(float).eps * abs(self.price_impact(delta, direction))
+        """I'(delta), one-sided I'(0+) at delta = 0: a difference of the impact
+        I whose step grows tenfold until the difference clears 1000*eps*|I|,
+        far above its round-off; 0 if no step does, as on a curve constant-sum
+        to working precision.  For delta > 0 it is the central difference with
+        steps 1e-6*delta up to delta/2; at 0 the forward difference with steps
+        1e-6 up to 1e6 (13 steps)."""
+        if not delta >= 0.0:
+            raise DomainError("tendered amount must be nonnegative")
+        impact = self.price_impact(delta, direction)
+        floor = 1e3 * np.finfo(float).eps * abs(impact)
+        if delta == 0.0:
+            for k in range(-6, 7):
+                h = 10.0 ** k
+                diff = self.price_impact(h, direction) - impact
+                if abs(diff) >= floor:
+                    return diff / h
+            return 0.0
         h = 1e-6 * delta
         while h <= 0.5 * delta:
             diff = self.price_impact(delta + h, direction) - self.price_impact(delta - h, direction)
@@ -569,12 +590,28 @@ class GenericSwapMarket:
         # the trade solves I(delta) = nu_in/nu_out; its derivative in nu1
         # follows by the implicit-function theorem.  A trade stopped at
         # capacity, where the impact at hi is zero, does not move with nu1
-        curvature = 0.0
         di = self.impact_derivative(delta, direction) if impact_hi > 0.0 else 0.0
-        if di < 0.0:
-            curvature = -1.0 / (nu2 * di) if direction == 1 else -nu2 * nu2 / (nu1 ** 3 * di)
         row = (delta, lam, 0.0, 0.0) if direction == 1 else (0.0, 0.0, delta, lam)
-        return ArbResult(*row, value, curvature)
+        return ArbResult(*row, value, _impact_curvature(direction, nu1, nu2, di))
+
+    def edge_arb(self, nu, direction: int) -> ArbResult:
+        """The arbitrage linearised at the edge of the spread that `direction`
+        trades from (the bid for 1, the ask for 2), at local prices nu: a
+        Newton model of a row that sits at that edge and trades nothing.
+
+        With I(0) the edge and I'(0+) from `impact_derivative`, the row
+        tenders delta = (nu_in/nu_out - I(0))/I'(0+), negative while nu lies
+        inside the spread, and receives I(0)*delta; its curvature is
+        `find_arb`'s with I'(0+), and its value 0.  The zero row where
+        I'(0+) is not negative."""
+        nu1, nu2 = _check_prices(nu)
+        di = self.impact_derivative(0.0, direction)
+        if not di < 0.0:
+            return _NO_ARB
+        edge = self.price_impact(0.0, direction)
+        delta = ((nu1 / nu2 if direction == 1 else nu2 / nu1) - edge) / di
+        row = (delta, edge * delta, 0.0, 0.0) if direction == 1 else (0.0, 0.0, delta, edge * delta)
+        return ArbResult(*row, 0.0, _impact_curvature(direction, nu1, nu2, di))
 
     def apply_trade(self, trade: Trade):
         raise ConfigurationError("generic swap markets carry no reserve state")

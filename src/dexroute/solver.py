@@ -27,6 +27,18 @@ a flat row, one of `snapshot.other` whose price impact barely moves over its
 reserves, is not carried across its whole spread in one step; without that
 cut its trade reverses round after round.  `minimize` says how.
 
+A flat row that trades nothing has no model in that system: a near
+constant-sum pool adds no curvature while its price ratio lies inside its
+spread and a huge one just outside (a trading function barely strictly
+concave, Angeris et al.).  From the edge, the Newton step then carries the
+ratio far outside, where the row trades its whole reserve, and Armijo halves
+the step some 25 times back to the edge.  So when the step would carry an
+idle flat row's ratio out past the edge it sits at, the round solves the
+system again with that row's trade as an extra unknown, eliminated by a
+Schur complement as in primal-dual Newton methods (Nocedal and Wright,
+ch. 18-19): the row's curvature from outside the edge, and its trade
+linearised at the edge (`GenericSwapMarket.edge_arb`).
+
 The line search tries the halvings of the first trial length in order and
 takes the first that Armijo accepts.  That first stopping trial is found by
 galloping search (`_first_stop`), in O(log k) evaluations for k halvings.
@@ -48,6 +60,7 @@ from .objectives import PRICE_EPS, Objective
 _BOUND_SLACK = 1e-14
 _SQRT10 = math.sqrt(10.0)
 _TRIALS = 40  # line-search trials per round: t0 * 0.5**k for k < _TRIALS
+_EDGE_RTOL = 1e-9  # a flat row's ratio this close to a spread edge, relative, sits at it
 
 
 @dataclass
@@ -270,6 +283,51 @@ def _first_stop(stops, n):
     return hi
 
 
+def _newton_step(hess, gi, x):
+    """The Newton step in nu from prices x, with Hessian hess and gradient gi
+    in nu, taken in s = sqrt(x) (see `minimize`); None where neither system
+    can be solved."""
+    import scipy.linalg  # deferred: `import dexroute` need not load it
+    # a price with neither gradient nor curvature stays where it is
+    s = np.sqrt(x)
+    hs = 4.0 * s[:, None] * hess * s + np.diag(2.0 * gi)
+    live = np.any(hs != 0.0, axis=1)
+    ds = np.zeros_like(s)
+    try:
+        factor = scipy.linalg.cho_factor(hs[np.ix_(live, live)])
+        ds[live] = scipy.linalg.cho_solve(factor, -2.0 * (s * gi)[live])
+        step = np.maximum(s + ds, s / _SQRT10) ** 2 - x
+    except np.linalg.LinAlgError:  # not convex in s: the Newton step in nu
+        reg = 1e-12 * max(1.0, float(np.abs(hess).max()))
+        try:
+            step = np.linalg.solve(hess + reg * np.eye(x.size), -gi)
+        except np.linalg.LinAlgError:
+            return None
+    # a price with no curvature behind it would take a 1/reg step
+    return step / max(1.0, float(np.max(np.abs(step) / x)) / 10.0)
+
+
+def _edges(snapshot, nu, rows, idx, step, floor, spreads):
+    """(r, market, direction) for each row of `snapshot.other` that trades
+    nothing in `rows`, whose ratio p = nu1/nu2 sits at an edge of its spread
+    (within _EDGE_RTOL of it), and that the trial max(nu + step, floor) on
+    the free set idx carries out past that edge: direction 1 for the bid,
+    2 for the ask."""
+    trial = nu.copy()
+    trial[idx] = np.maximum(nu[idx] + step, floor[idx])
+    out = []
+    for (r, mkt), (bid, ask) in zip(snapshot.other, spreads):
+        if rows[0, r] != 0.0 or rows[2, r] != 0.0:
+            continue
+        a, b = snapshot.i1[r], snapshot.i2[r]
+        p, q = nu[a] / nu[b], trial[a] / trial[b]
+        if abs(p - bid) <= _EDGE_RTOL * bid and q < bid:
+            out.append((r, mkt, 1))
+        elif abs(p - ask) <= _EDGE_RTOL * ask and q > ask:
+            out.append((r, mkt, 2))
+    return out
+
+
 def minimize(obj, nu, lower, snapshot, tol, max_rounds, quotes, spreads):
     """Projected Newton on the dual over the box nu >= lower.
 
@@ -311,9 +369,23 @@ def minimize(obj, nu, lower, snapshot, tol, max_rounds, quotes, spreads):
       so that its trade reverses, the first trial length stops the ratio
       just inside the spread (`_first_length`).  Without it such a row's
       trade flips direction round after round.
+
+    A flat row that trades nothing adds nothing to the system.  When its
+    ratio p sits at an edge of its spread (bid or ask, within _EDGE_RTOL)
+    and the step would carry p out past it (`_edges`), the system is solved
+    again with the row's one-sided model from outside (`edge_arb`): the
+    curvature `find_arb` gives with I'(0+) from `impact_derivative`, and
+    the linearised trade delta = (p - edge)/I'(0+), negative while p is
+    inside the spread, tendered on one token and received as edge*delta on
+    the other (mirrored for the ask), added to the gradient.  The trade term
+    lets the step land where the row's trade balances the network, not
+    where its change since nu does; without it 12 of the 300 solves of
+    `tools/solve_hashes.py`'s sweep ran to the round cap.  This repeats while the new step carries another idle flat
+    row out past its edge.  The dual value stays the merit function, and
+    the line search, the limits and `_first_length` act on the new step as
+    on any other; a round with no such row is unchanged.
     Returns nu, the `_eval` result there and the number of rounds.
     """
-    import scipy.linalg  # deferred: `import dexroute` need not load it
     flat = [(int(snapshot.i1[r]), int(snapshot.i2[r]), bid, ask)
             for (r, _), (bid, ask) in zip(snapshot.other, spreads)]
     ev = _eval(obj, nu, snapshot, quotes)
@@ -327,27 +399,29 @@ def minimize(obj, nu, lower, snapshot, tol, max_rounds, quotes, spreads):
         idx = np.flatnonzero(~at_bound | (grad < 0.0))
         if idx.size == 0:
             break
-        hess = _hessian(snapshot, nu, rows)[np.ix_(idx, idx)]
-        # Newton in s = sqrt(nu); a price with neither gradient nor curvature
-        # stays where it is
-        s, gi = np.sqrt(nu[idx]), grad[idx]
-        hs = 4.0 * s[:, None] * hess * s + np.diag(2.0 * gi)
-        live = np.any(hs != 0.0, axis=1)
-        ds = np.zeros_like(s)
-        try:
-            factor = scipy.linalg.cho_factor(hs[np.ix_(live, live)])
-            ds[live] = scipy.linalg.cho_solve(factor, -2.0 * (s * gi)[live])
-            step = np.maximum(s + ds, s / _SQRT10) ** 2 - nu[idx]
-        except np.linalg.LinAlgError:  # not convex in s: the Newton step in nu
-            reg = 1e-12 * max(1.0, float(np.abs(hess).max()))
-            try:
-                step = np.linalg.solve(hess + reg * np.eye(idx.size), -gi)
-            except np.linalg.LinAlgError:
+        floor = nu.copy()
+        floor[idx] = np.maximum(lower[idx], nu[idx] / 10.0)
+        model, gm = rows, grad
+        step = _newton_step(_hessian(snapshot, nu, rows)[np.ix_(idx, idx)], grad[idx], nu[idx])
+        # while the step carries an idle flat row out past its edge, again
+        # with that row's model from outside the edge
+        modelled = set()
+        while step is not None:
+            edges = [e for e in _edges(snapshot, nu, rows, idx, step, floor, spreads) if e[0] not in modelled]
+            if not edges:
                 break
-        # a price with no curvature behind it would take a 1/reg step
-        step /= max(1.0, float(np.max(np.abs(step) / nu[idx])) / 10.0)
-        direction, floor = np.zeros_like(nu), nu.copy()
-        direction[idx], floor[idx] = step, np.maximum(lower[idx], nu[idx] / 10.0)
+            model, gm = model.copy(), gm.copy()
+            for r, mkt, d in edges:
+                modelled.add(r)
+                a, b = snapshot.i1[r], snapshot.i2[r]
+                model[:, r] = mkt.edge_arb(np.array([nu[a], nu[b]]), d)
+                gm[a] += model[3, r] - model[0, r]
+                gm[b] += model[1, r] - model[2, r]
+            step = _newton_step(_hessian(snapshot, nu, model)[np.ix_(idx, idx)], gm[idx], nu[idx])
+        if step is None:
+            break
+        direction = np.zeros_like(nu)
+        direction[idx] = step
         roundoff = 1e-13 * (abs(g) + float(rows[4].sum()))
         rounds += 1
         t = _first_length(nu, direction, floor, flat)

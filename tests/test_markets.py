@@ -402,7 +402,8 @@ class TestSwap:
 
 
 class TestGenericSwap:
-    def _product_market(self, r1=100.0, r2=100.0, g=1.0):
+    @staticmethod
+    def _product_market(r1=100.0, r2=100.0, g=1.0):
         # constant-product pool expressed through its forward exchange functions
         def out(d, rin, rout):
             return g * d * rout / (rin + g * d)
@@ -491,6 +492,106 @@ class TestGenericSwap:
                 assert res.curvature == pytest.approx(ref.curvature, rel=0.01), delta
                 resolved += 1
         assert resolved >= 2
+
+
+    @staticmethod
+    def _constant_sum_market():
+        return dx.GenericSwapMarket(lambda d: 0.999 * d, lambda d: 0.999 * d,
+                                    lambda d: 0.999, lambda d: 0.999, dx.TokenMap((0, 1)))
+
+    @staticmethod
+    def _bounded_calls(market, limit):
+        """Make `market.price_impact` raise after `limit` more calls, so that
+        a loop that never ends fails instead of hanging; return the counter."""
+        calls, impact = [0], market.price_impact
+
+        def counted(delta, direction=1):
+            calls[0] += 1
+            if calls[0] > limit:
+                raise RuntimeError(f"price_impact called more than {limit} times")
+            return impact(delta, direction)
+
+        market.price_impact = counted
+        return calls
+
+    @pytest.mark.parametrize("direction", [1, 2])
+    def test_impact_derivative_at_zero_is_one_sided(self, direction):
+        # constant product 100/200, fee 0.997: I(d) = g*rin*rout/(rin + g*d)^2,
+        # so I'(0+) = -2*g^2*rout/rin^2; a forward difference of step h is off
+        # by 1.5*g*h/rin relative
+        r1, r2, g = 100.0, 200.0, 0.997
+        m = self._product_market(r1, r2, g)
+        calls = self._bounded_calls(m, 100)
+        rin, rout = (r1, r2) if direction == 1 else (r2, r1)
+        assert m.impact_derivative(0.0, direction) == pytest.approx(-2.0 * g * g * rout / rin ** 2, rel=1e-6)
+        assert calls[0] <= 14
+
+    @pytest.mark.parametrize("direction", [1, 2])
+    def test_impact_derivative_at_zero_resolves_a_flat_curve(self, direction):
+        # the 1500/1600 amp-3 pool's I'(0+) is about -1.2e-13, which only a
+        # step of 10 or more resolves
+        pool = dx.Curve2Market(np.array([1500.0, 1600.0]), 3.0, 0.999, dx.TokenMap((0, 1)))
+        m = generic(pool)
+        calls = self._bounded_calls(m, 100)
+        assert m.impact_derivative(0.0, direction) == pytest.approx(
+            pool.impact_derivative(0.0, direction), rel=1e-2)
+        assert calls[0] <= 14
+
+    def test_impact_derivative_of_a_constant_sum_curve_is_zero(self):
+        m = self._constant_sum_market()
+        calls = self._bounded_calls(m, 100)
+        assert m.impact_derivative(0.0) == 0.0 and m.impact_derivative(5.0) == 0.0
+        assert calls[0] <= 30
+
+    @pytest.mark.parametrize("market", [_product_market(100.0, 200.0, 0.997),
+                                        dx.Curve2Market(np.array([5.0, 6.0]), 7.0, 0.999, dx.TokenMap((0, 1)))],
+                             ids=["generic", "curve2"])
+    def test_impact_derivative_of_a_negative_input_raises(self, market):
+        with pytest.raises(DomainError):
+            market.impact_derivative(-1.0)
+
+
+class TestEdgeArb:
+    """`edge_arb(nu, direction)` is the arbitrage linearised at the edge of
+    the spread that `direction` trades from: the first-order limit of
+    `find_arb` there, continued into the spread."""
+
+    # each market just outside its edge, where it trades 5e-5 to 6e-3 of
+    # its reserve: the flat pool 8.6 of 1500 at 1e-12 from its edge
+    @pytest.mark.parametrize("market, offset", [
+        (TestGenericSwap._product_market(100.0, 200.0, 0.997), 1e-4),
+        (dx.Curve2Market(np.array([1500.0, 1600.0]), 3.0, 0.999, dx.TokenMap((0, 1))), 1e-12),
+        (dx.Curve2Market(np.array([5.0, 6.0]), 7.0, 0.999, dx.TokenMap((0, 1))), 1e-6),
+    ], ids=["generic", "curve2-flat", "curve2"])
+    @pytest.mark.parametrize("direction", [1, 2])
+    def test_matches_find_arb_just_outside_the_edge(self, market, offset, direction):
+        bid, ask = market.spread()
+        nu = np.array([bid * (1.0 - offset), 1.0]) if direction == 1 else np.array([ask * (1.0 + offset), 1.0])
+        ref, model = market.find_arb(nu), market.edge_arb(nu, direction)
+        assert ref.curvature > 0.0
+        assert model.curvature == pytest.approx(ref.curvature, rel=1e-2)
+        for a, b in zip(model[:4], ref[:4]):
+            assert a == pytest.approx(b, rel=1e-2, abs=1e-12 * max(ref[:4]))
+        assert model.objective_value == 0.0
+
+    @pytest.mark.parametrize("direction", [1, 2])
+    def test_tenders_a_negative_amount_inside_the_spread(self, direction):
+        m = dx.Curve2Market(np.array([1500.0, 1600.0]), 3.0, 0.999, dx.TokenMap((0, 1)))
+        bid, ask = m.spread()
+        edge, di = m.price_impact(0.0, direction), m.impact_derivative(0.0, direction)
+        p = bid + 1e-3 * (ask - bid) if direction == 1 else ask - 1e-3 * (ask - bid)
+        t1, o2, t2, o1, value, curvature = m.edge_arb(np.array([2.0 * p, 2.0]), direction)
+        delta = ((p if direction == 1 else 1.0 / p) - edge) / di
+        assert delta < 0.0
+        tendered, received = (t1, o2) if direction == 1 else (t2, o1)
+        assert (t2, o1) == (0.0, 0.0) if direction == 1 else (t1, o2) == (0.0, 0.0)
+        assert tendered == pytest.approx(delta, rel=1e-12)
+        assert received == pytest.approx(edge * delta, rel=1e-12)
+        assert value == 0.0 and curvature > 0.0
+
+    def test_a_curve_without_impact_slope_has_no_model(self):
+        m = TestGenericSwap._constant_sum_market()
+        assert m.edge_arb(np.array([0.5, 1.0]), 1) == (0.0,) * 6
 
 
 _CURVE2_POOLS = [(5.0, 6.0, 7.0), (100.0, 100.0, 50.0), (1500.0, 1600.0, 3.0)]

@@ -832,6 +832,87 @@ class TestStepLimits:
         assert sol.utility == 0.0
 
 
+def _count_evals(monkeypatch, snap, obj):
+    """The solve, and the number of dual evaluations it took."""
+    calls, real = [0], solver._eval
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_eval", counted)
+    sol = dx.solve(snap, obj)
+    monkeypatch.setattr(solver, "_eval", real)
+    return sol, calls[0]
+
+
+class TestFlatRowEdgeModel:
+    """A flat row that trades nothing, sits at an edge of its spread and
+    would be carried out past it by the Newton step gets its one-sided
+    model from outside the edge, and the round solves the system again."""
+
+    # seed 1's four flat mixed-network ops, none converged with or without
+    # the model: (template, objective, and the residual and utility they
+    # reached without it, in 51, 68, 48 and 23 evaluations and 16, 19, 14
+    # and 10 rounds)
+    @pytest.mark.parametrize("template, objective, residual, utility", [
+        (0, "liquidate", 0.0003750833635649542, 14647.19488143227),
+        (1, "liquidate", 9.55779123614775e-05, 18943.0847298095),
+        (7, "liquidate", 0.00015209983530439786, 17120.731452975582),
+        (6, "arbitrage", 0.0001577283896949666, 40495.666958006026),
+    ])
+    def test_flat_mixed_ops_take_few_evaluations_to_the_same_end(
+            self, monkeypatch, template, objective, residual, utility):
+        snap, basket, out = workloads.mixed_snapshot(template, 1)
+        obj = dx.TotalArbitrage(snap.prices) if objective == "arbitrage" else dx.BasketLiquidation(basket, out)
+        sol, evals = _count_evals(monkeypatch, snap, obj)
+        assert evals <= 20
+        assert sol.utility == pytest.approx(utility, rel=1e-9)
+        # the residual is a sum of trades of up to 2e3 over some 20 rows,
+        # whose round-off is about 1e-12
+        assert sol.coupling_residual == pytest.approx(residual, rel=1e-9, abs=1e-11)
+
+    def test_a_network_whose_flat_row_never_reaches_its_edge_solves_as_before(self, monkeypatch):
+        # the curve2 pool trades in every round: no row is ever modelled,
+        # and the solve is the one before the model, to the last bit
+        found, real = [], solver._edges
+
+        def edges(*args):
+            out = real(*args)
+            found.extend(out)
+            return out
+
+        snap = TestCurve2Network._snapshot(5.0, 6.0, 7.0)
+        monkeypatch.setattr(solver, "_edges", edges)
+        sol = dx.solve(snap, dx.TotalArbitrage(np.array([1.0, 1.0, 1.0])))
+        assert found == []
+        assert sol.converged and sol.iterations == 8
+        assert sol.nu.tolist() == [1.0017502806433705, 1.098636772831383, 1.0]
+        assert sol.tendered[2].tolist() == [0.0, 1.376198387349632]
+
+    def test_the_arbitrage_the_galloping_search_lost_converges(self, monkeypatch):
+        # without the model it stopped after 12 rounds and 117 evaluations at
+        # residual 6.9e-6 with utility -inf: the curve2 row sat at its ask,
+        # and the Newton step overshot it in every round
+        snap = _random_network(3, ["gmean", "curve2"], 18896)
+        sol, evals = _count_evals(monkeypatch, snap, dx.TotalArbitrage(snap.prices))
+        assert sol.converged and sol.utility == 0.0
+        assert sol.iterations <= 4 and evals <= 6
+
+    def test_the_liquidation_that_ran_to_the_round_cap_stops_near_its_optimum(self, monkeypatch):
+        # without the model it ran 200 rounds to residual 337 and utility
+        # -inf; token 0 sits at the (0, 1) curve2 pool's ask.  Not converged
+        # still: the pool's trade moves by 3.8e-6 per ulp of its price ratio,
+        # and the solve ends 1.5 such steps from balance
+        snap = _random_network(6, ["curve2", "gmean", "bounded", "curve2", "bounded", "aggregate"], 56565)
+        basket = np.zeros(6)
+        basket[0] = 20.0
+        sol, evals = _count_evals(monkeypatch, snap, dx.BasketLiquidation(basket, 1))
+        assert sol.iterations <= 20 and evals <= 30
+        assert sol.coupling_residual < 1e-4
+        assert sol.utility == pytest.approx(sol.dual_value, rel=1e-7)
+
+
 def _linear_first_stop(stops, n):
     """The line search before galloping: every trial in turn."""
     return next((k for k in range(n) if stops(k)), None)
@@ -853,27 +934,18 @@ class TestGallopingLineSearch:
         assert len(set(probed)) == len(probed) and all(0 <= k < 40 for k in probed)
         assert len(probed) <= 2 + 2 * math.ceil(math.log2((40 if first is None else first) + 1))
 
-    @staticmethod
-    def _solve_counting(monkeypatch, snap, obj):
-        calls = [0]
-        real = solver._eval
-
-        def counted(*args, **kwargs):
-            calls[0] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(solver, "_eval", counted)
-        sol = dx.solve(snap, obj)
-        monkeypatch.setattr(solver, "_eval", real)
-        return sol, calls[0]
-
-    # 35223 is the network whose liquidation the step limits once lost; the last case
-    # has a round whose acceptance is not monotone in k and whose galloping
-    # result is no move, where the skipped trials are tried in turn
+    # 35223 is the network whose liquidation the step limits once lost; the
+    # 18384 and 22564 liquidations each had a round whose acceptance is not
+    # monotone in k and whose galloping result is no move, where the skipped
+    # trials are tried in turn.  Since flat rows at their spread edge have a
+    # Newton model, only 22564 does: without that rule it stops after 11
+    # rounds at residual 200, against 21 rounds and 7e-5
     @pytest.mark.parametrize("n, kinds, seed, objective, converges", [
         (3, ["aggregate", "curve2", "gmean"], 35223, "liquidate", True),
         (3, ["aggregate", "curve2", "gmean"], 35223, "arbitrage", True),
         (4, ["curve2", "aggregate", "curve2"], 18384, "liquidate", False),
+        (4, ["curve2", "bounded", "gmean", "bounded", "curve2", "aggregate", "gmean", "aggregate"], 22564,
+         "liquidate", False),
     ])
     def test_the_same_solve_as_trying_every_trial_in_fewer_evaluations(
             self, monkeypatch, n, kinds, seed, objective, converges):
@@ -881,9 +953,9 @@ class TestGallopingLineSearch:
         basket = np.zeros(n)
         basket[0] = 20.0
         obj = dx.TotalArbitrage(snap.prices) if objective == "arbitrage" else dx.BasketLiquidation(basket, 1)
-        fast, fast_evals = self._solve_counting(monkeypatch, snap, obj)
+        fast, fast_evals = _count_evals(monkeypatch, snap, obj)
         monkeypatch.setattr(solver, "_first_stop", _linear_first_stop)
-        slow, slow_evals = self._solve_counting(monkeypatch, snap, obj)
+        slow, slow_evals = _count_evals(monkeypatch, snap, obj)
         assert fast.converged == slow.converged == converges
         assert fast.iterations == slow.iterations
         for a, b in ((fast.nu, slow.nu), (fast.tendered, slow.tendered), (fast.received, slow.received)):

@@ -1,6 +1,6 @@
 """Fingerprint the solver's results on fixed inputs, to compare two trees.
 
-    python3 tools/solve_hashes.py [--sweep-out sweep.json]
+    python3 tools/solve_hashes.py [--sweep-out sweep.json] [--compare other_sweep.json]
 
 For each group of solves it prints one SHA-256 over every solve's `nu`,
 tendered, received, rounds and `converged`, and the number of dual
@@ -17,7 +17,11 @@ evaluations (calls of `solver._eval`) the group took:
 
 Each group of several seeds also gets a line per seed, and the sweep one
 line with its converged count.  `--sweep-out` writes each sweep solve's rounds,
-`converged`, residual and evaluations as JSON.  The inputs come from
+`converged`, residual and evaluations as JSON.  `--compare` reads such a
+file, written by another tree, and prints the sweep against it: the solves
+converged, lost and won, the residuals more than ten times worse or better,
+the runs at the round cap, and the total, median and largest evaluations.
+The inputs come from
 `perfbench/workloads.py` and `tests/test_solver.py._random_network`; the
 script imports the `dexroute` beside it, so a copy of the tree fingerprints
 that tree.
@@ -143,9 +147,43 @@ def _report(name, parts):
     print(f"{name:6} {'all':10} {group.hexdigest()}  solves {total_solves}  evals {total_evals}", flush=True)
 
 
+def _name(r) -> str:
+    return f"({r['n']}, {r['kinds']}, {r['seed']}) {r['objective']}"
+
+
+def compare(before, after):
+    """Print the sweep records `after` against `before`, solve by solve."""
+    if [_name(r) for r in before] != [_name(r) for r in after]:
+        raise SystemExit("--compare: the two files hold different sweeps")
+    pairs = list(zip(before, after))
+    cap = solver.SolverConfig().max_iterations
+
+    def named(label, rows):
+        print(f"{label}: {len(rows)}")
+        for a, b in rows:
+            print(f"  {_name(a)}: rounds {a['rounds']} -> {b['rounds']}, evals {a['evals']} -> {b['evals']}, "
+                  f"residual {a['residual']:.3g} -> {b['residual']:.3g}")
+
+    def stats(rs):
+        ev = [r["evals"] for r in rs]
+        return (sum(r["converged"] for r in rs), sum(r["rounds"] >= cap for r in rs),
+                sum(ev), float(np.median(ev)), max(ev))
+
+    print("sweep  compare        before  after")
+    for label, x, y in zip(("converged", f"at the {cap}-round cap", "evaluations", "median evaluations",
+                            "most evaluations"), stats(before), stats(after)):
+        print(f"  {label:22} {x:>6g} {y:>6g}")
+    named("converged solves lost", [(a, b) for a, b in pairs if a["converged"] and not b["converged"]])
+    named("converged solves won", [(a, b) for a, b in pairs if b["converged"] and not a["converged"]])
+    named("residual over 10x worse", [(a, b) for a, b in pairs if b["residual"] > 10.0 * a["residual"]])
+    print(f"residual over 10x better: {sum(b['residual'] < 0.1 * a['residual'] for a, b in pairs)}")
+    named(f"new runs at the {cap}-round cap", [(a, b) for a, b in pairs if b["rounds"] >= cap > a["rounds"]])
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sweep-out", help="write each sweep solve's record to this JSON file")
+    parser.add_argument("--compare", help="print the sweep against this --sweep-out file of another tree")
     args = parser.parse_args(argv)
     _report("mixed", [(f"seed {s}", mixed(s)) for s in SEEDS])
     _report("desk", [(f"seed {s}", desk(s)) for s in (42, 7)])
@@ -156,6 +194,9 @@ def main(argv=None) -> int:
     if args.sweep_out:
         with open(args.sweep_out, "w") as f:
             json.dump(records, f, indent=0)
+    if args.compare:
+        with open(args.compare) as f:
+            compare(json.load(f), records)
     return 0
 
 
