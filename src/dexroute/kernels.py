@@ -30,9 +30,13 @@ BACKEND = "numpy"
 
 def columns(parts) -> np.ndarray:
     """The arguments before the prices of the kernel that `parts` name, as a
-    C-contiguous (arguments, parts) array, one row per argument, from each
-    part's `_row()`: one market, an aggregate's segments or a snapshot's
-    block."""
+    new C-contiguous (arguments, parts) array, one row per argument: one
+    market, an aggregate's segments or a snapshot's block.  Parts that are
+    consecutive columns of one block, as a snapshot's aggregate is, are read
+    as one slice copy of it; any others from each part's `_row()`."""
+    block, j = parts[0]._block, parts[0]._j
+    if all(p._block is block and p._j == i for i, p in enumerate(parts, j)):
+        return block[:, j:j + len(parts)].copy()
     flat = np.fromiter(chain.from_iterable(p._row() for p in parts), dtype=float)
     return flat.reshape(len(parts), -1).T.copy()
 

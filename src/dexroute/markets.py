@@ -208,8 +208,9 @@ class GeomMeanMarket(_KernelRow):
         return tuple(self._block[2:4, self._j].tolist())
 
     def phi(self, reserves=None) -> float:
-        r = self.reserves if reserves is None else np.asarray(reserves, dtype=float)
-        return float(r[0] ** self.weights[0] * r[1] ** self.weights[1])
+        r1, r2 = self.reserves.tolist() if reserves is None else reserves
+        w1, w2 = self.weights
+        return float(r1 ** w1 * r2 ** w2)
 
     def _params(self, direction: int):
         """(reserve_in, reserve_out, eta) for tendering asset `direction`."""
@@ -273,8 +274,8 @@ class BoundedProductSegment(_KernelRow):
         return (r1 + self.alpha) * (r2 + self.beta)
 
     def phi(self, reserves=None) -> float:
-        r = self.reserves if reserves is None else np.asarray(reserves, dtype=float)
-        return math.sqrt((r[0] + self.alpha) * (r[1] + self.beta))
+        r1, r2 = self.reserves.tolist() if reserves is None else reserves
+        return math.sqrt((r1 + self.alpha) * (r2 + self.beta))
 
     def _quote(self) -> list[float]:
         """lo, hi, d1max, d2max, bid, ask: `kernels.bounded_quote` on the row."""
@@ -345,20 +346,24 @@ class BoundedProductSegment(_KernelRow):
 
 
 def _apply_phi_trade(market, trade: Trade):
-    """Shared swap logic for markets defined by a trading function phi."""
-    t, r = trade.tendered, trade.received
-    if trade.is_zero():
+    """Shared swap logic for markets defined by a trading function phi, on
+    Python floats: the two reserves and the fee are read once, the trade is
+    refused if it drains a reserve beyond round-off or lowers phi by more
+    than _SWAP_RTOL, and the reserves are written once, after both checks."""
+    t1, t2 = trade.tendered.tolist()
+    s1, s2 = trade.received.tolist()
+    if not (t1 or t2 or s1 or s2):
         return
-    pre = market.phi()
-    post_reserves = market.reserves + market.fee * t - r
-    if np.any(post_reserves < -1e-12 * (1.0 + np.abs(market.reserves))):
-        raise RejectedTradeError(f"trade drains reserves: {post_reserves}")
-    post = market.phi(np.maximum(post_reserves, 0.0))
+    (r1, r2), fee = market.reserves.tolist(), market.fee
+    p1, p2 = r1 + fee * t1 - s1, r2 + fee * t2 - s2
+    if p1 < -1e-12 * (1.0 + abs(r1)) or p2 < -1e-12 * (1.0 + abs(r2)):
+        raise RejectedTradeError(f"trade drains reserves: {[p1, p2]}")
+    pre, post = market.phi((r1, r2)), market.phi((max(p1, 0.0), max(p2, 0.0)))
     if post < pre * (1.0 - _SWAP_RTOL):
         raise RejectedTradeError(
             f"trade violates acceptance condition: phi {pre} -> {post}"
         )
-    market.reserves = np.maximum(market.reserves + t - r, 0.0)
+    market.reserves = np.array([max(r1 + t1 - s1, 0.0), max(r2 + t2 - s2, 0.0)])
 
 
 # ---------------------------------------------------------------------------
@@ -436,20 +441,21 @@ class AggregateMarket:
         price, the best-execution split: asset 1 first, then asset 2 on the
         reserves that the first fill leaves.  A routed row is its segments'
         arbitrage at one price, so it fills this way.  Every check runs on
-        copies of the filled segments, so a rejected trade changes nothing."""
-        trial, outs = list(self.segments), np.zeros(2)
+        copies of the filled segments, so a rejected trade changes nothing,
+        and an accepted one writes back only the segments it filled."""
+        trial, outs, filled = list(self.segments), np.zeros(2), {}
         for a in np.flatnonzero(trade.tendered):  # the local index of the tendered asset
             d, out = _fill(trial, float(trade.tendered[a]), a)
             outs[1 - a] = out.sum()
             for i in np.flatnonzero(d):
                 t, r = np.zeros(2), np.zeros(2)
                 t[a], r[1 - a] = d[i], out[i]
-                trial[i] = copy.copy(trial[i])
+                trial[i] = filled[i] = copy.copy(trial[i])
                 trial[i].apply_trade(Trade(t, r))
         if np.any(trade.received > outs * (1.0 + _SWAP_RTOL) + 1e-12):
             raise RejectedTradeError(f"requested output {trade.received} exceeds fill {outs}")
-        for seg, filled in zip(self.segments, trial):
-            seg.reserves = filled.reserves
+        for i, seg in filled.items():
+            self.segments[i].reserves = seg.reserves
 
     def add_liquidity(self, amounts, price_range: tuple[float, float]):
         los, his = kernels.bounded_quote(*kernels.columns(self.segments))[:2]
@@ -642,8 +648,10 @@ class Curve2Market(GenericSwapMarket):
         self.token_map = token_map
 
     def phi(self, reserves=None) -> float:
-        r = self.reserves if reserves is None else np.asarray(reserves, dtype=float)
-        return float(self.amp * (r[0] + r[1]) - 1.0 / (r[0] * r[1]))
+        """-inf where a reserve is empty, the limit of -1/(R1*R2)."""
+        r1, r2 = self.reserves.tolist() if reserves is None else reserves
+        prod = r1 * r2
+        return float(self.amp * (r1 + r2) - 1.0 / prod) if prod > 0.0 else -math.inf
 
     def _post(self, delta: float, direction: int) -> tuple[float, float, float]:
         """(x, y, out) after tendering delta: the fee-adjusted input reserve
@@ -715,10 +723,10 @@ def no_trade(market, nu) -> bool:
 
 def swap(market, trade: Trade):
     """Apply an accepted trade to the market's reserves (mutates in place).
-    A trade that is not two finite amounts a side is rejected before anything
-    changes."""
+    A trade that is not two finite amounts a side, checked as four Python
+    floats, is rejected before anything changes."""
     t, r = trade.tendered, trade.received
-    if t.shape != (2,) or not (np.isfinite(t).all() and np.isfinite(r).all()):
+    if t.shape != (2,) or not all(map(math.isfinite, t.tolist() + r.tolist())):
         raise RejectedTradeError(f"a trade is two finite amounts a side: {trade}")
     market.apply_trade(trade)
     return market

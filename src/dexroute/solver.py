@@ -287,17 +287,20 @@ def _newton_step(hess, gi, x):
     """The Newton step in nu from prices x, with Hessian hess and gradient gi
     in nu, taken in s = sqrt(x) (see `minimize`); None where neither system
     can be solved."""
-    import scipy.linalg  # deferred: `import dexroute` need not load it
+    from scipy.linalg.lapack import dpotrf, dpotrs  # deferred: `import dexroute` need not load them
     # a price with neither gradient nor curvature stays where it is
     s = np.sqrt(x)
-    hs = 4.0 * s[:, None] * hess * s + np.diag(2.0 * gi)
+    hs = 4.0 * s[:, None] * hess * s
+    hs.flat[::s.size + 1] += 2.0 * gi
     live = np.any(hs != 0.0, axis=1)
-    ds = np.zeros_like(s)
-    try:
-        factor = scipy.linalg.cho_factor(hs[np.ix_(live, live)])
-        ds[live] = scipy.linalg.cho_solve(factor, -2.0 * (s * gi)[live])
+    # the Cholesky factor, as in scipy's cho_factor, which also refuses a non-finite system
+    factor, info = dpotrf(np.asarray_chkfinite(hs[np.ix_(live, live)]))
+    if info == 0:
+        ds = np.zeros_like(s)
+        if live.any():  # dpotrs refuses an empty system
+            ds[live] = dpotrs(factor, -2.0 * (s * gi)[live])[0]
         step = np.maximum(s + ds, s / _SQRT10) ** 2 - x
-    except np.linalg.LinAlgError:  # not convex in s: the Newton step in nu
+    else:  # not convex in s: the Newton step in nu
         reg = 1e-12 * max(1.0, float(np.abs(hess).max()))
         try:
             step = np.linalg.solve(hess + reg * np.eye(x.size), -gi)

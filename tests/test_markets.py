@@ -364,6 +364,16 @@ class TestSwap:
         with pytest.raises(RejectedTradeError):
             dx.swap(m, dx.Trade(np.array([1.0, 0.0]), np.array([0.0, 200.0])))
 
+    @pytest.mark.parametrize("market", [
+        gmean(123.0, 456.0, 0.3, 0.997),
+        bounded(10.0, 7.0, 90.0, 60.0, 0.997),
+        dx.Curve2Market(np.array([80.0, 120.0]), 2.0, 0.997, dx.TokenMap((0, 1))),
+    ], ids=["gmean", "bounded", "curve2"])
+    def test_phi_reads_a_pair_of_floats_as_it_reads_an_array(self, market):
+        for pair in ((123.0, 456.0), (0.5, 1e6), (market.reserves[0], 3.25)):
+            assert market.phi(tuple(map(float, pair))) == market.phi(np.array(pair))
+        assert market.phi() == market.phi(tuple(market.reserves.tolist()))
+
     def test_update_liquidity_scales_pool(self):
         m = gmean()
         dx.update_liquidity(m, np.array([100.0, 100.0]))
@@ -663,6 +673,23 @@ class TestCurve2:
         lam = m.forward_exchange(10.0)
         dx.swap(m, dx.Trade(np.array([10.0, 0.0]), np.array([0.0, lam])))
         assert m.reserves[0] == pytest.approx(110.0)
+
+    @pytest.mark.parametrize("asset", [0, 1])
+    def test_swap_that_empties_a_reserve_is_rejected_without_a_warning(self, asset):
+        # phi = amp*(R1 + R2) - 1/(R1*R2) falls to -inf as a reserve empties
+        import warnings
+
+        m = dx.Curve2Market(np.array([100.0, 100.0]), 3.0, 1.0, dx.TokenMap((0, 1)))
+        t, r = np.zeros(2), np.zeros(2)
+        t[1 - asset], r[asset] = 50.0, 100.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reserves = [0.0, 0.0]
+            reserves[1 - asset] = 5.0
+            assert m.phi(tuple(reserves)) == m.phi(np.array(reserves)) == -math.inf
+            with pytest.raises(RejectedTradeError, match="acceptance condition"):
+                dx.swap(m, dx.Trade(t, r))
+        assert m.reserves.tolist() == [100.0, 100.0]
 
     def test_copy_quotes_from_its_own_reserves(self):
         import copy

@@ -1,6 +1,7 @@
 """Dual evaluation and the end-to-end routing solve."""
 
 import copy
+import json
 import math
 import os
 import pickle
@@ -12,7 +13,7 @@ import scipy.optimize
 from hypothesis import example, given, settings, strategies as st
 
 import dexroute as dx
-from dexroute import generate, oracle, solver
+from dexroute import generate, kernels, oracle, solver
 from dexroute.errors import RejectedTradeError, UnboundedError
 from dexroute.objectives import PRICE_EPS
 from dexroute.solver import SolverConfig
@@ -433,6 +434,69 @@ class TestSnapshotViews:
         _assert_same_solve(dx.solve(snap, obj), dx.solve(fresh, obj))
 
 
+class TestSnapshotWritePath:
+    """A swap or a liquidity update through `snapshot.markets` writes only the
+    columns of the market it changes, and a refused one writes nothing."""
+
+    @staticmethod
+    def _assert_only_market_changed(snap, before, i):
+        """Every column of every block outside market i, and every `other`
+        market but i, is bit for bit as in `before`."""
+        blocks, other = before
+        for name, block in snap.blocks.items():
+            outside = snap.owner[snap.block_rows[name]] != i
+            assert block[:, outside].tobytes() == blocks[name][:, outside].tobytes(), name
+        for (r, mkt), reserves in zip(snap.other, other):
+            if snap.owner[r] != i:
+                assert mkt.reserves.tobytes() == reserves.tobytes()
+
+    @staticmethod
+    def _state(snap):
+        return ({name: block.copy() for name, block in snap.blocks.items()},
+                [mkt.reserves.copy() for _, mkt in snap.other])
+
+    @pytest.mark.parametrize("source", ["objects", "json"])
+    def test_each_write_touches_only_its_market(self, source):
+        snap = _view_network(source)
+        ladder = snap.markets[3]
+        capacity = sum(s.reserves for s in ladder.segments)
+        steps = [
+            (0, lambda: dx.swap(snap.markets[0], _sell(snap.markets[0], 10.0))),
+            (3, lambda: dx.swap(ladder, dx.Trade(np.array([3.0, 0.0]), np.zeros(2)))),
+            (3, lambda: dx.update_liquidity(ladder, [5.0, 5.0], ladder.segments[4].active_interval())),
+        ]
+        for i, write in steps:
+            before = self._state(snap)
+            write()
+            self._assert_only_market_changed(snap, before, i)
+            name = "gmean_arb_batch" if i == 0 else "bounded_arb_batch"
+            mine = snap.owner[snap.block_rows[name]] == i
+            assert snap.blocks[name][:, mine].tobytes() != before[0][name][:, mine].tobytes()
+        before = self._state(snap)
+        with pytest.raises(RejectedTradeError):
+            dx.swap(ladder, dx.Trade(np.array([0.0, 1.0]), np.array([2.0 * capacity[0], 0.0])))
+        for name, block in snap.blocks.items():
+            assert block.tobytes() == before[0][name].tobytes()
+        fresh = dx.snapshot_from_dict(json.loads(dx.dumps_snapshot(snap)))
+        obj = TestSnapshotViews._OBJ
+        _assert_same_solve(dx.solve(snap, obj), dx.solve(fresh, obj))
+
+    @pytest.mark.parametrize("source", ["objects", "json"])
+    def test_an_aggregate_column_read_is_a_copy_of_its_parts(self, source):
+        snap = _view_network(source)
+        segments = snap.markets[3].segments
+        block = snap.blocks["bounded_arb_batch"]
+        before = block.copy()
+        # a run of the block, parts out of order or repeated, and parts that own their columns
+        for parts in (segments, segments[2:7], segments[:1], segments[::-1], segments[:1] * 2,
+                      generate.make_ladder(4, seed=3).segments):
+            cols = kernels.columns(parts)
+            assert cols.flags.c_contiguous and not np.shares_memory(cols, block)
+            assert cols.tobytes() == np.array([s._row() for s in parts]).T.copy().tobytes()
+            cols[:] = -1.0
+        assert block.tobytes() == before.tobytes()
+
+
 class TestAggregateDecomposition:
     """An aggregate solves as its segments listed as standalone markets."""
 
@@ -756,6 +820,41 @@ class TestSqrtPriceNewton:
         sol = dx.solve(snap, dx.BasketLiquidation(basket, 1))
         assert sol.converged
         assert sol.iterations <= 3
+
+    def test_newton_step_is_scipys_cholesky_step_with_its_fallback_and_refusal(self):
+        # the step in s is scipy's cho_factor/cho_solve step bit for bit; a
+        # price with neither gradient nor curvature stays where it is, a
+        # system that is not positive definite takes the step in nu, and a
+        # non-finite one is refused
+        import scipy.linalg
+
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((6, 6))
+        hess = a @ a.T + 6.0 * np.eye(6)
+        hess[4, :] = hess[:, 4] = 0.0
+        gi = 1e-3 * rng.standard_normal(6)
+        gi[4] = 0.0
+        x = rng.uniform(0.5, 2.0, 6)
+
+        def capped(step):
+            return step / max(1.0, float(np.max(np.abs(step) / x)) / 10.0)
+
+        s = np.sqrt(x)
+        hs = 4.0 * s[:, None] * hess * s + np.diag(2.0 * gi)
+        live = np.any(hs != 0.0, axis=1)
+        ds = np.zeros(6)
+        ds[live] = scipy.linalg.cho_solve(scipy.linalg.cho_factor(hs[np.ix_(live, live)]), -2.0 * (s * gi)[live])
+        expected = capped(np.maximum(s + ds, s / math.sqrt(10.0)) ** 2 - x)
+        assert solver._newton_step(hess, gi, x).tobytes() == expected.tobytes()
+        zero = np.zeros((6, 6))
+        assert solver._newton_step(zero, np.zeros(6), x).tobytes() == capped(s ** 2 - x).tobytes()
+        concave = -hess - np.eye(6)
+        reg = 1e-12 * float(np.abs(concave).max())
+        expected = capped(np.linalg.solve(concave + reg * np.eye(6), -gi))
+        assert solver._newton_step(concave, gi, x).tobytes() == expected.tobytes()
+        hess[0, 1] = hess[1, 0] = math.nan
+        with pytest.raises(ValueError):
+            solver._newton_step(hess, gi, x)
 
 
 class TestStepLimits:

@@ -12,6 +12,10 @@ evaluations (calls of `solver._eval`) the group took:
   back from JSON;
 - block: every block-stream block on seeds 1, 2, 3 and 1001, with
   perfbench's own mutations;
+- block-state: one SHA-256 over the state those blocks leave, after each
+  block every array of `snapshot.blocks` and each `other` market's
+  reserves, so a change to the write path shows bit-identical state, not
+  only identical solutions;
 - sweep: the 300 random solves (150 networks from `default_rng(0)`, each
   under arbitrage and the liquidation of 20 of token 0 into token 1).
 
@@ -90,8 +94,9 @@ def desk(seed):
     yield dx.solve(snap, dx.TotalArbitrage(snap.prices))
 
 
-def block(seed):
-    """`BlockStream.round` without the timing and the verifier."""
+def block(seed, state):
+    """`BlockStream.round` without the timing and the verifier; the state
+    after each block goes into the hash `state`."""
     wl = workloads.BlockStream(seed, None)
     snap = _from_json(workloads.block_snapshot(seed))
     gm_idx = [i for i, mk in enumerate(snap.markets) if isinstance(mk, dx.GeomMeanMarket)]
@@ -99,7 +104,12 @@ def block(seed):
     prices = snap.prices
     for k in range(wl.blocks):
         swaps, updates, prices = wl._plan(snap, gm_idx, agg_idx, k, prices)
-        yield wl._block(snap, swaps, updates, prices)
+        sol = wl._block(snap, swaps, updates, prices)
+        for name in sorted(snap.blocks):
+            state.update(name.encode() + snap.blocks[name].tobytes())
+        for _, mkt in snap.other:
+            state.update(np.ascontiguousarray(mkt.reserves, dtype=float).tobytes())
+        yield sol
 
 
 def sweep_cases():
@@ -187,7 +197,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     _report("mixed", [(f"seed {s}", mixed(s)) for s in SEEDS])
     _report("desk", [(f"seed {s}", desk(s)) for s in (42, 7)])
-    _report("block", [(f"seed {s}", block(s)) for s in SEEDS])
+    state = hashlib.sha256()
+    _report("block", [(f"seed {s}", block(s, state)) for s in SEEDS])
+    print(f"{'block-state':17} {state.hexdigest()}", flush=True)
     records = []
     _report("sweep", [("", sweep(records))])
     print(f"sweep  converged {sum(r['converged'] for r in records)} of {len(records)}")
