@@ -531,6 +531,10 @@ class GenericSwapMarket:
     def price_impact(self, delta: float, direction: int = 1) -> float:
         return self.impact[direction - 1](delta)
 
+    def _impact(self, direction: int) -> Callable[[float], float]:
+        """The price impact in `direction` of the amount alone: `find_arb` bisects on it."""
+        return lambda delta: self.price_impact(delta, direction)
+
     def impact_derivative(self, delta: float, direction: int = 1) -> float:
         """I'(delta), one-sided I'(0+) at delta = 0: a difference of the impact
         I whose step grows tenfold until the difference clears 1000*eps*|I|,
@@ -571,8 +575,8 @@ class GenericSwapMarket:
         direction, nu_in, nu_out = (1, nu1, nu2) if p < bid else (2, nu2, nu1)
         # the trade tenders delta where the impact falls to target: bracket
         # it by growing hi fourfold, then bisect, keeping the impact at hi
-        target, lo, hi = nu_in / nu_out, 0.0, 1.0
-        while (impact_hi := self.price_impact(hi, direction)) >= target:
+        impact_at, target, lo, hi = self._impact(direction), nu_in / nu_out, 0.0, 1.0
+        while (impact_hi := impact_at(hi)) >= target:
             hi *= 4.0
             if hi > _BRACKET_CAP:
                 raise UnboundedError(
@@ -581,7 +585,7 @@ class GenericSwapMarket:
                 )
         for _ in range(_BISECT_MAXIT):
             mid = 0.5 * (lo + hi)
-            impact = self.price_impact(mid, direction)
+            impact = impact_at(mid)
             if impact >= target:
                 lo = mid
             else:
@@ -626,6 +630,14 @@ class GenericSwapMarket:
         raise ConfigurationError("generic swap markets carry no reserve state")
 
 
+def _curve2_xy(rin: float, rout: float, amp: float, fd: float) -> tuple[float, float, float]:
+    """`Curve2Market._post`'s x and y, and s = sqrt(b^2 + 4a), for fd = fee*delta."""
+    x = rin + fd
+    b = x * (amp * (fd - rout) + 1.0 / (rin * rout))  # x*(amp*x - phi0), phi0 eliminated
+    s = math.sqrt(b * b + 4.0 * amp * x)
+    return x, (2.0 / (s + b) if b > 0.0 else (s - b) / (2.0 * amp * x)), s
+
+
 class Curve2Market(GenericSwapMarket):
     """Two-asset stableswap-style market, phi(R) = amp*(R1+R2) - 1/(R1*R2).
 
@@ -665,24 +677,30 @@ class Curve2Market(GenericSwapMarket):
         """
         if delta < 0:
             raise DomainError("tendered amount must be nonnegative")
-        r1, r2 = self.reserves.tolist()  # Python floats: this runs ~50 times a find_arb
+        r1, r2 = self.reserves.tolist()
         rin, rout = (r1, r2) if direction == 1 else (r2, r1)
         amp, fd = self.amp, self.fee * delta
-        x = rin + fd
-        q = 1.0 / (rin * rout)
-        b = x * (amp * (fd - rout) + q)  # x*(amp*x - phi0), phi0 eliminated
-        s = math.sqrt(b * b + 4.0 * amp * x)
-        y = 2.0 / (s + b) if b > 0.0 else (s - b) / (2.0 * amp * x)
-        shifted_b = x * (amp * (rout + fd) + q)  # b + 2*a*r_out, positive terms only
+        x, y, s = _curve2_xy(rin, rout, amp, fd)
+        shifted_b = x * (amp * (rout + fd) + 1.0 / (rin * rout))  # b + 2*a*r_out, positive terms only
         out = 2.0 * fd * (amp * x * rout + 1.0 / rin) / (shifted_b + s)
         return x, y, out
+
+    def _impact(self, direction: int) -> Callable[[float], float]:
+        """`price_impact`, the reserves, amp and fee read once and no output computed."""
+        r1, r2 = self.reserves.tolist()
+        rin, rout, amp, fee = (r1, r2, self.amp, self.fee) if direction == 1 else (r2, r1, self.amp, self.fee)
+        def impact(delta: float) -> float:
+            x, y, _ = _curve2_xy(rin, rout, amp, fee * delta)
+            return fee * (amp + 1.0 / (x * x * y)) / (amp + 1.0 / (x * y * y))
+        return impact
 
     def forward_exchange(self, delta: float, direction: int = 1) -> float:
         return self._post(delta, direction)[2]
 
     def price_impact(self, delta: float, direction: int = 1) -> float:
-        x, y, _ = self._post(delta, direction)
-        return self.fee * (self.amp + 1.0 / (x * x * y)) / (self.amp + 1.0 / (x * y * y))
+        if delta < 0:
+            raise DomainError("tendered amount must be nonnegative")
+        return self._impact(direction)(delta)
 
     def impact_derivative(self, delta: float, direction: int = 1) -> float:
         """I'(delta) = -fee^2 * y''(x): y' = -N/D with N = amp + 1/(x^2 y) and

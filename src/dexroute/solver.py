@@ -8,7 +8,9 @@ closed-form curvature in the same evaluation as the value and gradient.  The
 per-market trades of the final evaluation at the minimizer are summed into the
 network trade, so the recovered primal satisfies the coupling constraint by
 construction.  The paper minimizes the same dual with L-BFGS-B; the tests keep
-that as the reference.
+that as the reference.  A solve computes once what its rounds share: each
+kernel block's quote, each flat row's spread, each block's rows as a slice
+where they are one run, and the Hessian's scatter index (`_layout`).
 
 Newton steps are taken in square-root prices s = sqrt(nu).  A constant-product
 pool with fee gamma that trades has the arbitrage value
@@ -110,12 +112,22 @@ def _spreads(snapshot: MarketSnapshot) -> list[tuple[float, float]]:
     return [mkt.spread() for _, mkt in snapshot.other]
 
 
-def _arb(snapshot: MarketSnapshot, nu1, nu2, quotes) -> np.ndarray:
+def _layout(snapshot: MarketSnapshot) -> tuple[dict, np.ndarray]:
+    """Each block's rows as a slice where `block_rows[name]` is one run (else the index
+    array), which `_arb` reads without a copy, and `_hessian`'s scatter index."""
+    s = snapshot
+    runs = {name: slice(int(idx[0]), int(idx[-1]) + 1)
+            if idx.size and np.array_equal(idx, np.arange(idx[0], idx[-1] + 1)) else idx
+            for name, idx in s.block_rows.items()}
+    return runs, np.concatenate([s.i1 * s.n + s.i1, s.i2 * s.n + s.i2, s.i1 * s.n + s.i2, s.i2 * s.n + s.i1])
+
+
+def _arb(snapshot: MarketSnapshot, nu1, nu2, quotes, runs=None) -> np.ndarray:
     """Every row's optimal arbitrage at local prices (nu1, nu2), one kernel
     row (t1, o2, t2, o1, value, curvature) per column, in row order."""
     rows = np.zeros((6, nu1.shape[0]))
     for name, block in snapshot.blocks.items():
-        idx = snapshot.block_rows[name]
+        idx = (snapshot.block_rows if runs is None else runs)[name]
         # the kernel is looked up per call, where a tracer can wrap it
         rows[:, idx] = getattr(kernels, name)(*block, nu1[idx], nu2[idx], quotes[name])
     for r, mkt in snapshot.other:
@@ -126,11 +138,11 @@ def _arb(snapshot: MarketSnapshot, nu1, nu2, quotes) -> np.ndarray:
     return rows
 
 
-def _eval(obj, nu, snapshot, quotes=None):
+def _eval(obj, nu, snapshot, quotes=None, runs=None):
     """Dual value and gradient at nu, and the `_arb` rows they came from;
-    `quotes` are the snapshot's `_quotes`, computed here if not given."""
+    `quotes` are the snapshot's `_quotes`, computed if not given, and `runs` its `_layout` slices."""
     s = snapshot
-    rows = _arb(s, nu[s.i1], nu[s.i2], _quotes(s) if quotes is None else quotes)
+    rows = _arb(s, nu[s.i1], nu[s.i2], _quotes(s) if quotes is None else quotes, runs)
     t1, o2, t2, o1, value, _ = rows
     g = obj.conjugate(nu) + float(value.sum())
     grad = (obj.conjugate_gradient(nu) + np.bincount(s.i1, weights=o1 - t1, minlength=s.n)
@@ -145,9 +157,9 @@ def _trade_arrays(snapshot: MarketSnapshot, rows):
     return np.column_stack([t1, t2]), np.column_stack([o1, o2])
 
 
-def _hessian(snapshot: MarketSnapshot, nu, rows) -> np.ndarray:
+def _hessian(snapshot: MarketSnapshot, nu, rows, index=None) -> np.ndarray:
     """The dual Hessian at nu, assembled from one 2x2 block per row of the
-    `_arb` rows evaluated there.
+    `_arb` rows evaluated there, at the snapshot's `_layout` index.
 
     A market's arbitrage value is 1-homogeneous in its local prices, so its
     Hessian block is c*[nu2, -nu1]^T [nu2, -nu1]; the (1, 1) entry c*nu2^2 is
@@ -157,10 +169,9 @@ def _hessian(snapshot: MarketSnapshot, nu, rows) -> np.ndarray:
     s = snapshot
     h11 = rows[5]
     p = nu[s.i1] / nu[s.i2]
-    flat = np.concatenate([s.i1 * s.n + s.i1, s.i2 * s.n + s.i2,
-                           s.i1 * s.n + s.i2, s.i2 * s.n + s.i1])
+    index = _layout(s)[1] if index is None else index
     blocks = np.concatenate([h11, h11 * p * p, -h11 * p, -h11 * p])
-    return np.bincount(flat, weights=blocks, minlength=s.n * s.n).reshape(s.n, s.n)
+    return np.bincount(index, weights=blocks, minlength=s.n * s.n).reshape(s.n, s.n)
 
 
 def eval_dual(snapshot: MarketSnapshot, obj: Objective, nu):
@@ -294,7 +305,7 @@ def _newton_step(hess, gi, x):
     hs.flat[::s.size + 1] += 2.0 * gi
     live = np.any(hs != 0.0, axis=1)
     # the Cholesky factor, as in scipy's cho_factor, which also refuses a non-finite system
-    factor, info = dpotrf(np.asarray_chkfinite(hs[np.ix_(live, live)]))
+    factor, info = dpotrf(np.asarray_chkfinite(hs[live][:, live]))
     if info == 0:
         ds = np.zeros_like(s)
         if live.any():  # dpotrs refuses an empty system
@@ -348,8 +359,8 @@ def minimize(obj, nu, lower, snapshot, tol, max_rounds, quotes, spreads):
     move past an accepted one; in the second case the trials it skipped are
     tried in turn before the round fails.  The loop stops at tol, with no
     free variable, or when a round fails.  Every evaluation reads the
-    snapshot's `quotes`; `spreads` holds each `snapshot.other` row's
-    (bid, ask).
+    snapshot's `quotes` and every round its `_layout`, made here once;
+    `spreads` holds each `snapshot.other` row's (bid, ask).
 
     The system is solved in s = sqrt(nu), where a trading constant-product
     pool's arbitrage value is a quadratic: with S = diag(s) and H the Hessian
@@ -391,7 +402,8 @@ def minimize(obj, nu, lower, snapshot, tol, max_rounds, quotes, spreads):
     """
     flat = [(int(snapshot.i1[r]), int(snapshot.i2[r]), bid, ask)
             for (r, _), (bid, ask) in zip(snapshot.other, spreads)]
-    ev = _eval(obj, nu, snapshot, quotes)
+    runs, index = _layout(snapshot)
+    ev = _eval(obj, nu, snapshot, quotes, runs)
     rounds = 0
     while rounds < max_rounds:
         g, grad, rows = ev
@@ -405,7 +417,7 @@ def minimize(obj, nu, lower, snapshot, tol, max_rounds, quotes, spreads):
         floor = nu.copy()
         floor[idx] = np.maximum(lower[idx], nu[idx] / 10.0)
         model, gm = rows, grad
-        step = _newton_step(_hessian(snapshot, nu, rows)[np.ix_(idx, idx)], grad[idx], nu[idx])
+        step = _newton_step(_hessian(snapshot, nu, rows, index)[idx][:, idx], grad[idx], nu[idx])
         # while the step carries an idle flat row out past its edge, again
         # with that row's model from outside the edge
         modelled = set()
@@ -420,7 +432,7 @@ def minimize(obj, nu, lower, snapshot, tol, max_rounds, quotes, spreads):
                 model[:, r] = mkt.edge_arb(np.array([nu[a], nu[b]]), d)
                 gm[a] += model[3, r] - model[0, r]
                 gm[b] += model[1, r] - model[2, r]
-            step = _newton_step(_hessian(snapshot, nu, model)[np.ix_(idx, idx)], gm[idx], nu[idx])
+            step = _newton_step(_hessian(snapshot, nu, model, index)[idx][:, idx], gm[idx], nu[idx])
         if step is None:
             break
         direction = np.zeros_like(nu)
@@ -438,7 +450,7 @@ def minimize(obj, nu, lower, snapshot, tol, max_rounds, quotes, spreads):
             if np.array_equal(cand, nu):  # the step has fallen below the round-off of nu
                 stop, ev_c = True, None
             else:
-                ev_c = _eval(obj, cand, snapshot, quotes)
+                ev_c = _eval(obj, cand, snapshot, quotes, runs)
                 if abs(ev_c[0] - g) > roundoff:
                     stop = ev_c[0] <= g + 1e-4 * float(grad @ (cand - nu))
                 else:  # Armijo would pass a step that changes nothing

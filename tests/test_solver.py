@@ -562,6 +562,21 @@ def _random_network(n, kinds, seed):
     return dx.MarketSnapshot(uni, markets, prices=prices)
 
 
+def sweep_cases():
+    """The 150 random networks of the sweep: n in [2, 7), 1-8 markets of
+    random kinds with at least one curve2 pool, and a network seed below
+    2**16.  Each is solved under arbitrage and under the liquidation of 20 of
+    token 0 into token 1 (`TestSweep`, `tools/solve_hashes.py`)."""
+    kinds_ = ("gmean", "bounded", "aggregate", "curve2")
+    r = np.random.default_rng(0)
+    for _ in range(150):
+        n, m = int(r.integers(2, 7)), int(r.integers(1, 9))
+        kinds = [kinds_[int(i)] for i in r.integers(4, size=m)]
+        if "curve2" not in kinds:
+            kinds[int(r.integers(m))] = "curve2"
+        yield n, kinds, int(r.integers(2 ** 16))
+
+
 @st.composite
 def _routing_cases(draw):
     n = draw(st.integers(2, 6))
@@ -1060,3 +1075,108 @@ class TestGallopingLineSearch:
         for a, b in ((fast.nu, slow.nu), (fast.tendered, slow.tendered), (fast.received, slow.received)):
             assert a.tobytes() == b.tobytes()
         assert fast_evals < slow_evals
+
+
+# the network seeds of the sweep solves that converge, by objective
+_SWEEP_CONVERGED = {
+    "arbitrage": (321, 351, 1448, 3184, 5196, 12355, 12715, 13300, 16495, 17347, 17678, 18384, 18896, 19262,
+                  19318, 19908, 21171, 24066, 26728, 27392, 30206, 31526, 34621, 35223, 36113, 36266, 36610,
+                  37361, 38008, 39965, 40329, 41774, 41915, 42769, 43525, 44223, 45567, 46568, 47153, 47776,
+                  48291, 52178, 53856, 54719, 57199, 60636, 60839, 61195, 63529, 64436, 64796),
+    "liquidate": (1448, 4190, 12355, 16495, 17347, 18896, 19262, 21171, 24066, 26728, 27392, 28816, 30206,
+                  35223, 36113, 36266, 36610, 38923, 41774, 43525, 44223, 45567, 51583, 53445, 60778, 60839,
+                  61083, 64436, 64796),
+}
+
+
+class TestSweep:
+    """The 300 solves of `sweep_cases`, which solver changes are measured on:
+    none of the 80 that converge may stop converging, and none may run to
+    the round cap."""
+
+    def test_no_converged_solve_is_lost_and_none_runs_to_the_round_cap(self):
+        cap = SolverConfig().max_iterations
+        cases = list(sweep_cases())
+        assert len({seed for _, _, seed in cases}) == len(cases)
+        assert {seed for seeds in _SWEEP_CONVERGED.values() for seed in seeds} <= {seed for _, _, seed in cases}
+        assert sum(map(len, _SWEEP_CONVERGED.values())) == 80
+        lost, capped = [], []
+        for n, kinds, seed in cases:
+            snap = _random_network(n, kinds, seed)
+            basket = np.zeros(n)
+            basket[0] = 20.0
+            for name, obj in (("arbitrage", dx.TotalArbitrage(snap.prices)),
+                              ("liquidate", dx.BasketLiquidation(basket, 1))):
+                sol = dx.solve(snap, obj)
+                if seed in _SWEEP_CONVERGED[name] and not sol.converged:
+                    lost.append((n, kinds, seed, name))
+                if sol.iterations >= cap:
+                    capped.append((n, kinds, seed, name, sol.iterations))
+        assert not lost, f"converged solves that no longer converge: {lost}"
+        assert not capped, f"solves at the {cap}-round cap: {capped}"
+
+
+def _parent_curve2_impact(mkt, delta, direction):
+    """A curve2 pool's price impact as `price_impact` computed it through
+    `_post`, which also worked out the output, written out here."""
+    r1, r2 = mkt.reserves.tolist()
+    rin, rout = (r1, r2) if direction == 1 else (r2, r1)
+    amp, fd = mkt.amp, mkt.fee * delta
+    x = rin + fd
+    q = 1.0 / (rin * rout)
+    b = x * (amp * (fd - rout) + q)
+    s = math.sqrt(b * b + 4.0 * amp * x)
+    y = 2.0 / (s + b) if b > 0.0 else (s - b) / (2.0 * amp * x)
+    return mkt.fee * (mkt.amp + 1.0 / (x * x * y)) / (mkt.amp + 1.0 / (x * y * y))
+
+
+class TestNewtonRoundBitIdentity:
+    """The per-solve block slices, the Hessian index and the float-only
+    curve2 bisection return the same bytes as the paths they replace."""
+
+    def test_curve2_bisection_is_the_bisection_through_price_impact(self):
+        rng = np.random.default_rng(22)
+        calls = 0
+        for i in range(200):
+            mkt = dx.Curve2Market(rng.uniform(500.0, 2000.0, 2), (0.5, 3.0, 20.0)[i % 3], 0.999,
+                                  dx.TokenMap((0, 1)))
+            bid, ask = mkt.spread()
+            for p in (bid * (1.0 - 1e-6), ask * (1.0 + 1e-6), bid * rng.uniform(0.5, 0.999),
+                      ask * rng.uniform(1.001, 2.0)):
+                nu = np.array([p, 1.0])
+                fast, ref = mkt.find_arb(nu), copy.deepcopy(mkt)
+                # the same bisection, each impact one `price_impact` call of a copy
+                mkt._impact = lambda d: (lambda delta: ref.price_impact(delta, d))
+                through = mkt.find_arb(nu)
+                mkt._impact = lambda d: (lambda delta: _parent_curve2_impact(ref, delta, d))
+                parent = mkt.find_arb(nu)
+                del mkt._impact
+                assert fast.t1 > 0.0 or fast.t2 > 0.0
+                assert np.array(fast).tobytes() == np.array(through).tobytes() == np.array(parent).tobytes()
+                # the bisection compares impacts only, so compare their bits too
+                for d, delta in ((1, fast.t1), (2, fast.t2)):
+                    impact = mkt._impact(d)
+                    for x in (0.0, delta, *np.geomspace(1e-6, 1e4, 21).tolist()):
+                        assert impact(x) == mkt.price_impact(x, d) == _parent_curve2_impact(mkt, x, d)
+                calls += 1
+        assert calls == 800
+
+    @pytest.mark.parametrize("kinds, slices", [
+        (["gmean", "bounded", "gmean", "aggregate", "gmean", "bounded", "curve2"], False),
+        (["gmean", "gmean", "gmean", "bounded", "aggregate", "curve2"], True),
+    ], ids=["interleaved", "one-run"])
+    def test_arb_through_a_slice_is_arb_through_the_index_array(self, kinds, slices):
+        snap = _random_network(5, kinds, 7)
+        runs, index = solver._layout(snap)
+        assert sorted(runs) == sorted(snap.block_rows) == ["bounded_arb_batch", "gmean_arb_batch"]
+        for name, rows in runs.items():
+            assert isinstance(rows, slice) == slices
+            assert np.arange(snap.owner.size)[rows].tolist() == snap.block_rows[name].tolist()
+        quotes, rng = solver._quotes(snap), np.random.default_rng(5)
+        for _ in range(20):
+            nu = snap.prices * rng.uniform(0.7, 1.4, snap.n)
+            rows = solver._arb(snap, nu[snap.i1], nu[snap.i2], quotes, runs)
+            assert rows.tobytes() == solver._arb(snap, nu[snap.i1], nu[snap.i2], quotes).tobytes()
+            assert np.count_nonzero(rows[0] + rows[2]) > 0
+            assert (solver._hessian(snap, nu, rows, index).tobytes()
+                    == solver._hessian(snap, nu, rows).tobytes())

@@ -4,7 +4,11 @@
 
 For each group of solves it prints one SHA-256 over every solve's `nu`,
 tendered, received, rounds and `converged`, and the number of dual
-evaluations (calls of `solver._eval`) the group took:
+evaluations (calls of `solver._eval`) the group took.  Under each group's
+line a `time` line gives its mean `wall_time` per solve in ms, the time
+inside `solver._eval` per evaluation in µs, and the rest of the solve time
+per Newton round in µs (Hessian, Newton step, line-search bookkeeping,
+initial point and primal recovery).  The groups:
 
 - mixed: the 64 mixed-network solves (templates 0-7, arbitrage and
   liquidation, seeds 1, 2, 3 and 1001), each snapshot read back from JSON;
@@ -26,9 +30,9 @@ file, written by another tree, and prints the sweep against it: the solves
 converged, lost and won, the residuals more than ten times worse or better,
 the runs at the round cap, and the total, median and largest evaluations.
 The inputs come from
-`perfbench/workloads.py` and `tests/test_solver.py._random_network`; the
-script imports the `dexroute` beside it, so a copy of the tree fingerprints
-that tree.
+`perfbench/workloads.py` and `tests/test_solver.py` (`_random_network` and
+`sweep_cases`); the script imports the `dexroute` beside it, so a copy of the
+tree fingerprints that tree.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ import hashlib
 import json
 import os
 import sys
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, d) for d in ("src", "perfbench", "tests")]
@@ -48,21 +53,25 @@ import dexroute as dx  # noqa: E402
 from dexroute import generate, solver  # noqa: E402
 
 import workloads  # noqa: E402
-from test_solver import _random_network  # noqa: E402
+from test_solver import _random_network, sweep_cases  # noqa: E402
 
 SEEDS = (1, 2, 3, 1001)
-KINDS = ("gmean", "bounded", "aggregate", "curve2")
 
 
 class Counter:
-    """Counts calls of `solver._eval` while installed."""
+    """Counts calls of `solver._eval`, and the seconds spent in them, while
+    installed."""
 
     def __init__(self):
-        self.calls, self._eval = 0, solver._eval
+        self.calls, self.seconds, self._eval = 0, 0.0, solver._eval
 
     def __call__(self, *args, **kwargs):
         self.calls += 1
-        return self._eval(*args, **kwargs)
+        t0 = time.perf_counter()
+        try:
+            return self._eval(*args, **kwargs)
+        finally:
+            self.seconds += time.perf_counter() - t0
 
 
 COUNT = Counter()
@@ -112,18 +121,6 @@ def block(seed, state):
         yield sol
 
 
-def sweep_cases():
-    """The 150 random networks: n in [2, 7), 1-8 markets of random kinds with
-    at least one curve2 pool, and a network seed below 2**16."""
-    r = np.random.default_rng(0)
-    for _ in range(150):
-        n, m = int(r.integers(2, 7)), int(r.integers(1, 9))
-        kinds = [KINDS[int(i)] for i in r.integers(4, size=m)]
-        if "curve2" not in kinds:
-            kinds[int(r.integers(m))] = "curve2"
-        yield n, kinds, int(r.integers(2 ** 16))
-
-
 def sweep(records):
     for n, kinds, seed in sweep_cases():
         snap = _random_network(n, kinds, seed)
@@ -141,8 +138,9 @@ def sweep(records):
 
 def _report(name, parts):
     """Print a line per part, if more than one, and one for the group: hash,
-    solves, evaluations."""
+    solves, evaluations; then the group's `time` line."""
     group, total_solves, total_evals = hashlib.sha256(), 0, 0
+    wall, rounds, eval_seconds = 0.0, 0, COUNT.seconds
     for label, solves in parts:
         h, count, before = hashlib.sha256(), 0, COUNT.calls
         for sol in solves:
@@ -150,11 +148,16 @@ def _report(name, parts):
             h.update(d)
             group.update(d)
             count += 1
+            wall, rounds = wall + sol.wall_time, rounds + sol.iterations
         evals = COUNT.calls - before
         total_solves, total_evals = total_solves + count, total_evals + evals
         if len(parts) > 1:
             print(f"{name:6} {label:10} {h.hexdigest()[:16]}  solves {count:3}  evals {evals}", flush=True)
     print(f"{name:6} {'all':10} {group.hexdigest()}  solves {total_solves}  evals {total_evals}", flush=True)
+    eval_seconds = COUNT.seconds - eval_seconds
+    print(f"{name:6} {'time':10} {1e3 * wall / max(total_solves, 1):.3f} ms/solve  "
+          f"{1e6 * eval_seconds / max(total_evals, 1):.1f} us/eval  "
+          f"{1e6 * (wall - eval_seconds) / max(rounds, 1):.1f} us/round  ({rounds} rounds)", flush=True)
 
 
 def _name(r) -> str:
