@@ -36,10 +36,10 @@ def _parse_vec(text: str) -> np.ndarray:
     return np.array([float(x) for x in text.split(",")])
 
 
-# one entry of the solution's "trades" list as json.dumps(..., indent=2) spells it
-_TRADE_ROW = ('    {{\n      "market": {},\n'
-              '      "tendered": [\n        {},\n        {}\n      ],\n'
-              '      "received": [\n        {},\n        {}\n      ]\n    }}')
+# a "trades" entry as json.dumps(..., indent=2) spells it, from the close of the
+# one before: its market index goes at 1, its floats t1, t2, r1, r2 at 3, 5, 7, 9
+_ENTRY = ('\n      ]\n    },\n    {\n      "market": ', None, ',\n      "tendered": [\n        ', "0.0",
+          ',\n        ', "0.0", '\n      ],\n      "received": [\n        ', "0.0", ',\n        ', "0.0")
 
 
 def _solution_doc(sol: RoutingSolution, trades: bool = True) -> dict:
@@ -60,20 +60,23 @@ def _solution_doc(sol: RoutingSolution, trades: bool = True) -> dict:
 
 
 def _solution_json(sol: RoutingSolution) -> str:
-    """The text of json.dumps(_solution_doc(sol), indent=2) + "\n", byte for byte.
-
-    The trade floats go through the C encoder as one flat list, which spells
-    NaN, Infinity and -0.0 as the indented encoder does, and are filled into a
-    fixed per-trade template; the rest of the document is dumped as it is.
-    """
+    """The text of json.dumps(_solution_doc(sol), indent=2) + "\n", byte for byte:
+    the trades are one join of `_ENTRY` pieces and the encoded floats, of which
+    only the nonzero and negative-zero ones go through the C encoder, as one
+    flat list that spells NaN, Infinity and -0.0 as the indented encoder does."""
     text = json.dumps(_solution_doc(sol, trades=False), indent=2) + "\n"
     if not len(sol.tendered):
         return text
-    floats = json.dumps(np.hstack([sol.tendered, sol.received]).ravel().tolist())
-    it = iter(floats[1:-1].split(", "))  # t1, t2, r1, r2 of each trade in turn
-    rows = ",\n".join(map(_TRADE_ROW.format, range(len(sol.tendered)), it, it, it, it))
-    # nu and psi hold only numbers, so the first match is the trades key
-    return text.replace('"trades": []', '"trades": [\n' + rows + "\n  ]", 1)
+    head, tail = text.split('"trades": []', 1)  # nu and psi hold only numbers
+    parts = list(_ENTRY) * len(sol.tendered)
+    parts[0], parts[1::10] = head + '"trades": [\n    {\n      "market": ', map(str, range(len(sol.tendered)))
+    flat = np.hstack([sol.tendered, sol.received]).ravel()  # t1, t2, r1, r2 of each trade in turn
+    sent = np.flatnonzero((flat != 0.0) | np.signbit(flat))  # the floats that are not 0.0
+    at = 10 * (sent // 4) + 3 + 2 * (sent % 4)  # float k goes in entry k // 4, at 3 + 2 * (k % 4)
+    for i, f in zip(at.tolist(), json.dumps(flat[sent].tolist())[1:-1].split(", ")):
+        parts[i] = f
+    parts.append('\n      ]\n    }\n  ]' + tail)
+    return "".join(parts)
 
 
 def cmd_route(args) -> int:

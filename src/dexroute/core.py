@@ -12,7 +12,7 @@ import gc
 import json
 import operator
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -136,9 +136,10 @@ class MarketSnapshot:
     indices of its two assets.  `blocks[kernel]` holds, one row per kernel
     argument, the columns of the rows that name that kernel, and
     `block_rows[kernel]` places them among all rows; `other` holds the
-    (row, market) pairs that name none.  The closed-form markets and segments
-    in `markets`, a tuple, are views on their columns, so `swap` and
-    `update_liquidity` through them change what the next solve reads.
+    (row, market) pairs that name none.  `markets`, a tuple, is built on its
+    first read, by one builder, from the columns alone: each closed-form
+    market and segment a view on its column, so `swap` and `update_liquidity`
+    through it change what the next solve reads.  `m` is read off `owner`.
 
     A snapshot owns its markets: `MarketSnapshot(universe, markets)` stacks
     the objects' rows into new blocks and builds its markets on them, and
@@ -151,14 +152,14 @@ class MarketSnapshot:
         self._set(universe, _stack(markets, universe.n), generator, prices)
 
     def _set(self, universe, columns, generator, prices) -> "MarketSnapshot":
-        markets, owner, i1, i2, blocks, block_rows, other = columns
+        owner, i1, i2, blocks, block_rows, other, aggregates = columns
         if prices is not None:
             prices = np.asarray(prices, dtype=float)
             if prices.shape != (universe.n,):
                 raise ConfigurationError("prices length does not match universe")
         self.universe, self.generator, self.prices = universe, generator, prices
-        self.markets, self.owner, self.i1, self.i2 = markets, owner, i1, i2
-        self.blocks, self.block_rows, self.other = blocks, block_rows, other
+        self.owner, self.i1, self.i2, self._aggregates = owner, i1, i2, aggregates
+        self.blocks, self.block_rows, self.other, self._markets = blocks, block_rows, other, None
         return self
 
     def __reduce__(self):
@@ -170,14 +171,32 @@ class MarketSnapshot:
 
     @property
     def m(self) -> int:
-        return len(self.markets)
+        return int(self.owner[-1]) + 1 if len(self.owner) else 0
+
+    @property
+    def markets(self) -> tuple:
+        if self._markets is None:  # the one builder of a snapshot's markets
+            from . import markets as mk  # deferred: markets imports core
+            parts = dict(self.other)  # row -> market or segment
+            for cls in (mk.GeomMeanMarket, mk.BoundedProductSegment):
+                if cls.kernel in self.blocks:
+                    rows = self.block_rows[cls.kernel]
+                    tok, block = np.stack([self.i1[rows], self.i2[rows]]), self.blocks[cls.kernel]
+                    parts.update((r, cls._view(block, tok, j)) for j, r in enumerate(rows.tolist()))
+            edge = np.flatnonzero(np.diff(self.owner, prepend=-1, append=self.m)).tolist()
+            markets = [parts[r] for r in edge[:-1]]  # each market's first row
+            for i in self._aggregates.tolist():
+                segments = [parts[r] for r in range(edge[i], edge[i + 1])]
+                markets[i] = mk.AggregateMarket(segments, segments[0].fee, segments[0].token_map)
+            self._markets = tuple(markets)
+        return self._markets
 
 
 def _stack(markets, n: int) -> tuple:
-    """The snapshot columns of market objects over n assets, with markets of
-    its own: each part that names a kernel a view on its row of a new block,
-    each aggregate a new one over such views and each other market a deep
-    copy.  The objects passed in are only read."""
+    """The snapshot columns of market objects over n assets: a row of a new
+    block for each part that names a kernel, a deep copy of each other market.
+    The snapshot builds its markets from them on first read, and the objects
+    passed in are only read."""
     markets = tuple(markets)
     # kernel name (None: no kernel) -> (rows, parts); a tuple per row instead
     # would give the garbage collector one more object per market to chase
@@ -194,15 +213,10 @@ def _stack(markets, n: int) -> tuple:
             tokens.append(pair)
     other = [(r, copy.deepcopy(p)) for r, p in zip(*groups.pop(None, ((), ())))]
     i1, i2 = np.array(tokens, dtype=np.intp).reshape(-1, 2).T.copy()
-    blocks, block_rows, own = {}, {}, {None: iter([mkt for _, mkt in other])}
-    for name, (rows, parts) in groups.items():
-        idx = block_rows[name] = np.array(rows, dtype=np.intp)
-        block = blocks[name] = kernels.columns(parts)
-        tok = np.stack([i1[idx], i2[idx]])
-        own[name] = iter([type(p)._view(block, tok, j) for j, p in enumerate(parts)])
-    owned = [replace(mkt, segments=[next(own[s.kernel]) for s in mkt.segments])
-             if hasattr(mkt, "segments") else next(own[mkt.kernel]) for mkt in markets]
-    return tuple(owned), np.array(owner, dtype=np.intp), i1, i2, blocks, block_rows, other
+    blocks = {name: kernels.columns(parts) for name, (_, parts) in groups.items()}
+    block_rows = {name: np.array(rows, dtype=np.intp) for name, (rows, _) in groups.items()}
+    aggregates = np.flatnonzero([hasattr(mkt, "segments") for mkt in markets])
+    return np.array(owner, dtype=np.intp), i1, i2, blocks, block_rows, other, aggregates
 
 
 def net_trade(snapshot: MarketSnapshot, tendered, received) -> NetworkTrade:

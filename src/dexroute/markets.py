@@ -791,30 +791,36 @@ def market_from_dict(doc: dict):
 
 def _floats(values: list, width: int) -> np.ndarray:
     """Snapshot-JSON numbers as (max(width, 1), k) float columns, for k entries
-    of width numbers each (0: one number); ValueError for any other shape."""
-    arr = np.array(values, dtype=float)
-    if values and arr.shape != ((len(values), width) if width else (len(values),)):
+    of width numbers each (0: one number) read as one flat list, each such
+    entry a list; ValueError for any other shape."""
+    if width and values and set(map(type, values)) | set(map(len, values)) != {list, width}:
         raise ValueError("malformed entry")
-    return arr.reshape(len(values), max(width, 1)).T
+    values = [x for v in values for x in v] if width else values
+    arr = np.array(values, dtype=float)
+    if arr.shape != (len(values),):
+        raise ValueError("malformed entry")
+    return arr.reshape(-1, max(width, 1)).T
 
 
 def read_columns(docs: list, n: int) -> tuple | None:
     """The snapshot-JSON market entries over n assets as `MarketSnapshot`
-    columns (markets, owner, i1, i2, blocks, block_rows, other): each block
-    read field by field across the entries, the types' `rules` applied to
-    whole columns, then every closed-form market a view on its column.  None
-    if an entry is malformed or breaks a rule, for `market_from_dict` to name."""
+    columns (owner, i1, i2, blocks, block_rows, other, aggregates): the tokens
+    and each field read as one flat list, the types' `rules` applied to whole
+    columns, and only the curve2 pools built; the snapshot builds the other
+    markets from the columns on first read.  None if an entry is malformed or
+    breaks a rule, for `market_from_dict` to name."""
     closed = (GeomMeanMarket, BoundedProductSegment)  # indexed by the code of a type
     code = {"gmean": 0, "bounded_product": 1, "aggregate": 1, "curve2": 2}
     try:
-        kind = [d["type"] for d in docs]
-        tok = np.array([d["tokens"] for d in docs])
+        kind, pairs = [d["type"] for d in docs], [d["tokens"] for d in docs]
+        flat = [t for pair in pairs for t in pair]
         sizes = [len(d["segments"]) if k == "aggregate" else 1 for d, k in zip(docs, kind)]
-        if (not set(kind) <= code.keys() or tok.shape != (len(docs), 2) or tok.dtype.kind not in "iu"
-                or 0 in sizes or tok.min() < 0 or tok.max() >= n or (tok[:, 0] == tok[:, 1]).any()):
+        # exactly two Python ints an entry: `TokenMap` refuses JSON true and false
+        if (not docs or not set(kind) <= code.keys() or 0 in sizes or set(map(type, flat)) != {int}
+                or set(map(type, pairs)) | set(map(len, pairs)) != {list, 2}):
             return None
-        # JSON true and false join an integer array as 1 and 0; `TokenMap` refuses them
-        if any(type(t) is bool for i in np.flatnonzero(tok.min(axis=1) <= 1) for t in docs[i]["tokens"]):
+        tok = np.array(flat, dtype=np.intp).reshape(-1, 2)
+        if tok.min() < 0 or tok.max() >= n or (tok[:, 0] == tok[:, 1]).any():
             return None
         # each closed type's entries; an aggregate's segments take its fee
         entries = ([d for d, k in zip(docs, kind) if k == "gmean"],
@@ -823,26 +829,18 @@ def read_columns(docs: list, n: int) -> tuple | None:
                               if k == "aggregate" else (d,))])
         row_code = np.repeat([code[k] for k in kind], sizes)
         owner = np.repeat(np.arange(len(docs), dtype=np.intp), sizes)
-        i1, i2 = (np.repeat(tok[:, a].astype(np.intp), sizes) for a in (0, 1))
+        i1, i2 = (np.repeat(tok[:, a], sizes) for a in (0, 1))
         curve2 = [market_from_dict(d) for d, k in zip(docs, kind) if k == "curve2"]
         other = list(zip(np.flatnonzero(row_code == 2).tolist(), curve2))
-        blocks, block_rows, views = {}, {}, []
+        blocks, block_rows = {}, {}
         for c, cls in enumerate(closed):
             block = np.ascontiguousarray(np.concatenate(
                 [_floats([e[f] for e in entries[c]], width) for f, width in cls.fields]))
             with np.errstate(all="ignore"):  # inf - inf is a NaN that breaks a rule, as on floats
                 if not all(ok(*block).all() for ok, _ in cls.rules):
                     return None
-            idx = np.flatnonzero(row_code == c)
-            if idx.size:
-                blocks[cls.kernel], block_rows[cls.kernel] = block, idx
-            tokens = np.stack([i1[idx], i2[idx]])
-            views.append(iter([cls._view(block, tokens, j) for j in range(idx.size)]))
-        views.append(iter(curve2))
-        markets = tuple(AggregateMarket([next(views[1]) for _ in range(size)], float(d["fee"]),
-                                        TokenMap(tuple(d["tokens"])))
-                        if k == "aggregate" else next(views[code[k]])
-                        for d, k, size in zip(docs, kind, sizes))
+            if entries[c]:
+                blocks[cls.kernel], block_rows[cls.kernel] = block, np.flatnonzero(row_code == c)
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError):
         return None
-    return markets, owner, i1, i2, blocks, block_rows, other
+    return owner, i1, i2, blocks, block_rows, other, np.flatnonzero([k == "aggregate" for k in kind])

@@ -246,6 +246,25 @@ def _solution(tendered, received, nu, utility) -> RoutingSolution:
 _NONFINITE = [math.nan, math.inf, -math.inf, -0.0]
 
 
+def _many_rows(m=1200, seed=0) -> RoutingSolution:
+    """m trades: idle rows, and rows that tender asset 1 or asset 2, with
+    -0.0 among the zeros and amounts at 5e-324, 1e16, 1e-7 and where repr
+    switches to exponent form (below 1e-4 and from 1e16 on)."""
+    r = np.random.default_rng(seed)
+    special = [5e-324, 1e16, 1e-7, 1e-4, 9.999999999999999e-05, 9999999999999998.0, 1e-5, 2.5]
+    amounts = np.where(r.random((m, 2)) < 0.5, r.choice(special, (m, 2)),
+                       10.0 ** r.uniform(-9.0, 17.0, (m, 2)))
+    tendered, received = np.zeros((m, 2)), np.zeros((m, 2))
+    side = r.integers(3, size=m)  # 0: idle; 1, 2: tenders that asset
+    for i in range(m):
+        if side[i]:
+            a = side[i] - 1
+            tendered[i, a], received[i, 1 - a] = amounts[i]
+    for a in (tendered, received):
+        a[(a == 0.0) & (r.random((m, 2)) < 0.1)] = -0.0
+    return _solution(tendered, received, [0.5, 1.5, 2.0], 12.5)
+
+
 class TestSolutionWriter:
     @pytest.mark.parametrize("sol", [
         _solution([], [], [1.0, 2.0], 0.0),
@@ -253,7 +272,8 @@ class TestSolutionWriter:
         _solution([[0.0, 0.0]], [[0.0, 0.0]], [1.0, 1.0], -math.inf),
         _solution([_NONFINITE[:2], _NONFINITE[2:], [1e-300, 5e300]],
                   [_NONFINITE[2:], _NONFINITE[:2], [0.1, 3.0]], _NONFINITE, math.nan),
-    ], ids=["m0", "m1", "utility-neg-inf", "non-finite"])
+        _many_rows(),
+    ], ids=["m0", "m1", "utility-neg-inf", "non-finite", "many-rows"])
     def test_hand_built_matches_indented_dumps(self, sol):
         assert cli._solution_json(sol) == json.dumps(cli._solution_doc(sol), indent=2) + "\n"
 

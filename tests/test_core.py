@@ -1,6 +1,8 @@
 """Index maps, trades, and snapshot serialization."""
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -141,6 +143,25 @@ class TestSnapshotJSON:
     def test_missing_field_raises(self):
         with pytest.raises(ConfigurationError):
             dx.snapshot_from_dict({"markets": []})
+
+    @pytest.mark.parametrize("path", ["columns", "one at a time"])
+    def test_the_snapshot_keeps_no_reference_to_the_document(self, path):
+        class Entry(dict):
+            """A market entry that can be weakly referenced."""
+
+        doc = _fifty_market_doc()
+        if path == "one at a time":  # a tuple, which the column reader leaves to the constructor
+            doc["markets"][3]["reserves"] = tuple(doc["markets"][3]["reserves"])
+        expected = json.loads(json.dumps(doc["markets"]))
+        doc["markets"] = [Entry(d, **({"segments": [Entry(s) for s in d["segments"]]}
+                                      if "segments" in d else {})) for d in doc["markets"]]
+        refs = [weakref.ref(e) for d in doc["markets"] for e in (d, *d.get("segments", ()))]
+        assert (dx.markets.read_columns(doc["markets"], len(doc["assets"])) is None) == (path != "columns")
+        snap = dx.snapshot_from_dict(doc)
+        del doc
+        gc.collect()
+        assert not [r for r in refs if r() is not None]
+        assert dx.snapshot_to_dict(snap)["markets"] == expected
 
 
 def _fifty_market_doc():

@@ -13,7 +13,7 @@ import scipy.optimize
 from hypothesis import example, given, settings, strategies as st
 
 import dexroute as dx
-from dexroute import generate, kernels, oracle, solver
+from dexroute import cli, generate, kernels, oracle, solver
 from dexroute.errors import RejectedTradeError, UnboundedError
 from dexroute.objectives import PRICE_EPS
 from dexroute.solver import SolverConfig
@@ -298,9 +298,35 @@ class TestSnapshotViews:
 
     _OBJ = dx.TotalArbitrage(np.array([1.0, 1.2, 0.9]))
 
-    @pytest.mark.parametrize("source", ["objects", "json"])
-    def test_resolve_after_view_mutation_matches_fresh_snapshot(self, source):
-        snap = _view_network(source)
+    def _routed_with_markets_unread(self, tmp_path, monkeypatch):
+        """The JSON-loaded network after a load, a solve, `eval_dual`,
+        `net_trade`, `m` and a `dexroute route` of its file, none of which
+        builds a view; then its markets, read once."""
+        text = dx.dumps_snapshot(_view_network("objects"))
+        views, view = [], dx.markets._KernelRow._view.__func__
+        monkeypatch.setattr(dx.markets._KernelRow, "_view",
+                            classmethod(lambda cls, *args: views.append(cls) or view(cls, *args)))
+        snap = dx.snapshot_from_dict(json.loads(text))
+        sol = dx.solve(snap, self._OBJ)
+        assert np.array_equal(dx.eval_dual(snap, self._OBJ, sol.nu)[2], sol.tendered)
+        assert np.array_equal(dx.net_trade(snap, sol.tendered, sol.received).psi, sol.psi.psi)
+        assert snap.m == 5
+        path, out = tmp_path / "snapshot.json", tmp_path / "route.json"
+        path.write_text(text)
+        assert cli.main(["route", "--snapshot", str(path), "--objective", "arbitrage",
+                         "--prices", "1,1.2,0.9", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["nu"] == sol.nu.tolist()
+        assert views == []
+        assert dx.dumps_snapshot(snap) == text and snap.markets is snap.markets
+        assert len(views) == 13  # two pools, a segment and the ladder's ten, each viewed once
+        return snap
+
+    @pytest.mark.parametrize("source", ["objects", "json", "json, markets unread"])
+    def test_resolve_after_view_mutation_matches_fresh_snapshot(self, source, tmp_path, monkeypatch):
+        if source == "json, markets unread":
+            snap = self._routed_with_markets_unread(tmp_path, monkeypatch)
+        else:
+            snap = _view_network(source)
         dx.solve(snap, self._OBJ)
 
         def assert_matches_fresh():

@@ -14,6 +14,9 @@ initial point and primal recovery).  The groups:
   liquidation, seeds 1, 2, 3 and 1001), each snapshot read back from JSON;
 - desk: `generate_snapshot(10_000, seed)` arbitrage at seeds 42 and 7, read
   back from JSON;
+- route: one SHA-256 over what a `dexroute route` of each desk snapshot
+  writes, `cli._solution_json` of its solve with `wall_time` set to 0, and
+  over `dumps_snapshot` of the loaded snapshot once `markets` is first read;
 - block: every block-stream block on seeds 1, 2, 3 and 1001, with
   perfbench's own mutations;
 - block-state: one SHA-256 over the state those blocks leave, after each
@@ -38,6 +41,7 @@ tree fingerprints that tree.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -50,7 +54,7 @@ sys.path[:0] = [os.path.join(ROOT, d) for d in ("src", "perfbench", "tests")]
 import numpy as np  # noqa: E402
 
 import dexroute as dx  # noqa: E402
-from dexroute import generate, solver  # noqa: E402
+from dexroute import cli, generate, solver  # noqa: E402
 
 import workloads  # noqa: E402
 from test_solver import _random_network, sweep_cases  # noqa: E402
@@ -98,9 +102,14 @@ def mixed(seed):
         yield dx.solve(snap, dx.BasketLiquidation(basket, out))
 
 
-def desk(seed):
+def desk(seed, route):
+    """The desk solve; its solution JSON, with `wall_time` 0, and then the
+    snapshot's JSON go into the hash `route`."""
     snap = _from_json(generate.generate_snapshot(workloads.DeskGmean.m, seed))
-    yield dx.solve(snap, dx.TotalArbitrage(snap.prices))
+    sol = dx.solve(snap, dx.TotalArbitrage(snap.prices))
+    route.update(cli._solution_json(dataclasses.replace(sol, wall_time=0.0)).encode())
+    route.update(dx.dumps_snapshot(snap).encode())
+    yield sol
 
 
 def block(seed, state):
@@ -199,7 +208,9 @@ def main(argv=None) -> int:
     parser.add_argument("--compare", help="print the sweep against this --sweep-out file of another tree")
     args = parser.parse_args(argv)
     _report("mixed", [(f"seed {s}", mixed(s)) for s in SEEDS])
-    _report("desk", [(f"seed {s}", desk(s)) for s in (42, 7)])
+    route = hashlib.sha256()
+    _report("desk", [(f"seed {s}", desk(s, route)) for s in (42, 7)])
+    print(f"{'route':17} {route.hexdigest()}", flush=True)
     state = hashlib.sha256()
     _report("block", [(f"seed {s}", block(s, state)) for s in SEEDS])
     print(f"{'block-state':17} {state.hexdigest()}", flush=True)
