@@ -9,7 +9,7 @@ import sys
 import numpy as np
 
 from . import generate
-from .core import dumps_snapshot, load_snapshot
+from .core import _encoded, dumps_snapshot, load_snapshot
 from .errors import ConfigurationError, DexRouteError, UnboundedError
 from .objectives import objective_from_dict
 from .solver import RoutingSolution, SolverConfig, solve
@@ -62,8 +62,7 @@ def _solution_doc(sol: RoutingSolution, trades: bool = True) -> dict:
 def _solution_json(sol: RoutingSolution) -> str:
     """The text of json.dumps(_solution_doc(sol), indent=2) + "\n", byte for byte:
     the trades are one join of `_ENTRY` pieces and the encoded floats, of which
-    only the nonzero and negative-zero ones go through the C encoder, as one
-    flat list that spells NaN, Infinity and -0.0 as the indented encoder does."""
+    only the nonzero and negative-zero ones go through `core._encoded`."""
     text = json.dumps(_solution_doc(sol, trades=False), indent=2) + "\n"
     if not len(sol.tendered):
         return text
@@ -73,7 +72,7 @@ def _solution_json(sol: RoutingSolution) -> str:
     flat = np.hstack([sol.tendered, sol.received]).ravel()  # t1, t2, r1, r2 of each trade in turn
     sent = np.flatnonzero((flat != 0.0) | np.signbit(flat))  # the floats that are not 0.0
     at = 10 * (sent // 4) + 3 + 2 * (sent % 4)  # float k goes in entry k // 4, at 3 + 2 * (k % 4)
-    for i, f in zip(at.tolist(), json.dumps(flat[sent].tolist())[1:-1].split(", ")):
+    for i, f in zip(at.tolist(), _encoded(flat[sent])):
         parts[i] = f
     parts.append('\n      ]\n    }\n  ]' + tail)
     return "".join(parts)

@@ -143,8 +143,9 @@ class MarketSnapshot:
 
     A snapshot owns its markets: `MarketSnapshot(universe, markets)` stacks
     the objects' rows into new blocks and builds its markets on them, and
-    never changes the objects it is given.  So does a copy, deep copy or
-    pickle of a snapshot.
+    never changes the objects it is given.  A copy, deep copy or pickle of
+    a snapshot owns copies of the columns, of each `other` market and of
+    the prices, and reads no `markets`; neither does `dumps_snapshot`.
     """
 
     def __init__(self, universe: AssetUniverse, markets, generator: str | None = None,
@@ -163,7 +164,8 @@ class MarketSnapshot:
         return self
 
     def __reduce__(self):
-        return MarketSnapshot, (self.universe, self.markets, self.generator, self.prices)
+        return _snapshot, (self.universe, self.owner, self.i1, self.i2, self.blocks, self.block_rows,
+                           self.other, self._aggregates, self.generator, self.prices)
 
     @property
     def n(self) -> int:
@@ -190,6 +192,12 @@ class MarketSnapshot:
                 markets[i] = mk.AggregateMarket(segments, segments[0].fee, segments[0].token_map)
             self._markets = tuple(markets)
         return self._markets
+
+
+def _snapshot(universe, owner, i1, i2, blocks, block_rows, other, aggregates, generator, prices):
+    """A copy, deep copy or unpickled snapshot: copies of the columns, `other` markets and prices."""
+    columns = copy.deepcopy((owner, i1, i2, blocks, block_rows, other, aggregates))
+    return MarketSnapshot.__new__(MarketSnapshot)._set(universe, columns, generator, copy.deepcopy(prices))
 
 
 def _stack(markets, n: int) -> tuple:
@@ -290,9 +298,54 @@ def load_snapshot(path) -> MarketSnapshot:
             gc.enable()
 
 
+def _encoded(values: np.ndarray) -> list[str]:
+    """Each float of a 1-D array as json.dumps spells it (-0.0, NaN, Infinity), from one C-encoder call."""
+    return json.dumps(values.tolist())[1:-1].split(", ") if len(values) else []
+
+
+# a market entry of a snapshot document, from the comma after the entry before,
+# split around its row's 7 values: its tokens, then its column; an aggregate's
+# segment leaves out its tokens and fee, which its aggregate's head writes
+_FRAMES = {name: tuple(text.split("@")) for name, text in (
+    ("gmean_arb_batch", ',\n    {\n      "type": "gmean",\n      "tokens": [\n        @,\n        @\n      ],\n'
+     '      "reserves": [\n        @,\n        @\n      ],\n      "weights": [\n        @,\n        @\n      ],\n'
+     '      "fee": @\n    }'),
+    ("bounded_arb_batch", ',\n    {\n      "type": "bounded_product",\n      "tokens": [\n        @,\n        @\n'
+     '      ],\n      "reserves": [\n        @,\n        @\n      ],\n      "alpha": @,\n      "beta": @,\n'
+     '      "fee": @\n    }'),
+    ("segment", ',\n        {\n          "reserves": [\n            @@@,\n            @\n          ],\n'
+     '          "alpha": @,\n          "beta": @\n        }@'))}
+_AGGREGATE = (',\n    {\n      "type": "aggregate",\n      "tokens": [\n        %s,\n        %s\n      ],\n'
+              '      "fee": %s,\n      "segments": [' + _FRAMES["segment"][0][1:])  # and its first segment's lead
+
+
 def dumps_snapshot(snapshot: MarketSnapshot) -> str:
-    """Canonical JSON text; serialize -> parse -> serialize is bit-identical."""
-    return json.dumps(snapshot_to_dict(snapshot), indent=2) + "\n"
+    """The text of json.dumps(snapshot_to_dict(snapshot), indent=2) + "\n",
+    byte for byte, from the columns, with `markets` unread: one join of each
+    row's `_FRAMES` pieces around its tokens and its floats, which `_encoded`
+    spells a block at a time.  Only `other` markets go through `to_dict` and
+    the indented encoder.  Serialize -> parse -> serialize is bit-identical."""
+    empty = MarketSnapshot(snapshot.universe, (), snapshot.generator, snapshot.prices)  # the same head
+    text = json.dumps(snapshot_to_dict(empty), indent=2)  # [:-3] opens its "markets": []
+    owner, aggregates = snapshot.owner, snapshot._aggregates
+    if not len(owner):
+        return text + "\n"
+    parts = np.empty((len(owner), 15), dtype=object)  # a row's 8 pieces, and its 7 values between them
+    for name, rows in snapshot.block_rows.items():
+        parts[rows, 0::2] = _FRAMES[name]
+        parts[rows, 5::2] = np.array(_encoded(snapshot.blocks[name].T.ravel()), dtype=object).reshape(-1, 5)
+    parts[:, 1], parts[:, 3] = (list(map(str, tokens.tolist())) for tokens in (snapshot.i1, snapshot.i2))
+    segments, first = np.flatnonzero(np.isin(owner, aggregates)), np.searchsorted(owner, aggregates)
+    parts[segments, 0::2] = _FRAMES["segment"]
+    # an aggregate's head takes its first row's tokens and fee, which no segment writes
+    parts[first, 0] = [_AGGREGATE % tuple(head) for head in parts[first][:, [1, 3, 13]].tolist()]
+    parts[np.ix_(segments, (1, 3, 13))] = ""
+    parts[np.searchsorted(owner, aggregates, "right") - 1, 14] = "\n      ]\n    }"  # each one's last row
+    for r, market in snapshot.other:
+        parts[r, 0], parts[r, 1:] = ",\n    " + json.dumps(market.to_dict(), indent=2).replace("\n", "\n    "), ""
+    parts[0, 0] = text[:-3] + parts[0, 0][1:]  # the first entry follows "[" with no comma
+    parts[-1, 14] += "\n  ]\n}\n"
+    return "".join(parts.ravel().tolist())
 
 
 def save_snapshot(snapshot: MarketSnapshot, path):

@@ -44,6 +44,14 @@ class TestGen:
         assert "generator" in doc
         assert len(doc["prices"]) == 4
 
+    def test_writes_the_indented_dumps_of_the_snapshot(self, tmp_path, capsys):
+        expected = json.dumps(dx.snapshot_to_dict(generate.generate_snapshot(50, 3)), indent=2) + "\n"
+        assert run(["gen", "--m", "50", "--seed", "3"]) == 0
+        assert capsys.readouterr().out == expected
+        path = tmp_path / "s.json"
+        assert run(["gen", "--m", "50", "--seed", "3", "--out", str(path)]) == 0
+        assert path.read_text() == expected
+
     def test_snapshot_loads_back(self, tmp_path):
         p = tmp_path / "s.json"
         run(["gen", "--m", "6", "--seed", "1", "--out", str(p)])

@@ -1,5 +1,6 @@
 """Index maps, trades, and snapshot serialization."""
 
+import collections
 import gc
 import json
 import weakref
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import dexroute as dx
+from dexroute import generate
 from dexroute.errors import ConfigurationError, DimensionError
 
 
@@ -113,7 +115,66 @@ def _sample_snapshot():
     return dx.MarketSnapshot(uni, markets, generator="test", prices=np.array([1.0, 2.0, 3.0]))
 
 
+def _every_kind(source: str, head: bool) -> dx.MarketSnapshot:
+    """Every market type interleaved, curve2 first, in the middle and last,
+    an aggregate of one segment and one of twelve, with floats at 5e-324 and
+    on both sides of where repr switches to exponent form; built from
+    objects or read from JSON, and mutated through its views or not."""
+    tm = dx.TokenMap
+
+    def pool(reserves, tokens):
+        return dx.Curve2Market(np.array(reserves), 3.0, 0.999, tm(tokens))
+
+    def segment(reserves, alpha, beta, fee, tokens):
+        return dx.BoundedProductSegment(np.array(reserves), alpha, beta, fee, tm(tokens))
+
+    markets = [
+        pool([50.0, 1e16], (1, 2)),
+        dx.GeomMeanMarket(np.array([5e-324, 9999999999999998.0]), (1e-7, 1.0 - 1e-7), 0.997, tm((0, 1))),
+        segment([1e-7, 0.0], 1e16, 9.999999999999999e-05, 1.0, (1, 3)),
+        dx.AggregateMarket([segment([5.0, 0.0], 10.0, 20.0, 0.997, (0, 2))], 0.997, tm((0, 2))),
+        pool([1e-4, 60.0], (3, 0)),
+        generate.make_ladder(12, seed=3, token_map=tm((2, 3))),
+        dx.GeomMeanMarket(np.array([1000.0, 1500.0]), (0.5, 0.5), 1e-7, tm((3, 1))),
+        dx.GeomMeanMarket(np.array([1000.0, 1500.0]), (0.8, 0.2), 0.997, tm((0, 3))),
+        pool([70.0, 80.0], (2, 1)),
+    ]
+    extra = {"generator": "test", "prices": np.array([1.0, 1e-7, 1e16, 0.5])} if head else {}
+    snap = dx.MarketSnapshot(dx.AssetUniverse(("A", "B", "C", "D")), markets, **extra)
+    if source.startswith("json"):
+        snap = dx.snapshot_from_dict(json.loads(json.dumps(dx.snapshot_to_dict(snap))))
+    if source.endswith("mutated"):
+        gm, ladder, curve = snap.markets[7], snap.markets[5], snap.markets[8]
+        dx.swap(gm, dx.Trade(np.array([10.0, 0.0]), np.array([0.0, 0.999 * gm.forward_exchange(10.0)])))
+        dx.update_liquidity(gm, [50.0, 20.0])
+        dx.swap(ladder, dx.Trade(np.array([3.0, 0.0]), np.zeros(2)))
+        dx.update_liquidity(ladder, [5.0, 5.0], ladder.segments[4].active_interval())
+        dx.swap(curve, dx.Trade(np.array([1.0, 0.0]), np.array([0.0, 0.999 * curve.forward_exchange(1.0)])))
+    return snap
+
+
 class TestSnapshotJSON:
+    @pytest.mark.parametrize("head", [True, False], ids=["generator and prices", "neither"])
+    @pytest.mark.parametrize("source", ["objects", "json", "objects, mutated", "json, mutated", "no markets"])
+    def test_dumps_is_the_indented_dumps_of_the_dict(self, source, head, monkeypatch):
+        if source == "no markets":
+            snap = dx.MarketSnapshot(dx.AssetUniverse(("A", "B")), [], **(
+                {"generator": "test", "prices": np.array([1.0, 2.0])} if head else {}))
+        else:
+            snap = _every_kind(source, head)
+        calls, view = collections.Counter(), dx.markets._KernelRow._view.__func__
+        monkeypatch.setattr(dx.markets._KernelRow, "_view",
+                            classmethod(lambda cls, *args: calls.update(["_view"]) or view(cls, *args)))
+        for cls in (dx.GeomMeanMarket, dx.BoundedProductSegment, dx.AggregateMarket, dx.Curve2Market):
+            monkeypatch.setattr(cls, "to_dict", lambda self, f=cls.to_dict, name=cls.__name__:
+                                calls.update([name]) or f(self))
+        text = dx.dumps_snapshot(snap)
+        # no view and no closed-form market's dict: only the curve2 pools go through to_dict
+        assert calls == collections.Counter({"Curve2Market": 0 if source == "no markets" else 3})
+        monkeypatch.undo()
+        assert text == json.dumps(dx.snapshot_to_dict(snap), indent=2) + "\n"
+        assert dx.dumps_snapshot(dx.snapshot_from_dict(json.loads(text))) == text
+
     def test_roundtrip_preserves_all_fields(self):
         snap = _sample_snapshot()
         doc = json.loads(dx.dumps_snapshot(snap))

@@ -380,6 +380,32 @@ class TestSnapshotViews:
             assert view.spread() == spread
         _assert_same_solve(dx.solve(snap, self._OBJ), sol)
 
+    @pytest.mark.parametrize("markets", ["read", "unread"])
+    @pytest.mark.parametrize("source", ["objects", "json"])
+    def test_a_copied_or_pickled_snapshot_owns_its_columns(self, source, markets, monkeypatch):
+        snap = _view_network(source)
+        snap.prices = np.array([1.0, 1.2, 0.9])
+        if markets == "read":
+            assert len(snap.markets) == 5
+        text, sol = dx.dumps_snapshot(snap), dx.solve(snap, self._OBJ)
+        views, view = [], dx.markets._KernelRow._view.__func__
+        monkeypatch.setattr(dx.markets._KernelRow, "_view",
+                            classmethod(lambda cls, *args: views.append(cls) or view(cls, *args)))
+        dups = [copy.copy(snap), copy.deepcopy(snap), pickle.loads(pickle.dumps(snap))]
+        assert views == []
+        monkeypatch.undo()
+        for dup in dups:
+            assert dx.dumps_snapshot(dup) == text
+            _assert_same_solve(dx.solve(dup, self._OBJ), sol)
+        for dup in dups:  # a change to either one leaves the other's text as it was
+            for changed, other in ((dup, snap), (snap, dup)):
+                mine, theirs = dx.dumps_snapshot(changed), dx.dumps_snapshot(other)
+                pool, seg, curve = changed.markets[0], changed.markets[3].segments[4], changed.markets[4]
+                for market, direction in ((pool, 1), (seg, 2), (curve, 1)):
+                    dx.swap(market, _sell(market, 0.1 * market.reserves[direction - 1], direction))
+                changed.prices[0] *= 2.0
+                assert dx.dumps_snapshot(changed) != mine and dx.dumps_snapshot(other) == theirs
+
     def test_a_market_in_two_snapshots_is_copied_into_the_second(self):
         core = generate.generate_snapshot(16, 1)
         ladder = generate.make_ladder(10, seed=3, token_map=dx.TokenMap((0, 1)))

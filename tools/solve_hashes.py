@@ -16,13 +16,16 @@ initial point and primal recovery).  The groups:
   back from JSON;
 - route: one SHA-256 over what a `dexroute route` of each desk snapshot
   writes, `cli._solution_json` of its solve with `wall_time` set to 0, and
-  over `dumps_snapshot` of the loaded snapshot once `markets` is first read;
+  over `dumps_snapshot` of the loaded snapshot;
 - block: every block-stream block on seeds 1, 2, 3 and 1001, with
   perfbench's own mutations;
 - block-state: one SHA-256 over the state those blocks leave, after each
   block every array of `snapshot.blocks` and each `other` market's
   reserves, so a change to the write path shows bit-identical state, not
   only identical solutions;
+- snapshot: one SHA-256 over `dumps_snapshot` of each mixed-network template
+  snapshot of seed 1 and of the block-stream snapshot after each block of
+  seeds 1 and 2, so the text of every market type is pinned;
 - sweep: the 300 random solves (150 networks from `default_rng(0)`, each
   under arbitrage and the liquidation of 20 of token 0 into token 1).
 
@@ -94,9 +97,13 @@ def _from_json(snap):
     return dx.snapshot_from_dict(json.loads(dx.dumps_snapshot(snap)))
 
 
-def mixed(seed):
+def mixed(seed, texts):
+    """The mixed-network solves; the text of each seed-1 snapshot goes into
+    the hash `texts`."""
     for j in range(workloads.MixedNetwork.templates):
         snap, basket, out = workloads.mixed_snapshot(j, seed)
+        if seed == 1:
+            texts.update(dx.dumps_snapshot(snap).encode())
         snap = _from_json(snap)
         yield dx.solve(snap, dx.TotalArbitrage(snap.prices))
         yield dx.solve(snap, dx.BasketLiquidation(basket, out))
@@ -112,9 +119,10 @@ def desk(seed, route):
     yield sol
 
 
-def block(seed, state):
+def block(seed, state, texts):
     """`BlockStream.round` without the timing and the verifier; the state
-    after each block goes into the hash `state`."""
+    after each block goes into the hash `state`, and on seeds 1 and 2 the
+    snapshot's text into the hash `texts`."""
     wl = workloads.BlockStream(seed, None)
     snap = _from_json(workloads.block_snapshot(seed))
     gm_idx = [i for i, mk in enumerate(snap.markets) if isinstance(mk, dx.GeomMeanMarket)]
@@ -127,6 +135,8 @@ def block(seed, state):
             state.update(name.encode() + snap.blocks[name].tobytes())
         for _, mkt in snap.other:
             state.update(np.ascontiguousarray(mkt.reserves, dtype=float).tobytes())
+        if seed in (1, 2):
+            texts.update(dx.dumps_snapshot(snap).encode())
         yield sol
 
 
@@ -207,13 +217,15 @@ def main(argv=None) -> int:
     parser.add_argument("--sweep-out", help="write each sweep solve's record to this JSON file")
     parser.add_argument("--compare", help="print the sweep against this --sweep-out file of another tree")
     args = parser.parse_args(argv)
-    _report("mixed", [(f"seed {s}", mixed(s)) for s in SEEDS])
+    texts = hashlib.sha256()
+    _report("mixed", [(f"seed {s}", mixed(s, texts)) for s in SEEDS])
     route = hashlib.sha256()
     _report("desk", [(f"seed {s}", desk(s, route)) for s in (42, 7)])
     print(f"{'route':17} {route.hexdigest()}", flush=True)
     state = hashlib.sha256()
-    _report("block", [(f"seed {s}", block(s, state)) for s in SEEDS])
+    _report("block", [(f"seed {s}", block(s, state, texts)) for s in SEEDS])
     print(f"{'block-state':17} {state.hexdigest()}", flush=True)
+    print(f"{'snapshot':17} {texts.hexdigest()}", flush=True)
     records = []
     _report("sweep", [("", sweep(records))])
     print(f"sweep  converged {sum(r['converged'] for r in records)} of {len(records)}")
