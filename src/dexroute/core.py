@@ -141,11 +141,12 @@ class MarketSnapshot:
     market and segment a view on its column, so `swap` and `update_liquidity`
     through it change what the next solve reads.  `m` is read off `owner`.
 
-    A snapshot owns its markets: `MarketSnapshot(universe, markets)` stacks
-    the objects' rows into new blocks and builds its markets on them, and
-    never changes the objects it is given.  A copy, deep copy or pickle of
-    a snapshot owns copies of the columns, of each `other` market and of
-    the prices, and reads no `markets`; neither does `dumps_snapshot`.
+    A snapshot owns its markets and its prices: `MarketSnapshot(universe,
+    markets)` stacks the objects' rows into new blocks and builds its markets
+    on them, never changes the objects it is given, and copies the prices.
+    A copy, deep copy or pickle of a snapshot owns copies of the columns, of
+    each `other` market and of the prices, and reads no `markets`; neither
+    does `dumps_snapshot`.
     """
 
     def __init__(self, universe: AssetUniverse, markets, generator: str | None = None,
@@ -155,7 +156,7 @@ class MarketSnapshot:
     def _set(self, universe, columns, generator, prices) -> "MarketSnapshot":
         owner, i1, i2, blocks, block_rows, other, aggregates = columns
         if prices is not None:
-            prices = np.asarray(prices, dtype=float)
+            prices = np.array(prices, dtype=float)  # its own copy
             if prices.shape != (universe.n,):
                 raise ConfigurationError("prices length does not match universe")
         self.universe, self.generator, self.prices = universe, generator, prices
@@ -197,7 +198,7 @@ class MarketSnapshot:
 def _snapshot(universe, owner, i1, i2, blocks, block_rows, other, aggregates, generator, prices):
     """A copy, deep copy or unpickled snapshot: copies of the columns, `other` markets and prices."""
     columns = copy.deepcopy((owner, i1, i2, blocks, block_rows, other, aggregates))
-    return MarketSnapshot.__new__(MarketSnapshot)._set(universe, columns, generator, copy.deepcopy(prices))
+    return MarketSnapshot.__new__(MarketSnapshot)._set(universe, columns, generator, prices)
 
 
 def _stack(markets, n: int) -> tuple:
@@ -323,8 +324,9 @@ def dumps_snapshot(snapshot: MarketSnapshot) -> str:
     """The text of json.dumps(snapshot_to_dict(snapshot), indent=2) + "\n",
     byte for byte, from the columns, with `markets` unread: one join of each
     row's `_FRAMES` pieces around its tokens and its floats, which `_encoded`
-    spells a block at a time.  Only `other` markets go through `to_dict` and
-    the indented encoder.  Serialize -> parse -> serialize is bit-identical."""
+    spells once per distinct bit pattern of a block.  Only `other` markets go
+    through `to_dict` and the indented encoder.  Serialize -> parse ->
+    serialize is bit-identical."""
     empty = MarketSnapshot(snapshot.universe, (), snapshot.generator, snapshot.prices)  # the same head
     text = json.dumps(snapshot_to_dict(empty), indent=2)  # [:-3] opens its "markets": []
     owner, aggregates = snapshot.owner, snapshot._aggregates
@@ -333,7 +335,8 @@ def dumps_snapshot(snapshot: MarketSnapshot) -> str:
     parts = np.empty((len(owner), 15), dtype=object)  # a row's 8 pieces, and its 7 values between them
     for name, rows in snapshot.block_rows.items():
         parts[rows, 0::2] = _FRAMES[name]
-        parts[rows, 5::2] = np.array(_encoded(snapshot.blocks[name].T.ravel()), dtype=object).reshape(-1, 5)
+        bits, at = np.unique(snapshot.blocks[name].T.ravel().view(np.int64), return_inverse=True)
+        parts[rows, 5::2] = np.array(_encoded(bits.view(float)), dtype=object)[at].reshape(-1, 5)
     parts[:, 1], parts[:, 3] = (list(map(str, tokens.tolist())) for tokens in (snapshot.i1, snapshot.i2))
     segments, first = np.flatnonzero(np.isin(owner, aggregates)), np.searchsorted(owner, aggregates)
     parts[segments, 0::2] = _FRAMES["segment"]

@@ -155,11 +155,20 @@ def _every_kind(source: str, head: bool) -> dx.MarketSnapshot:
 
 class TestSnapshotJSON:
     @pytest.mark.parametrize("head", [True, False], ids=["generator and prices", "neither"])
-    @pytest.mark.parametrize("source", ["objects", "json", "objects, mutated", "json, mutated", "no markets"])
+    @pytest.mark.parametrize("source", ["objects", "json", "objects, mutated", "json, mutated", "no markets",
+                                        "signed zeros"])
     def test_dumps_is_the_indented_dumps_of_the_dict(self, source, head, monkeypatch):
+        extra = {"generator": "test", "prices": np.array([1.0, 2.0])} if head else {}
         if source == "no markets":
-            snap = dx.MarketSnapshot(dx.AssetUniverse(("A", "B")), [], **(
-                {"generator": "test", "prices": np.array([1.0, 2.0])} if head else {}))
+            snap = dx.MarketSnapshot(dx.AssetUniverse(("A", "B")), [], **extra)
+        elif source == "signed zeros":  # two bit patterns in one bounded block, each with its own spelling
+            def segment(r1, r2):
+                return dx.BoundedProductSegment(np.array([r1, r2]), 10.0, 20.0, 1.0, dx.TokenMap((0, 1)))
+
+            snap = dx.MarketSnapshot(dx.AssetUniverse(("A", "B")), [
+                segment(0.0, -0.0), segment(-0.0, 0.0),
+                dx.AggregateMarket([segment(-0.0, 5.0), segment(0.0, -0.0)], 1.0, dx.TokenMap((0, 1)))], **extra)
+            assert np.signbit(snap.blocks["bounded_arb_batch"][:2]).sum() == 4
         else:
             snap = _every_kind(source, head)
         calls, view = collections.Counter(), dx.markets._KernelRow._view.__func__
@@ -170,7 +179,7 @@ class TestSnapshotJSON:
                                 calls.update([name]) or f(self))
         text = dx.dumps_snapshot(snap)
         # no view and no closed-form market's dict: only the curve2 pools go through to_dict
-        assert calls == collections.Counter({"Curve2Market": 0 if source == "no markets" else 3})
+        assert calls == collections.Counter({"Curve2Market": len(snap.other)})
         monkeypatch.undo()
         assert text == json.dumps(dx.snapshot_to_dict(snap), indent=2) + "\n"
         assert dx.dumps_snapshot(dx.snapshot_from_dict(json.loads(text))) == text

@@ -423,6 +423,19 @@ class TestSnapshotViews:
                                   dx.eval_dual(dx.snapshot_from_dict(dx.snapshot_to_dict(mutated)),
                                                obj, core.prices)[2])
 
+    @pytest.mark.parametrize("source", ["objects", "json", "generated"])
+    def test_a_snapshot_owns_its_prices(self, source):
+        net = _view_network("objects")
+        first = {"objects": lambda: dx.MarketSnapshot(net.universe, net.markets, prices=np.array([0.5, 1.0, 2.0])),
+                 "json": lambda: dx.snapshot_from_dict({**dx.snapshot_to_dict(net), "prices": [0.5, 1.0, 2.0]}),
+                 "generated": lambda: generate.generate_snapshot(16, 1)}[source]()
+        prices, text = first.prices.copy(), dx.dumps_snapshot(first)
+        doc = {**dx.snapshot_to_dict(first), "prices": first.prices}
+        for second in (dx.MarketSnapshot(first.universe, first.markets, prices=first.prices),
+                       dx.snapshot_from_dict(doc)):
+            second.prices[0] = 9.0
+            assert np.array_equal(first.prices, prices) and dx.dumps_snapshot(first) == text
+
     def test_a_market_listed_twice_gets_a_column_each(self):
         pool = dx.GeomMeanMarket(np.array([100.0, 400.0]), (0.5, 0.5), 1.0, dx.TokenMap((0, 1)))
         ladder = generate.make_ladder(3, seed=2)

@@ -26,6 +26,10 @@ initial point and primal recovery).  The groups:
 - snapshot: one SHA-256 over `dumps_snapshot` of each mixed-network template
   snapshot of seed 1 and of the block-stream snapshot after each block of
   seeds 1 and 2, so the text of every market type is pinned;
+- gen: one SHA-256 over `dumps_snapshot(generate_snapshot(m, seed))` for m
+  in 1, 2, 3, 64, 256, 2000 and 10**4 and seeds 0, 42, 2**32 + 5 and
+  2**130 + 1, then at m = 256, seed 42 and fee 0.95, and at m = 10**4 with
+  seeds 281 and 15495, each of which redraws one market;
 - sweep: the 300 random solves (150 networks from `default_rng(0)`, each
   under arbitrage and the liquidation of 20 of token 0 into token 1).
 
@@ -140,6 +144,17 @@ def block(seed, state, texts):
         yield sol
 
 
+GEN_CASES = [*((m, seed, 0.997) for m in (1, 2, 3, 64, 256, 2000, 10**4) for seed in (0, 42, 2**32 + 5, 2**130 + 1)),
+             (256, 42, 0.95), (10**4, 281, 0.997), (10**4, 15495, 0.997)]
+
+
+def gen() -> str:
+    h = hashlib.sha256()
+    for m, seed, fee in GEN_CASES:
+        h.update(dx.dumps_snapshot(generate.generate_snapshot(m, seed, fee=fee)).encode())
+    return h.hexdigest()
+
+
 def sweep(records):
     for n, kinds, seed in sweep_cases():
         snap = _random_network(n, kinds, seed)
@@ -226,6 +241,7 @@ def main(argv=None) -> int:
     _report("block", [(f"seed {s}", block(s, state, texts)) for s in SEEDS])
     print(f"{'block-state':17} {state.hexdigest()}", flush=True)
     print(f"{'snapshot':17} {texts.hexdigest()}", flush=True)
+    print(f"{'gen':17} {gen()}", flush=True)
     records = []
     _report("sweep", [("", sweep(records))])
     print(f"sweep  converged {sum(r['converged'] for r in records)} of {len(records)}")
