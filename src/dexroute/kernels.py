@@ -2,9 +2,11 @@
 
 The dual evaluation calls the per-market arbitrage solve for every market at
 every iteration; for the two closed-form market types the solve is batched
-over struct-of-arrays market data with vectorized numpy.  The markets' scalar
-`find_arb` methods call these kernels too, and their quotes the `*_quote`
-functions the kernels decide with, so each closed form is written once.
+over struct-of-arrays market data with vectorized numpy.  Each closed form is
+written once: the markets' scalar methods call the kernels (`find_arb`), the
+quote functions the kernels decide with, and the formulas they share
+(`gmean_out` after `gmean_mirror`, `bounded_out`), on Python floats, whose
+power may differ from an array's in the last bit.
 
 All kernels return one (6, m) array with the rows (tendered1, received2,
 tendered2, received1, objective, curvature): direction 1 tenders asset 1 and
@@ -41,10 +43,10 @@ def columns(parts) -> np.ndarray:
     return flat.reshape(len(parts), -1).T.copy()
 
 
-def _curvature(t, q, nu_in, nu_out):
+def _curvature(two, q, nu_in, nu_out):
     """d(received1 - tendered1)/dnu1 from q = d(delta)/dlog(nu_out/nu_in),
-    for the direction whose tendered row is t."""
-    return q / nu_in if t == 0 else q * nu_in / (nu_out * nu_out)
+    where `two` for the direction that tenders asset 2."""
+    return np.where(two, q * nu_in / (nu_out * nu_out), q / nu_in)
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +59,16 @@ def gmean_quote(r1, r2, w1, w2, fee):
     return fee * eta1 * r2 / r1, eta1 * r2 / (fee * r1)
 
 
+def gmean_mirror(two, r1, r2, w1, w2):
+    """(reserve in, reserve out, eta) of tendering asset 2 where `two`, else asset 1."""
+    return np.where(two, r2, r1), np.where(two, r1, r2), np.where(two, w2 / w1, w1 / w2)
+
+
+def gmean_out(rin, rout, eta, fee, d):
+    """The output for tendering d in the direction (rin, rout, eta)."""
+    return rout * (1.0 - (1.0 + fee * d / rin) ** (-eta))
+
+
 def gmean_arb_batch(r1, r2, w1, w2, fee, nu1, nu2, quote=None):
     bid, ask = gmean_quote(r1, r2, w1, w2, fee) if quote is None else quote
     p = nu1 / nu2
@@ -65,15 +77,14 @@ def gmean_arb_batch(r1, r2, w1, w2, fee, nu1, nu2, quote=None):
     # price in, price out) of that direction; a row inside the spread is
     # worked out for direction 1 and not kept
     two = p > ask
-    rin, rout = np.where(two, r2, r1), np.where(two, r1, r2)
-    eta = np.where(two, w2 / w1, w1 / w2)
+    rin, rout, eta = gmean_mirror(two, r1, r2, w1, w2)
     nu_in, nu_out = np.where(two, nu2, nu1), np.where(two, nu1, nu2)
     ratio = eta * fee * nu_out * rout / (nu_in * rin)
     d = np.maximum(rin / fee * (ratio ** (1.0 / (eta + 1.0)) - 1.0), 0.0)
-    lam = rout * (1.0 - (1.0 + fee * d / rin) ** (-eta))
+    lam = gmean_out(rin, rout, eta, fee, d)
     val = nu_out * lam - nu_in * d
     q = (rin + fee * d) / ((eta + 1.0) * fee)
-    h = np.where(two, q * nu_in / (nu_out * nu_out), q / nu_in)
+    h = _curvature(two, q, nu_in, nu_out)
     keep = ((p < bid) | two) & (val > 0.0)
     one, two = keep & ~two, keep & two
     # a fee-free pool exactly at its spot trades nothing, but its curvatures
@@ -104,6 +115,11 @@ def bounded_quote(r1, r2, alpha, beta, fee):
     return lo, hi, d1max, d2max, bid, ask
 
 
+def bounded_out(vin, vout, rout, fee, d):
+    """The output for tendering d on virtual reserves (vin, vout), at most the reserve out."""
+    return np.minimum(rout, fee * d * vout / (vin + fee * d))
+
+
 def bounded_arb_batch(r1, r2, alpha, beta, fee, nu1, nu2, quote=None):
     lo, hi, d1max, d2max, bid, ask = bounded_quote(r1, r2, alpha, beta, fee) if quote is None else quote
     v1, v2 = r1 + alpha, r2 + beta
@@ -125,9 +141,9 @@ def bounded_arb_batch(r1, r2, alpha, beta, fee, nu1, nu2, quote=None):
         if mask.any():
             vin, vout, rout, nu_in, nu_out, f = (x[mask] for x in (*cols, fee))
             d = np.maximum((np.sqrt(f * (vin * vout) * nu_out / nu_in) - vin) / f, 0.0)
-            lam = np.minimum(rout, f * d * vout / (vin + f * d))
+            lam = bounded_out(vin, vout, rout, f, d)
             keep = nu_out * lam - nu_in * d > 0.0
-            h = _curvature(t, (vin + f * d) / (2.0 * f), nu_in, nu_out)
+            h = _curvature(t == 2, (vin + f * d) / (2.0 * f), nu_in, nu_out)
             for row, x in zip((t, o, 5), (d, lam, h)):
                 out[row][mask] = np.where(keep, x, 0.0)
 

@@ -6,10 +6,10 @@ market's trading set?  The answer, `ArbResult`, is a kernel row in kernel
 order (t1, o2, t2, o1, value, curvature); its `trade` is built on request.
 Geometric-mean and bounded-product markets answer in closed form: each names
 its kernel in `kernel`, keeps its arguments as one column of a block of that
-kernel's arguments (`_row()` reads it) and reads its quotes from the kernels'
-quote functions; an aggregate answers with the sum of its segments' answers,
-from one kernel call over its segments; generic swap markets, with no kernel,
-answer by bisection on the price impact.
+kernel's arguments (`_row()` reads it) and reads its quotes and outputs from
+`kernels`; an aggregate sums its segments' answers from one kernel call;
+generic swap markets, with no kernel, answer by bisection on the price
+impact.  Gmean, bounded and curve2 share swap, deposit and `to_dict`.
 
 Every quote reads the market's current fields and nothing is cached, so a
 market, and each copy or pickle of it, quotes its own state after `swap` or
@@ -31,6 +31,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -116,7 +117,51 @@ class _Field:
         market._block[self.k, market._j] = value
 
 
-class _KernelRow:
+class _PhiMarket:
+    """A market that holds two reserves and trades on a function `phi` of
+    them: gmean pools, bounded segments and curve2 pools.  Each subclass names
+    its snapshot-JSON `type_name` and the `fields` of its entry with their
+    widths (0: one number), whose numbers `_row()` lists in order."""
+
+    __slots__ = ()
+    type_name: str
+    fields: tuple
+
+    def _pair(self) -> list[int]:
+        """The global indices of the two assets."""
+        return list(self.token_map.global_indices)
+
+    def apply_trade(self, trade: Trade):
+        """The swap, on Python floats: the two reserves and the fee are read
+        once, the trade is refused if it drains a reserve beyond round-off or
+        lowers phi by more than _SWAP_RTOL, and the reserves are written once,
+        after both checks."""
+        t1, t2 = trade.tendered.tolist()
+        s1, s2 = trade.received.tolist()
+        if not (t1 or t2 or s1 or s2):
+            return
+        (r1, r2), fee = self.reserves.tolist(), self.fee
+        p1, p2 = r1 + fee * t1 - s1, r2 + fee * t2 - s2
+        if p1 < -1e-12 * (1.0 + abs(r1)) or p2 < -1e-12 * (1.0 + abs(r2)):
+            raise RejectedTradeError(f"trade drains reserves: {[p1, p2]}")
+        pre, post = self.phi((r1, r2)), self.phi((max(p1, 0.0), max(p2, 0.0)))
+        if post < pre * (1.0 - _SWAP_RTOL):
+            raise RejectedTradeError(
+                f"trade violates acceptance condition: phi {pre} -> {post}"
+            )
+        self.reserves = np.array([max(r1 + t1 - s1, 0.0), max(r2 + t2 - s2, 0.0)])
+
+    def add_liquidity(self, amounts):
+        self.reserves = self.reserves + np.asarray(amounts, dtype=float)
+
+    def to_dict(self) -> dict:
+        row, doc = iter(self._row()), {"type": self.type_name, "tokens": self._pair()}
+        for name, width in self.fields:
+            doc[name] = list(islice(row, width)) if width else next(row)
+        return doc
+
+
+class _KernelRow(_PhiMarket):
     """A closed-form market whose fields are column `_j` of `_block`, one row
     per argument of its kernel, in the order of `_row()`.
 
@@ -125,15 +170,14 @@ class _KernelRow:
     `_tok` holds that block's (2, k) asset indices.  `reserves` reads as a new
     array and assigning it writes the block, so `swap` and `update_liquidity`
     change exactly what the next solve reads.  A copy, deep copy or unpickled
-    market owns a copy of the column.  Each subclass names its kernel, the
-    snapshot-JSON `fields` of its row with their widths (0: one number), and
+    market owns a copy of the column.  Each subclass names its kernel and
     its `rules`: (predicate, message) pairs elementwise over the row, which
     the constructor applies to one row and `read_columns` to whole columns.
+    Its quotes are the kernel's quote function on the row.
     """
 
     __slots__ = ("_block", "_tok", "_j")
     kernel: str
-    fields: tuple
     rules: tuple
     reserves, fee = _Field(slice(0, 2)), _Field(4)
 
@@ -158,7 +202,6 @@ class _KernelRow:
         return copy.copy(self)  # the column and the token map hold only numbers
 
     def _pair(self) -> list[int]:
-        """The global indices of the two assets."""
         if isinstance(self._tok, TokenMap):
             return list(self._tok.global_indices)
         return self._tok[:, self._j].tolist()
@@ -177,8 +220,14 @@ class _KernelRow:
     def find_arb(self, nu) -> ArbResult:
         return _kernel_arb(self.kernel, self._cols(), nu)
 
-    def apply_trade(self, trade: Trade):
-        _apply_phi_trade(self, trade)
+    def _quote(self) -> list[float]:
+        """The kernel's quote function (`kernels.QUOTES`) on the row, as
+        floats; its last two are the bid and the ask."""
+        return [float(x[0]) for x in kernels.QUOTES[self.kernel](*self._cols())]
+
+    def spread(self) -> tuple[float, float]:
+        """Bid-ask interval for the price of asset 1 in units of asset 2."""
+        return tuple(self._quote()[-2:])
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +236,7 @@ class _KernelRow:
 
 class GeomMeanMarket(_KernelRow):
     __slots__ = ()
-    kernel = "gmean_arb_batch"
+    kernel, type_name = "gmean_arb_batch", "gmean"
     fields = (("reserves", 2), ("weights", 2), ("fee", 0))
     rules = (
         (lambda r1, r2, w1, w2, fee: (0.0 < w1) & (w1 < 1.0) & (0.0 < w2) & (w2 < 1.0)
@@ -212,37 +261,17 @@ class GeomMeanMarket(_KernelRow):
         w1, w2 = self.weights
         return float(r1 ** w1 * r2 ** w2)
 
-    def _params(self, direction: int):
-        """(reserve_in, reserve_out, eta) for tendering asset `direction`."""
-        r1, r2 = self.reserves
-        w1, w2 = self.weights
-        if direction == 1:
-            return r1, r2, w1 / w2
-        return r2, r1, w2 / w1
-
     def forward_exchange(self, delta: float, direction: int = 1) -> float:
         """Output amount for tendering `delta` of the given asset."""
         if delta < 0:
             raise DomainError("tendered amount must be nonnegative")
-        rin, rout, eta = self._params(direction)
-        return rout * (1.0 - (1.0 + self.fee * delta / rin) ** (-eta))
+        rin, rout, eta = map(float, kernels.gmean_mirror(direction != 1, *self._row()[:4]))
+        return float(kernels.gmean_out(rin, rout, eta, self.fee, delta))
 
     def price_impact(self, delta: float, direction: int = 1) -> float:
-        rin, rout, eta = self._params(direction)
+        rin, rout, eta = map(float, kernels.gmean_mirror(direction != 1, *self._row()[:4]))
         g = self.fee
-        return g * eta * (rout / rin) * (1.0 + g * delta / rin) ** (-eta - 1.0)
-
-    def spread(self) -> tuple[float, float]:
-        """Bid-ask interval for the price of asset 1 in units of asset 2."""
-        return tuple(float(x[0]) for x in kernels.gmean_quote(*self._cols()))
-
-    def add_liquidity(self, amounts):
-        self.reserves = self.reserves + np.asarray(amounts, dtype=float)
-
-    def to_dict(self) -> dict:
-        r1, r2, w1, w2, fee = self._row()
-        return {"type": "gmean", "tokens": self._pair(), "reserves": [r1, r2], "weights": [w1, w2],
-                "fee": fee}
+        return float(g * eta * (rout / rin) * (1.0 + g * delta / rin) ** (-eta - 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +280,7 @@ class GeomMeanMarket(_KernelRow):
 
 class BoundedProductSegment(_KernelRow):
     __slots__ = ()
-    kernel = "bounded_arb_batch"
+    kernel, type_name = "bounded_arb_batch", "bounded_product"
     fields = (("reserves", 2), ("alpha", 0), ("beta", 0), ("fee", 0))
     alpha, beta = _Field(2), _Field(3)
     rules = (
@@ -277,19 +306,15 @@ class BoundedProductSegment(_KernelRow):
         r1, r2 = self.reserves.tolist() if reserves is None else reserves
         return math.sqrt((r1 + self.alpha) * (r2 + self.beta))
 
-    def _quote(self) -> list[float]:
-        """lo, hi, d1max, d2max, bid, ask: `kernels.bounded_quote` on the row."""
-        return [float(x[0]) for x in kernels.bounded_quote(*self._cols())]
-
     def active_interval(self) -> tuple[float, float]:
         """Open price range of interior trades; at or beyond it, outside the spread, `max_input`."""
         return tuple(self._quote()[:2])
 
     def _virt(self, direction: int):
-        r1, r2 = self.reserves
-        if direction == 1:
-            return r1 + self.alpha, r2 + self.beta, r2
-        return r2 + self.beta, r1 + self.alpha, r1
+        """(virtual reserve in, virtual reserve out, reserve out) for tendering asset `direction`."""
+        r1, r2, alpha, beta, _ = self._row()
+        v1, v2 = r1 + alpha, r2 + beta
+        return (v1, v2, r2) if direction == 1 else (v2, v1, r1)
 
     def max_input(self, direction: int = 1) -> float:
         """Smallest input draining the output reserve (inf if unreachable)."""
@@ -299,8 +324,7 @@ class BoundedProductSegment(_KernelRow):
         if delta < 0:
             raise DomainError("tendered amount must be nonnegative")
         vin, vout, rout = self._virt(direction)
-        g = self.fee
-        return min(rout, g * delta * vout / (vin + g * delta))
+        return float(kernels.bounded_out(vin, vout, rout, self.fee, delta))
 
     def price_impact(self, delta: float, direction: int = 1) -> float:
         vin, vout, rout = self._virt(direction)
@@ -308,9 +332,6 @@ class BoundedProductSegment(_KernelRow):
             return 0.0
         g = self.fee
         return g * vin * vout / (vin + g * delta) ** 2
-
-    def spread(self) -> tuple[float, float]:
-        return tuple(self._quote()[4:])
 
     def add_liquidity(self, amounts):
         """Deposit reserves while keeping the quoted price range fixed.
@@ -338,32 +359,6 @@ class BoundedProductSegment(_KernelRow):
             self.alpha *= t
             self.beta *= t
         self.reserves = np.array([big1, big2])
-
-    def to_dict(self) -> dict:
-        r1, r2, alpha, beta, fee = self._row()
-        return {"type": "bounded_product", "tokens": self._pair(), "reserves": [r1, r2],
-                "alpha": alpha, "beta": beta, "fee": fee}
-
-
-def _apply_phi_trade(market, trade: Trade):
-    """Shared swap logic for markets defined by a trading function phi, on
-    Python floats: the two reserves and the fee are read once, the trade is
-    refused if it drains a reserve beyond round-off or lowers phi by more
-    than _SWAP_RTOL, and the reserves are written once, after both checks."""
-    t1, t2 = trade.tendered.tolist()
-    s1, s2 = trade.received.tolist()
-    if not (t1 or t2 or s1 or s2):
-        return
-    (r1, r2), fee = market.reserves.tolist(), market.fee
-    p1, p2 = r1 + fee * t1 - s1, r2 + fee * t2 - s2
-    if p1 < -1e-12 * (1.0 + abs(r1)) or p2 < -1e-12 * (1.0 + abs(r2)):
-        raise RejectedTradeError(f"trade drains reserves: {[p1, p2]}")
-    pre, post = market.phi((r1, r2)), market.phi((max(p1, 0.0), max(p2, 0.0)))
-    if post < pre * (1.0 - _SWAP_RTOL):
-        raise RejectedTradeError(
-            f"trade violates acceptance condition: phi {pre} -> {post}"
-        )
-    market.reserves = np.array([max(r1 + t1 - s1, 0.0), max(r2 + t2 - s2, 0.0)])
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +633,7 @@ def _curve2_xy(rin: float, rout: float, amp: float, fd: float) -> tuple[float, f
     return x, (2.0 / (s + b) if b > 0.0 else (s - b) / (2.0 * amp * x)), s
 
 
-class Curve2Market(GenericSwapMarket):
+class Curve2Market(_PhiMarket, GenericSwapMarket):
     """Two-asset stableswap-style market, phi(R) = amp*(R1+R2) - 1/(R1*R2).
 
     The invariant is a quadratic in the post-trade output reserve, so the
@@ -646,6 +641,8 @@ class Curve2Market(GenericSwapMarket):
     or finite difference; the arbitrage is the generic bisection on the impact.
     They are methods that read the current reserves, so a copy quotes its own.
     """
+
+    type_name, fields = "curve2", (("reserves", 2), ("amp", 0), ("fee", 0))
 
     def __init__(self, reserves, amp: float, fee: float, token_map: TokenMap):
         self.reserves, r1, r2 = _two_reserves(reserves)
@@ -712,20 +709,8 @@ class Curve2Market(GenericSwapMarket):
         dd = -1.0 / (x * x * y * y) - 2.0 * dy / (x * y ** 3)
         return self.fee ** 2 * (dn * d - n * dd) / (d * d)
 
-    def apply_trade(self, trade: Trade):
-        _apply_phi_trade(self, trade)
-
-    def add_liquidity(self, amounts):
-        self.reserves = self.reserves + np.asarray(amounts, dtype=float)
-
-    def to_dict(self) -> dict:
-        return {
-            "type": "curve2",
-            "tokens": list(self.token_map.global_indices),
-            "reserves": [float(x) for x in self.reserves],
-            "amp": float(self.amp),
-            "fee": float(self.fee),
-        }
+    def _row(self) -> tuple:
+        return (*self.reserves.tolist(), self.amp, self.fee)
 
 
 # ---------------------------------------------------------------------------

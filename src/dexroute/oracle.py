@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .core import MarketSnapshot, Trade, net_trade, scatter
 from .errors import ConfigurationError
@@ -251,6 +250,7 @@ def primal_projected_gradient(snapshot: MarketSnapshot, obj: Objective) -> Oracl
             break
 
     # SLSQP polish with explicit feasibility constraints
+    from scipy.optimize import minimize  # deferred: only this reference solver loads scipy.optimize
     res = minimize(
         lambda z: -float(cvec @ psi_of(z)),
         x,

@@ -8,9 +8,10 @@ closed-form curvature in the same evaluation as the value and gradient.  The
 per-market trades of the final evaluation at the minimizer are summed into the
 network trade, so the recovered primal satisfies the coupling constraint by
 construction.  The paper minimizes the same dual with L-BFGS-B; the tests keep
-that as the reference.  A solve computes once what its rounds share: each
-kernel block's quote, each flat row's spread, each block's rows as a slice
-where they are one run, and the Hessian's scatter index (`_layout`).
+that as the reference.  A solve computes once what its rounds share, its
+`_Layout`: each kernel block's quote, each flat row's assets and spread, each
+block's rows as a slice where they are one run, and the Hessian's scatter
+index.
 
 Newton steps are taken in square-root prices s = sqrt(nu).  A constant-product
 pool with fee gamma that trades has the arbitrage value
@@ -99,37 +100,32 @@ class RoutingSolution:
         return [Trade(t, r) for t, r in zip(self.tendered, self.received)]
 
 
-def _quotes(snapshot: MarketSnapshot) -> dict:
-    """Each kernel block's quote, `kernels.QUOTES[name](*block)`.  A quote
-    reads only the block, not the prices, so a solve computes it once and
-    passes it to every evaluation."""
-    return {name: kernels.QUOTES[name](*block) for name, block in snapshot.blocks.items()}
+class _Layout:
+    """What every evaluation and round of one solve reads of the snapshot and
+    not of the prices, computed once: each kernel block's quote
+    (`kernels.QUOTES`), each `snapshot.other` row's (i1, i2, bid, ask), each
+    block's rows as a slice where `block_rows[name]` is one run (else the
+    index array), which `_arb` reads without a copy, and `_hessian`'s
+    scatter index."""
+
+    def __init__(self, s: MarketSnapshot):
+        self.quotes = {name: kernels.QUOTES[name](*block) for name, block in s.blocks.items()}
+        self.flat = [(int(s.i1[r]), int(s.i2[r]), *mkt.spread()) for r, mkt in s.other]
+        self.runs = {name: slice(int(idx[0]), int(idx[-1]) + 1)
+                     if idx.size and np.array_equal(idx, np.arange(idx[0], idx[-1] + 1)) else idx
+                     for name, idx in s.block_rows.items()}
+        self.index = np.concatenate([s.i1 * s.n + s.i1, s.i2 * s.n + s.i2,
+                                     s.i1 * s.n + s.i2, s.i2 * s.n + s.i1])
 
 
-def _spreads(snapshot: MarketSnapshot) -> list[tuple[float, float]]:
-    """Each `snapshot.other` row's (bid, ask), computed once per solve like
-    the quotes."""
-    return [mkt.spread() for _, mkt in snapshot.other]
-
-
-def _layout(snapshot: MarketSnapshot) -> tuple[dict, np.ndarray]:
-    """Each block's rows as a slice where `block_rows[name]` is one run (else the index
-    array), which `_arb` reads without a copy, and `_hessian`'s scatter index."""
-    s = snapshot
-    runs = {name: slice(int(idx[0]), int(idx[-1]) + 1)
-            if idx.size and np.array_equal(idx, np.arange(idx[0], idx[-1] + 1)) else idx
-            for name, idx in s.block_rows.items()}
-    return runs, np.concatenate([s.i1 * s.n + s.i1, s.i2 * s.n + s.i2, s.i1 * s.n + s.i2, s.i2 * s.n + s.i1])
-
-
-def _arb(snapshot: MarketSnapshot, nu1, nu2, quotes, runs=None) -> np.ndarray:
+def _arb(snapshot: MarketSnapshot, nu1, nu2, layout: _Layout) -> np.ndarray:
     """Every row's optimal arbitrage at local prices (nu1, nu2), one kernel
     row (t1, o2, t2, o1, value, curvature) per column, in row order."""
     rows = np.zeros((6, nu1.shape[0]))
     for name, block in snapshot.blocks.items():
-        idx = (snapshot.block_rows if runs is None else runs)[name]
+        idx = layout.runs[name]
         # the kernel is looked up per call, where a tracer can wrap it
-        rows[:, idx] = getattr(kernels, name)(*block, nu1[idx], nu2[idx], quotes[name])
+        rows[:, idx] = getattr(kernels, name)(*block, nu1[idx], nu2[idx], layout.quotes[name])
     for r, mkt in snapshot.other:
         try:
             rows[:, r] = mkt.find_arb(np.array([nu1[r], nu2[r]]))
@@ -138,11 +134,10 @@ def _arb(snapshot: MarketSnapshot, nu1, nu2, quotes, runs=None) -> np.ndarray:
     return rows
 
 
-def _eval(obj, nu, snapshot, quotes=None, runs=None):
-    """Dual value and gradient at nu, and the `_arb` rows they came from;
-    `quotes` are the snapshot's `_quotes`, computed if not given, and `runs` its `_layout` slices."""
+def _eval(obj, nu, snapshot, layout: _Layout):
+    """Dual value and gradient at nu, and the `_arb` rows they came from."""
     s = snapshot
-    rows = _arb(s, nu[s.i1], nu[s.i2], _quotes(s) if quotes is None else quotes, runs)
+    rows = _arb(s, nu[s.i1], nu[s.i2], layout)
     t1, o2, t2, o1, value, _ = rows
     g = obj.conjugate(nu) + float(value.sum())
     grad = (obj.conjugate_gradient(nu) + np.bincount(s.i1, weights=o1 - t1, minlength=s.n)
@@ -157,9 +152,9 @@ def _trade_arrays(snapshot: MarketSnapshot, rows):
     return np.column_stack([t1, t2]), np.column_stack([o1, o2])
 
 
-def _hessian(snapshot: MarketSnapshot, nu, rows, index=None) -> np.ndarray:
+def _hessian(snapshot: MarketSnapshot, nu, rows, layout: _Layout) -> np.ndarray:
     """The dual Hessian at nu, assembled from one 2x2 block per row of the
-    `_arb` rows evaluated there, at the snapshot's `_layout` index.
+    `_arb` rows evaluated there, at the layout's index.
 
     A market's arbitrage value is 1-homogeneous in its local prices, so its
     Hessian block is c*[nu2, -nu1]^T [nu2, -nu1]; the (1, 1) entry c*nu2^2 is
@@ -169,15 +164,14 @@ def _hessian(snapshot: MarketSnapshot, nu, rows, index=None) -> np.ndarray:
     s = snapshot
     h11 = rows[5]
     p = nu[s.i1] / nu[s.i2]
-    index = _layout(s)[1] if index is None else index
     blocks = np.concatenate([h11, h11 * p * p, -h11 * p, -h11 * p])
-    return np.bincount(index, weights=blocks, minlength=s.n * s.n).reshape(s.n, s.n)
+    return np.bincount(layout.index, weights=blocks, minlength=s.n * s.n).reshape(s.n, s.n)
 
 
 def eval_dual(snapshot: MarketSnapshot, obj: Objective, nu):
     """Evaluate the dual function and its gradient at nu; also return the
     per-market trades as (m, 2) tendered and received arrays."""
-    g, grad, rows = _eval(obj, np.asarray(nu, dtype=float), snapshot)
+    g, grad, rows = _eval(obj, np.asarray(nu, dtype=float), snapshot, _Layout(snapshot))
     return (g, grad) + _trade_arrays(snapshot, rows)
 
 
@@ -192,7 +186,7 @@ def _mid_spot(bid: float, ask: float) -> float | None:
     return None
 
 
-def initial_point(obj: Objective, snapshot: MarketSnapshot, quotes=None, spreads=None) -> np.ndarray:
+def initial_point(obj: Objective, snapshot: MarketSnapshot, layout: _Layout | None = None) -> np.ndarray:
     lower, _ = obj.bounds()
     lower = np.maximum(lower, PRICE_EPS)
     if hasattr(obj, "valuation"):
@@ -200,16 +194,16 @@ def initial_point(obj: Objective, snapshot: MarketSnapshot, quotes=None, spreads
     # liquidation: seed each token with the geometric mean of its spot quotes
     # against the output token, 1.0 where no market quotes the pair; a
     # market's quote is the best bid and ask over its rows, which come from
-    # each kernel block's quote (`_quotes`) and each `other` row's spread
-    # (`_spreads`), computed here if not given
+    # the solve's layout, built here for a call without one
     s, t = snapshot, obj.out_token
+    layout = layout or _Layout(s)
     rows = np.flatnonzero((s.i1 == t) | (s.i2 == t))
     bid, ask = np.zeros(s.owner.size), np.zeros(s.owner.size)
-    for name, quote in (_quotes(s) if quotes is None else quotes).items():
+    for name, quote in layout.quotes.items():
         bid[s.block_rows[name]], ask[s.block_rows[name]] = quote[-2:]
-    for (r, _), spread in zip(s.other, _spreads(s) if spreads is None else spreads):
+    for (r, _), (_, _, b, a) in zip(s.other, layout.flat):
         if r in rows:
-            bid[r], ask[r] = spread
+            bid[r], ask[r] = b, a
     _, first = np.unique(s.owner[rows], return_index=True)  # each market's rows follow its first
     logs: dict[int, list[float]] = {}
     for r, b, a in zip(rows[first].tolist(), np.maximum.reduceat(bid[rows], first).tolist(),
@@ -321,7 +315,7 @@ def _newton_step(hess, gi, x):
     return step / max(1.0, float(np.max(np.abs(step) / x)) / 10.0)
 
 
-def _edges(snapshot, nu, rows, idx, step, floor, spreads):
+def _edges(snapshot, nu, rows, idx, step, floor, layout):
     """(r, market, direction) for each row of `snapshot.other` that trades
     nothing in `rows`, whose ratio p = nu1/nu2 sits at an edge of its spread
     (within _EDGE_RTOL of it), and that the trial max(nu + step, floor) on
@@ -330,10 +324,9 @@ def _edges(snapshot, nu, rows, idx, step, floor, spreads):
     trial = nu.copy()
     trial[idx] = np.maximum(nu[idx] + step, floor[idx])
     out = []
-    for (r, mkt), (bid, ask) in zip(snapshot.other, spreads):
+    for (r, mkt), (a, b, bid, ask) in zip(snapshot.other, layout.flat):
         if rows[0, r] != 0.0 or rows[2, r] != 0.0:
             continue
-        a, b = snapshot.i1[r], snapshot.i2[r]
         p, q = nu[a] / nu[b], trial[a] / trial[b]
         if abs(p - bid) <= _EDGE_RTOL * bid and q < bid:
             out.append((r, mkt, 1))
@@ -342,7 +335,7 @@ def _edges(snapshot, nu, rows, idx, step, floor, spreads):
     return out
 
 
-def minimize(obj, nu, lower, snapshot, tol, max_rounds, quotes, spreads):
+def minimize(obj, nu, lower, snapshot, tol, max_rounds, layout):
     """Projected Newton on the dual over the box nu >= lower.
 
     Each round solves the Newton system on the free set (the variables off
@@ -358,9 +351,8 @@ def minimize(obj, nu, lower, snapshot, tol, max_rounds, quotes, spreads):
     Where it is not, the search can land on a later accepted trial, or on no
     move past an accepted one; in the second case the trials it skipped are
     tried in turn before the round fails.  The loop stops at tol, with no
-    free variable, or when a round fails.  Every evaluation reads the
-    snapshot's `quotes` and every round its `_layout`, made here once;
-    `spreads` holds each `snapshot.other` row's (bid, ask).
+    free variable, or when a round fails.  Every evaluation and round reads
+    the solve's `layout`.
 
     The system is solved in s = sqrt(nu), where a trading constant-product
     pool's arbitrage value is a quadratic: with S = diag(s) and H the Hessian
@@ -400,10 +392,7 @@ def minimize(obj, nu, lower, snapshot, tol, max_rounds, quotes, spreads):
     on any other; a round with no such row is unchanged.
     Returns nu, the `_eval` result there and the number of rounds.
     """
-    flat = [(int(snapshot.i1[r]), int(snapshot.i2[r]), bid, ask)
-            for (r, _), (bid, ask) in zip(snapshot.other, spreads)]
-    runs, index = _layout(snapshot)
-    ev = _eval(obj, nu, snapshot, quotes, runs)
+    ev = _eval(obj, nu, snapshot, layout)
     rounds = 0
     while rounds < max_rounds:
         g, grad, rows = ev
@@ -417,12 +406,12 @@ def minimize(obj, nu, lower, snapshot, tol, max_rounds, quotes, spreads):
         floor = nu.copy()
         floor[idx] = np.maximum(lower[idx], nu[idx] / 10.0)
         model, gm = rows, grad
-        step = _newton_step(_hessian(snapshot, nu, rows, index)[idx][:, idx], grad[idx], nu[idx])
+        step = _newton_step(_hessian(snapshot, nu, rows, layout)[idx][:, idx], grad[idx], nu[idx])
         # while the step carries an idle flat row out past its edge, again
         # with that row's model from outside the edge
         modelled = set()
         while step is not None:
-            edges = [e for e in _edges(snapshot, nu, rows, idx, step, floor, spreads) if e[0] not in modelled]
+            edges = [e for e in _edges(snapshot, nu, rows, idx, step, floor, layout) if e[0] not in modelled]
             if not edges:
                 break
             model, gm = model.copy(), gm.copy()
@@ -432,14 +421,14 @@ def minimize(obj, nu, lower, snapshot, tol, max_rounds, quotes, spreads):
                 model[:, r] = mkt.edge_arb(np.array([nu[a], nu[b]]), d)
                 gm[a] += model[3, r] - model[0, r]
                 gm[b] += model[1, r] - model[2, r]
-            step = _newton_step(_hessian(snapshot, nu, model, index)[idx][:, idx], gm[idx], nu[idx])
+            step = _newton_step(_hessian(snapshot, nu, model, layout)[idx][:, idx], gm[idx], nu[idx])
         if step is None:
             break
         direction = np.zeros_like(nu)
         direction[idx] = step
         roundoff = 1e-13 * (abs(g) + float(rows[4].sum()))
         rounds += 1
-        t = _first_length(nu, direction, floor, flat)
+        t = _first_length(nu, direction, floor, layout.flat)
         # trial k is max(nu + t*0.5**k*direction, floor); it stops the search
         # when it is nu itself (the round fails) or when it is accepted
         tried, kept = set(), {"k": _TRIALS, "ev": None}  # the lowest stopping trial
@@ -450,7 +439,7 @@ def minimize(obj, nu, lower, snapshot, tol, max_rounds, quotes, spreads):
             if np.array_equal(cand, nu):  # the step has fallen below the round-off of nu
                 stop, ev_c = True, None
             else:
-                ev_c = _eval(obj, cand, snapshot, quotes, runs)
+                ev_c = _eval(obj, cand, snapshot, layout)
                 if abs(ev_c[0] - g) > roundoff:
                     stop = ev_c[0] <= g + 1e-4 * float(grad @ (cand - nu))
                 else:  # Armijo would pass a step that changes nothing
@@ -474,16 +463,15 @@ def solve(snapshot: MarketSnapshot, obj: Objective, config: SolverConfig | None 
     t0 = time.perf_counter()
     lower, _ = obj.bounds()
     lower = np.maximum(lower, PRICE_EPS)
-    quotes = _quotes(snapshot)
-    spreads = _spreads(snapshot)
-    nu = initial_point(obj, snapshot, quotes, spreads)  # already at or above lower
+    layout = _Layout(snapshot)
+    nu = initial_point(obj, snapshot, layout)  # already at or above lower
     tol = cfg.gradient_tolerance
     if tol is None:
         tol = 1e-8 * max(1.0, float(np.abs(nu).max(initial=0.0)))
 
     # the subproblem solutions of the last evaluation are the primal routing
     nu, (dual_value, grad, rows), rounds = minimize(
-        obj, nu, lower, snapshot, tol, cfg.max_iterations, quotes, spreads)
+        obj, nu, lower, snapshot, tol, cfg.max_iterations, layout)
     tendered, received = _trade_arrays(snapshot, rows)
     residual = _projected_grad_norm(nu, grad, lower)
     psi = net_trade(snapshot, tendered, received)

@@ -751,3 +751,29 @@ class TestSerialization:
             back = market_from_dict(m.to_dict())
             assert type(back) is type(m)
             assert np.array_equal(back.reserves, m.reserves)
+
+
+class TestScalarTypes:
+    """The scalar methods return Python floats, as annotated, on a market
+    that owns its row and on one that is a view on a snapshot's block."""
+
+    @staticmethod
+    def _markets():
+        tm = dx.TokenMap
+        own = [gmean(1000.0, 1500.0, 0.8, 0.997), bounded(fee=0.997),
+               dx.Curve2Market(np.array([100.0, 120.0]), 5.0, 0.999, tm((0, 1)))]
+        snap = dx.MarketSnapshot(dx.AssetUniverse(("A", "B")),
+                                 own + [generate.make_ladder(3, seed=1, token_map=tm((0, 1)))])
+        return own + [generic(own[0])] + list(snap.markets[:3]) + list(snap.markets[3].segments)
+
+    @pytest.mark.parametrize("direction", [1, 2])
+    def test_every_scalar_method_returns_a_python_float(self, direction):
+        for m in self._markets():
+            values = [*m.spread(), *([m.phi()] if hasattr(m, "phi") else [])]
+            for delta in (0.0, 1.0, 1e3):  # 1e3 drains a bounded segment
+                values += [m.forward_exchange(delta, direction), m.price_impact(delta, direction)]
+            if hasattr(m, "max_input"):
+                values.append(m.max_input(direction))
+            if hasattr(m, "impact_derivative"):
+                values.append(m.impact_derivative(1.0, direction))
+            assert [type(x) for x in values] == [float] * len(values), type(m).__name__

@@ -82,7 +82,8 @@ class TestEvalDual:
         for nu in (np.array([2.0, 1.3, 1.45]), np.array([2.0, 1.45, 1.3])):
             _, _, tendered, _ = dx.eval_dual(snap, obj, nu)
             assert np.all(tendered.sum(axis=1) > 0.0)
-            hess = solver._hessian(snap, nu, solver._eval(obj, nu, snap)[2])
+            layout = solver._Layout(snap)
+            hess = solver._hessian(snap, nu, solver._eval(obj, nu, snap, layout)[2], layout)
             fd = np.empty((snap.n, snap.n))
             for j in range(snap.n):
                 e = np.zeros(snap.n)
@@ -982,10 +983,10 @@ class TestStepLimits:
         snap, basket, out = workloads.mixed_snapshot(2, 1)
         obj = dx.BasketLiquidation(basket, out)
         lower = np.maximum(obj.bounds()[0], PRICE_EPS)
-        quotes, spreads = solver._quotes(snap), solver._spreads(snap)
+        layout = solver._Layout(snap)
         nu = dx.initial_point(obj, snap)
         for k in range(3):
-            after = solver.minimize(obj, nu, lower, snap, 0.0, 1, quotes, spreads)[0]
+            after = solver.minimize(obj, nu, lower, snap, 0.0, 1, layout)[0]
             assert np.all(after >= np.maximum(lower, nu / 10.0))
             if k == 0:  # round 1 wants some prices far lower, and the floor binds
                 assert np.count_nonzero(after == nu / 10.0) >= 1
@@ -1232,16 +1233,15 @@ class TestNewtonRoundBitIdentity:
     ], ids=["interleaved", "one-run"])
     def test_arb_through_a_slice_is_arb_through_the_index_array(self, kinds, slices):
         snap = _random_network(5, kinds, 7)
-        runs, index = solver._layout(snap)
-        assert sorted(runs) == sorted(snap.block_rows) == ["bounded_arb_batch", "gmean_arb_batch"]
-        for name, rows in runs.items():
+        layout, by_index = solver._Layout(snap), solver._Layout(snap)
+        by_index.runs = snap.block_rows
+        assert sorted(layout.runs) == sorted(snap.block_rows) == ["bounded_arb_batch", "gmean_arb_batch"]
+        for name, rows in layout.runs.items():
             assert isinstance(rows, slice) == slices
             assert np.arange(snap.owner.size)[rows].tolist() == snap.block_rows[name].tolist()
-        quotes, rng = solver._quotes(snap), np.random.default_rng(5)
+        rng = np.random.default_rng(5)
         for _ in range(20):
             nu = snap.prices * rng.uniform(0.7, 1.4, snap.n)
-            rows = solver._arb(snap, nu[snap.i1], nu[snap.i2], quotes, runs)
-            assert rows.tobytes() == solver._arb(snap, nu[snap.i1], nu[snap.i2], quotes).tobytes()
+            rows = solver._arb(snap, nu[snap.i1], nu[snap.i2], layout)
+            assert rows.tobytes() == solver._arb(snap, nu[snap.i1], nu[snap.i2], by_index).tobytes()
             assert np.count_nonzero(rows[0] + rows[2]) > 0
-            assert (solver._hessian(snap, nu, rows, index).tobytes()
-                    == solver._hessian(snap, nu, rows).tobytes())

@@ -30,6 +30,12 @@ initial point and primal recovery).  The groups:
   in 1, 2, 3, 64, 256, 2000 and 10**4 and seeds 0, 42, 2**32 + 5 and
   2**130 + 1, then at m = 256, seed 42 and fee 0.95, and at m = 10**4 with
   seeds 281 and 15495, each of which redraws one market;
+- scalar: one SHA-256 over the scalar methods of every market and segment
+  of the mixed-network templates of seed 1: `float(x).hex()` of
+  `forward_exchange` and `price_impact` at 25 amounts from 1e-6 to 1e4 and
+  of `max_input`, in both directions, and of `spread` and `phi`, where the
+  type has them, then the market's `to_dict` as JSON.  The hex spelling
+  pins the values and not their type (`float` or `np.float64`);
 - sweep: the 300 random solves (150 networks from `default_rng(0)`, each
   under arbitrage and the liquidation of 20 of token 0 into token 1).
 
@@ -155,6 +161,22 @@ def gen() -> str:
     return h.hexdigest()
 
 
+def scalar() -> str:
+    h, amounts = hashlib.sha256(), np.geomspace(1e-6, 1e4, 25).tolist()
+    for j in range(workloads.MixedNetwork.templates):
+        for market in workloads.mixed_snapshot(j, 1)[0].markets:
+            for mkt in (market, *getattr(market, "segments", ())):
+                values = [*mkt.spread(), *([mkt.phi()] if hasattr(mkt, "phi") else [])]
+                for d in (1, 2):
+                    if hasattr(mkt, "max_input"):
+                        values.append(mkt.max_input(d))
+                    if hasattr(mkt, "forward_exchange"):
+                        values += [f(x, d) for f in (mkt.forward_exchange, mkt.price_impact) for x in amounts]
+                h.update(" ".join(float(x).hex() for x in values).encode())
+                h.update(json.dumps(mkt.to_dict()).encode())
+    return h.hexdigest()
+
+
 def sweep(records):
     for n, kinds, seed in sweep_cases():
         snap = _random_network(n, kinds, seed)
@@ -242,6 +264,7 @@ def main(argv=None) -> int:
     print(f"{'block-state':17} {state.hexdigest()}", flush=True)
     print(f"{'snapshot':17} {texts.hexdigest()}", flush=True)
     print(f"{'gen':17} {gen()}", flush=True)
+    print(f"{'scalar':17} {scalar()}", flush=True)
     records = []
     _report("sweep", [("", sweep(records))])
     print(f"sweep  converged {sum(r['converged'] for r in records)} of {len(records)}")
