@@ -561,10 +561,13 @@ class GenericSwapMarket:
         ask2 = self.price_impact(0.0, 2)
         return bid, (math.inf if ask2 == 0.0 else 1.0 / ask2)
 
-    def find_arb(self, nu) -> ArbResult:
+    def find_arb(self, nu, spread: tuple[float, float] | None = None) -> ArbResult:
+        """The optimal arbitrage at local prices nu.  `spread` is this
+        market's `spread()`, which a solve computes once and passes in; a
+        call without it computes it."""
         nu1, nu2 = _check_prices(nu)
         p = nu1 / nu2
-        bid, ask = self.spread()
+        bid, ask = self.spread() if spread is None else spread
         if bid <= p <= ask:
             return _NO_ARB
         direction, nu_in, nu_out = (1, nu1, nu2) if p < bid else (2, nu2, nu1)

@@ -20,7 +20,8 @@ interior with its virtual reserves (Angeris et al., arXiv 2204.05238): the
 dual is close to a quadratic in s, where in nu it is a square-root curve and
 each Newton round only about halves the residual.  Where the system in s is
 not positive definite (a row that trades its full liquidity is linear in nu,
-hence concave in s), the round takes the Newton step in nu.
+hence concave in s), the round takes the Newton step in nu.  Both systems
+are solved with numpy alone (`_newton_step`).
 
 Each Newton round's move is bounded twice, in the manner of a trust region
 (Nocedal and Wright, ch. 4).  No price falls below a tenth of its value, and
@@ -126,9 +127,9 @@ def _arb(snapshot: MarketSnapshot, nu1, nu2, layout: _Layout) -> np.ndarray:
         idx = layout.runs[name]
         # the kernel is looked up per call, where a tracer can wrap it
         rows[:, idx] = getattr(kernels, name)(*block, nu1[idx], nu2[idx], layout.quotes[name])
-    for r, mkt in snapshot.other:
+    for (r, mkt), (_, _, bid, ask) in zip(snapshot.other, layout.flat):
         try:
-            rows[:, r] = mkt.find_arb(np.array([nu1[r], nu2[r]]))
+            rows[:, r] = mkt.find_arb(np.array([nu1[r], nu2[r]]), (bid, ask))
         except UnboundedError as e:
             raise UnboundedError(f"market {snapshot.owner[r]}: {e}") from e
     return rows
@@ -164,7 +165,8 @@ def _hessian(snapshot: MarketSnapshot, nu, rows, layout: _Layout) -> np.ndarray:
     s = snapshot
     h11 = rows[5]
     p = nu[s.i1] / nu[s.i2]
-    blocks = np.concatenate([h11, h11 * p * p, -h11 * p, -h11 * p])
+    hp = h11 * p
+    blocks = np.concatenate([h11, hp * p, -hp, -hp])
     return np.bincount(layout.index, weights=blocks, minlength=s.n * s.n).reshape(s.n, s.n)
 
 
@@ -291,26 +293,38 @@ def _first_stop(stops, n):
 def _newton_step(hess, gi, x):
     """The Newton step in nu from prices x, with Hessian hess and gradient gi
     in nu, taken in s = sqrt(x) (see `minimize`); None where neither system
-    can be solved."""
-    from scipy.linalg.lapack import dpotrf, dpotrs  # deferred: `import dexroute` need not load them
-    # a price with neither gradient nor curvature stays where it is
+    can be solved.  Raises ValueError on a non-finite system in s.
+
+    `np.linalg.cholesky` is the test of convexity in s; it reads the upper
+    triangle, as LAPACK's dpotrf does by default.  The system it accepts is
+    solved by `np.linalg.solve`.  Where that LU solve refuses it as singular,
+    which round-off allows, the step solves with the factor U (system =
+    U^T U) instead, and only if that fails too takes the step in nu."""
     s = np.sqrt(x)
     hs = 4.0 * s[:, None] * hess * s
     hs.flat[::s.size + 1] += 2.0 * gi
-    live = np.any(hs != 0.0, axis=1)
-    # the Cholesky factor, as in scipy's cho_factor, which also refuses a non-finite system
-    factor, info = dpotrf(np.asarray_chkfinite(hs[live][:, live]))
-    if info == 0:
-        ds = np.zeros_like(s)
-        if live.any():  # dpotrs refuses an empty system
-            ds[live] = dpotrs(factor, -2.0 * (s * gi)[live])[0]
-        step = np.maximum(s + ds, s / _SQRT10) ** 2 - x
-    else:  # not convex in s: the Newton step in nu
+    # a price with neither gradient nor curvature stays where it is; each row
+    # of hess is a sum of positive semidefinite 2x2 blocks, so a zero on its
+    # diagonal is a zero row
+    live = (np.diagonal(hess) != 0.0) | (gi != 0.0)
+    system = np.asarray_chkfinite(hs if live.all() else hs[live][:, live])
+    try:
+        factor = np.linalg.cholesky(system, upper=True)
+        rhs = -2.0 * (s * gi)[live]
+        try:
+            ds_live = np.linalg.solve(system, rhs)
+        except np.linalg.LinAlgError:  # LU can refuse a system that Cholesky accepts
+            ds_live = np.linalg.solve(factor, np.linalg.solve(factor.T, rhs))
+    except np.linalg.LinAlgError:  # not convex in s, or no factor solve: the Newton step in nu
         reg = 1e-12 * max(1.0, float(np.abs(hess).max()))
         try:
             step = np.linalg.solve(hess + reg * np.eye(x.size), -gi)
         except np.linalg.LinAlgError:
             return None
+    else:
+        ds = np.zeros_like(s)
+        ds[live] = ds_live
+        step = np.maximum(s + ds, s / _SQRT10) ** 2 - x
     # a price with no curvature behind it would take a 1/reg step
     return step / max(1.0, float(np.max(np.abs(step) / x)) / 10.0)
 
@@ -357,10 +371,11 @@ def minimize(obj, nu, lower, snapshot, tol, max_rounds, layout):
     The system is solved in s = sqrt(nu), where a trading constant-product
     pool's arbitrage value is a quadratic: with S = diag(s) and H the Hessian
     in nu on the free set, the gradient is 2 s*grad and the Hessian
-    4 S H S + 2 diag(grad), factored once by Cholesky.  A free price whose
-    row of that Hessian is zero (no gradient, no curvature) keeps its value.
-    The step is mapped back as max(s + ds, s/sqrt(10))^2 - nu.  Where
-    Cholesky refuses the matrix, the round takes the Newton step in nu.
+    4 S H S + 2 diag(grad), which Cholesky tests and an LU solve solves
+    (`_newton_step`).  A free price whose row of that Hessian is zero (no
+    gradient, no curvature) keeps its value.  The step is mapped back as
+    max(s + ds, s/sqrt(10))^2 - nu.  Where Cholesky refuses the matrix, the
+    round takes the Newton step in nu.
     Either way the step is a move in nu, and everything below acts on nu.
 
     Two limits bound a round's move:
@@ -406,7 +421,14 @@ def minimize(obj, nu, lower, snapshot, tol, max_rounds, layout):
         floor = nu.copy()
         floor[idx] = np.maximum(lower[idx], nu[idx] / 10.0)
         model, gm = rows, grad
-        step = _newton_step(_hessian(snapshot, nu, rows, layout)[idx][:, idx], grad[idx], nu[idx])
+
+        def newton(model, gm):  # the step of the rows `model` and gradient gm on the free set
+            hess = _hessian(snapshot, nu, model, layout)
+            if idx.size < nu.size:
+                hess = hess.take(idx, 0).take(idx, 1)
+            return _newton_step(hess, gm[idx], nu[idx])
+
+        step = newton(rows, grad)
         # while the step carries an idle flat row out past its edge, again
         # with that row's model from outside the edge
         modelled = set()
@@ -421,7 +443,7 @@ def minimize(obj, nu, lower, snapshot, tol, max_rounds, layout):
                 model[:, r] = mkt.edge_arb(np.array([nu[a], nu[b]]), d)
                 gm[a] += model[3, r] - model[0, r]
                 gm[b] += model[1, r] - model[2, r]
-            step = _newton_step(_hessian(snapshot, nu, model, layout)[idx][:, idx], gm[idx], nu[idx])
+            step = newton(model, gm)
         if step is None:
             break
         direction = np.zeros_like(nu)

@@ -902,11 +902,12 @@ class TestSqrtPriceNewton:
         assert sol.converged
         assert sol.iterations <= 3
 
-    def test_newton_step_is_scipys_cholesky_step_with_its_fallback_and_refusal(self):
-        # the step in s is scipy's cho_factor/cho_solve step bit for bit; a
-        # price with neither gradient nor curvature stays where it is, a
-        # system that is not positive definite takes the step in nu, and a
-        # non-finite one is refused
+    def test_newton_step_matches_the_scipy_cholesky_reference_with_its_fallback_and_refusal(self):
+        # the step in s, solved with numpy, is bit for bit the step of
+        # scipy's cho_factor/cho_solve, which only this test imports as a
+        # reference; a price with neither gradient nor curvature stays where
+        # it is, a system that is not positive definite takes the step in nu,
+        # and a non-finite one is refused
         import scipy.linalg
 
         rng = np.random.default_rng(3)
@@ -936,6 +937,28 @@ class TestSqrtPriceNewton:
         hess[0, 1] = hess[1, 0] = math.nan
         with pytest.raises(ValueError):
             solver._newton_step(hess, gi, x)
+
+    def test_a_system_cholesky_accepts_and_lu_refuses_is_solved_with_the_factor(self):
+        # a round of the sweep's (4, ["curve2", "aggregate", "curve2"], 18384)
+        # arbitrage: the system in s is positive definite to Cholesky and
+        # singular to the LU solve, so the step solves with the factor U
+        # (system = U^T U) and does not fall back to the step in nu
+        hess = np.array([[279332280906.5832, -279052948301.0567, 0.0],
+                         [-279052948301.0567, 278773895028.4603, 0.0],
+                         [0.0, 0.0, 267.6447080706598]])
+        gi = np.array([-5.576415575903644e-05, 5.570839153847232e-05, 6.701125130348373e-07])
+        x = np.array([0.8981714915290364, 0.8990705631370086, 0.8999705337030548])
+        s = np.sqrt(x)
+        hs = 4.0 * s[:, None] * hess * s + np.diag(2.0 * gi)
+        factor = np.linalg.cholesky(hs, upper=True)
+        rhs = -2.0 * (s * gi)
+        with pytest.raises(np.linalg.LinAlgError, match="Singular"):
+            np.linalg.solve(hs, rhs)
+        ds = np.linalg.solve(factor, np.linalg.solve(factor.T, rhs))
+        step = np.maximum(s + ds, s / math.sqrt(10.0)) ** 2 - x
+        expected = step / max(1.0, float(np.max(np.abs(step) / x)) / 10.0)
+        assert solver._newton_step(hess, gi, x).tobytes() == expected.tobytes()
+        assert expected.tolist() == [0.0, -2.220446049250313e-16, -2.5037391049309576e-09]
 
 
 class TestStepLimits:
@@ -1034,9 +1057,10 @@ class TestFlatRowEdgeModel:
     # seed 1's four flat mixed-network ops, none converged with or without
     # the model: (template, objective, and the residual and utility they
     # reached without it, in 51, 68, 48 and 23 evaluations and 16, 19, 14
-    # and 10 rounds)
+    # and 10 rounds).  Template 0 ended at residual 3.75e-4 while LAPACK's
+    # dpotrs solved the step in s; with numpy's LU solve it ends at 1.14e-6
     @pytest.mark.parametrize("template, objective, residual, utility", [
-        (0, "liquidate", 0.0003750833635649542, 14647.19488143227),
+        (0, "liquidate", 1.1355650713085197e-06, 14647.19488143227),
         (1, "liquidate", 9.55779123614775e-05, 18943.0847298095),
         (7, "liquidate", 0.00015209983530439786, 17120.731452975582),
         (6, "arbitrage", 0.0001577283896949666, 40495.666958006026),
@@ -1054,7 +1078,10 @@ class TestFlatRowEdgeModel:
 
     def test_a_network_whose_flat_row_never_reaches_its_edge_solves_as_before(self, monkeypatch):
         # the curve2 pool trades in every round: no row is ever modelled,
-        # and the solve is the one before the model, to the last bit
+        # and the solve is the one before the model, to the last bit.  It
+        # took 8 rounds while LAPACK's dpotrs solved the step in s: the
+        # second round's system in s is singular to round-off, and numpy's
+        # LU solve steps the other way along its null vector
         found, real = [], solver._edges
 
         def edges(*args):
@@ -1066,9 +1093,9 @@ class TestFlatRowEdgeModel:
         monkeypatch.setattr(solver, "_edges", edges)
         sol = dx.solve(snap, dx.TotalArbitrage(np.array([1.0, 1.0, 1.0])))
         assert found == []
-        assert sol.converged and sol.iterations == 8
-        assert sol.nu.tolist() == [1.0017502806433705, 1.098636772831383, 1.0]
-        assert sol.tendered[2].tolist() == [0.0, 1.376198387349632]
+        assert sol.converged and sol.iterations == 10
+        assert sol.nu.tolist() == [1.0017502806434166, 1.0986367728314073, 1.0]
+        assert sol.tendered[2].tolist() == [0.0, 1.3761983874260295]
 
     def test_the_arbitrage_the_galloping_search_lost_converges(self, monkeypatch):
         # without the model it stopped after 12 rounds and 117 evaluations at
