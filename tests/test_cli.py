@@ -59,28 +59,22 @@ class TestGen:
         assert snap.m == 6
 
 
-def test_import_leaves_scipy_linalg_unloaded():
-    """Importing the command line loads no `scipy.linalg`."""
-    src = os.path.dirname(os.path.dirname(dx.__file__))
-    code = f"import sys; sys.path.insert(0, {src!r}); import dexroute.cli; print(sorted(sys.modules))"
-    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            check=True).stdout
-    assert "'dexroute.solver'" in loaded and "'scipy.linalg'" not in loaded
-
-
-def test_a_route_process_loads_no_scipy(tmp_path):
-    """A one-shot `dexroute route` solves with numpy alone: at its end no
-    `scipy` module is loaded."""
+def test_import_leaves_scipy_linalg_unloaded(tmp_path):
+    """Importing the command line loads the solver but no `scipy` module, and
+    a one-shot `dexroute route` solves with numpy alone: at its end no `scipy`
+    module is loaded either."""
     snap, out = tmp_path / "snap.json", tmp_path / "sol.json"
     assert run(["gen", "--m", "64", "--seed", "3", "--out", str(snap)]) == 0
     src = os.path.dirname(os.path.dirname(dx.__file__))
     code = (f"import sys; sys.path.insert(0, {src!r}); from dexroute import cli; "
+            "print(sorted(sys.modules)); "
             f"code = cli.main(['route', '--snapshot', {str(snap)!r}, '--objective', 'arbitrage', "
             f"'--out', {str(out)!r}]); "
             "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    printed = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True).stdout
-    assert printed.split() == ["0", "[]"]
+    imported, routed = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                      check=True).stdout.splitlines()
+    assert "'dexroute.solver'" in imported and "'scipy" not in imported
+    assert routed.split() == ["0", "[]"]
     doc = json.loads(out.read_text())
     assert doc["converged"] is True and doc["iterations"] > 0
 

@@ -1,8 +1,7 @@
-"""Run perfbench, or one-shot routes, on one or more source trees and write the runs to one BENCH file.
+"""Run perfbench on one or more source trees and write the runs to one BENCH file.
 
     python3 tools/bench.py OUT.json [--tree NAME=DIR ...] [--seconds S]
                            [--workloads NAME ...] [--seeds N ...] [--repeat K]
-    python3 tools/bench.py OUT.json --one-shot N [--tree NAME=DIR ...] [--seeds N ...]
 
 For each workload, seed and repeat, every tree runs `perfbench/run.py
 --trace 0` once, from its own directory and on its own sources, and the
@@ -21,20 +20,6 @@ OUT.json holds:
 - with two trees, `second_better`: per workload and metric, [won, pairs],
   the pairs (the two trees' runs of one step) in which the second tree did
   better, by each metric's direction in `BENCHMARK.json`, and all pairs.
-
-With `--one-shot N`, perfbench does not run.  Instead, for each seed, the
-checkout writes two snapshots: `desk`, `generate_snapshot(10**4, seed)`,
-and `mixed`, mixed-network template 0 (`perfbench/workloads.py`).  Each tree
-then routes each snapshot's arbitrage at its own prices in N fresh
-`python -m dexroute.cli route` processes, with the trees alternating from
-one process to the next.  A run records the process's wall time
-(`process_s`), the `wall_time_ms` its solution reports and the child's
-peak resident memory (`maxrss_mb`, from `os.wait4`).  One more process per
-tree and snapshot, not timed, routes through `cli.main`, records whether
-that left any `scipy` module loaded (`loads_scipy`), then solves the
-snapshot five more times in the same process and records the median
-`wall_time` (`warm_wall_time_ms`).  Medians and `second_better` are kept as
-above, per snapshot, with lower better for all three metrics.
 """
 
 from __future__ import annotations
@@ -45,35 +30,9 @@ import os
 import statistics
 import subprocess
 import sys
-import tempfile
-import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (1, 2, 3, 1001)
-ONE_SHOT_METRICS = ("process_s", "wall_time_ms", "maxrss_mb")
-# starts and times argv, from a process small enough that the peak resident
-# memory the child inherits from it (Linux counts the forked image's) is
-# below the child's own
-_TIMED = """
-import json, os, sys, time
-null = [(os.POSIX_SPAWN_OPEN, fd, os.devnull, os.O_WRONLY, 0) for fd in (1, 2)]
-t0 = time.perf_counter()
-pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ, file_actions=null)
-_, status, usage = os.wait4(pid, 0)
-print(json.dumps({"seconds": time.perf_counter() - t0, "exit": os.waitstatus_to_exitcode(status),
-                  "maxrss_kb": usage.ru_maxrss}))
-"""
-# run in a tree's own Python: one route through `cli.main`, the scipy modules
-# it left loaded, then five solves of the same snapshot in the same process
-_CHECK = """
-import json, statistics, sys
-from dexroute import cli, load_snapshot, solve, TotalArbitrage
-cli.main(["route", "--snapshot", sys.argv[1], "--objective", "arbitrage", "--out", sys.argv[2]])
-scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-snap = load_snapshot(sys.argv[1])
-warm = [1e3 * solve(snap, TotalArbitrage(snap.prices)).wall_time for _ in range(5)]
-print(json.dumps({"loads_scipy": bool(scipy), "warm_wall_time_ms": statistics.median(warm)}))
-"""
 
 
 def _git(tree: str) -> dict:
@@ -95,59 +54,6 @@ def _run(tree: str, command: list, workload: str, seed: int, seconds: float) -> 
     return env, json.loads(out[-1])
 
 
-def _env(tree: str) -> dict:
-    """The environment of a process that imports the dexroute of tree."""
-    return {**os.environ, "PYTHONPATH": os.path.join(tree, "src")}
-
-
-def _route_once(tree: str, snapshot: str, out: str) -> dict:
-    """One timed `python -m dexroute.cli route` process in tree."""
-    argv = [sys.executable, "-m", "dexroute.cli", "route", "--snapshot", snapshot,
-            "--objective", "arbitrage", "--out", out]
-    timed = json.loads(subprocess.run([sys.executable, "-c", _TIMED, *argv], cwd=tree, env=_env(tree),
-                                      capture_output=True, text=True, check=True).stdout)
-    if timed["exit"] not in (0, 2):  # 2: routed, not converged
-        raise RuntimeError(f"{' '.join(argv)} in {tree} exited {timed['exit']}")
-    with open(out) as f:
-        sol = json.load(f)
-    return {"converged": sol["converged"],
-            "metrics": {"process_s": timed["seconds"], "wall_time_ms": sol["wall_time_ms"],
-                        "maxrss_mb": timed["maxrss_kb"] / 1024.0}}
-
-
-def one_shot(doc: dict, trees: dict, seeds, n: int) -> list[str]:
-    """The one-shot routes of every tree into doc; returns the snapshot labels."""
-    sys.path[:0] = [os.path.join(ROOT, d) for d in ("src", "perfbench")]
-    import dexroute as dx
-    import workloads
-    from dexroute import generate
-
-    with tempfile.TemporaryDirectory(prefix="bench-one-shot-") as tmp:
-        files = {}
-        for seed in seeds:
-            for kind, snap in (("desk", generate.generate_snapshot(10**4, seed)),
-                               ("mixed", workloads.mixed_snapshot(0, seed)[0])):
-                files[f"{kind} {seed}"] = path = os.path.join(tmp, f"{kind}-{seed}.json")
-                with open(path, "w") as f:
-                    f.write(dx.dumps_snapshot(snap))
-        out = os.path.join(tmp, "solution.json")
-        for label, path in files.items():
-            for name, tree in trees.items():
-                check = subprocess.run([sys.executable, "-c", _CHECK, path, out], cwd=tree, env=_env(tree),
-                                       capture_output=True, text=True, check=True).stdout
-                doc["trees"][name].setdefault("checks", {})[label] = json.loads(check)
-        step = 0
-        for label, path in files.items():
-            for rep in range(n):
-                for name in (list(trees) if step % 2 == 0 else list(trees)[::-1]):
-                    run = _route_once(trees[name], path, out)
-                    doc["trees"][name]["runs"].append({"snapshot": label, "repeat": rep, "step": step, **run})
-                    print(f"{name:8} {label:12} " + " ".join(f"{k} {v:.4g}" for k, v in run["metrics"].items()),
-                          flush=True)
-                step += 1
-    return list(files)
-
-
 def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
@@ -159,8 +65,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads", nargs="+", default=[w["name"] for w in bench["workloads"]])
     parser.add_argument("--seeds", nargs="+", type=int, default=list(SEEDS))
     parser.add_argument("--repeat", type=int, default=1)
-    parser.add_argument("--one-shot", type=int, metavar="N",
-                        help="instead of perfbench, N one-shot route processes per snapshot and tree")
     args = parser.parse_args(argv)
     trees = {name: os.path.abspath(d) for name, d in (t.split("=", 1) for t in args.tree or [])}
     trees["change"] = ROOT
@@ -172,31 +76,6 @@ def main(argv=None) -> int:
                    "scipy": scipy.__version__},
            "seconds": args.seconds,
            "trees": {name: {"dir": d, **_git(d), "env": None, "runs": []} for name, d in trees.items()}}
-    if args.one_shot:
-        doc["one_shot"] = args.one_shot
-        groups, key = one_shot(doc, trees, args.seeds, args.one_shot), "snapshot"
-        metrics, sign = list(ONE_SHOT_METRICS), dict.fromkeys(ONE_SHOT_METRICS, -1.0)
-    else:
-        groups, key = perfbench(doc, trees, bench, args), "workload"
-        metrics = [m["name"] for m in bench["end_to_end"]]
-        sign = {m["name"]: -1.0 if m["better"] == "lower" else 1.0 for m in bench["end_to_end"]}
-    for entry in doc["trees"].values():
-        entry["medians"] = {w: {m: statistics.median(r["metrics"][m] for r in entry["runs"] if r[key] == w)
-                                for m in metrics} for w in groups}
-    if len(trees) == 2:
-        first, second = (doc["trees"][name]["runs"] for name in trees)
-        pairs = [(a[key], a["metrics"], b["metrics"]) for a, b in zip(first, second)]
-        doc["second_better"] = {w: {m: [sum(sign[m] * (b[m] - a[m]) > 0.0 for wa, a, b in pairs if wa == w),
-                                        sum(wa == w for wa, _, _ in pairs)] for m in metrics}
-                                for w in groups}
-    with open(args.out, "w") as f:
-        json.dump(doc, f, indent=1)
-        f.write("\n")
-    return 0
-
-
-def perfbench(doc: dict, trees: dict, bench: dict, args) -> list[str]:
-    """The perfbench runs of every tree into doc; returns the workloads."""
     step = 0
     for workload in args.workloads:
         for seed in args.seeds:
@@ -213,7 +92,21 @@ def perfbench(doc: dict, trees: dict, bench: dict, args) -> list[str]:
                     print(f"{name:8} {workload:15} seed {seed:5} "
                           + " ".join(f"{k} {v['value']:.4g}" for k, v in result["metrics"].items()), flush=True)
                 step += 1
-    return list(args.workloads)
+    metrics = [m["name"] for m in bench["end_to_end"]]
+    for entry in doc["trees"].values():
+        entry["medians"] = {w: {m: statistics.median(r["metrics"][m] for r in entry["runs"] if r["workload"] == w)
+                                for m in metrics} for w in args.workloads}
+    if len(trees) == 2:
+        first, second = (doc["trees"][name]["runs"] for name in trees)
+        sign = {m["name"]: -1.0 if m["better"] == "lower" else 1.0 for m in bench["end_to_end"]}
+        pairs = [(a["workload"], a["metrics"], b["metrics"]) for a, b in zip(first, second)]
+        doc["second_better"] = {w: {m: [sum(sign[m] * (b[m] - a[m]) > 0.0 for wa, a, b in pairs if wa == w),
+                                        sum(wa == w for wa, _, _ in pairs)] for m in metrics}
+                                for w in args.workloads}
+    with open(args.out, "w") as f:
+        json.dump(doc, f, indent=1)
+        f.write("\n")
+    return 0
 
 
 if __name__ == "__main__":
