@@ -8,7 +8,6 @@ import sys
 
 import numpy as np
 
-from . import generate
 from .core import _encoded, dumps_snapshot, load_snapshot
 from .errors import ConfigurationError, DexRouteError, UnboundedError
 from .objectives import objective_from_dict
@@ -61,9 +60,14 @@ def _solution_doc(sol: RoutingSolution, trades: bool = True) -> dict:
 
 def _solution_json(sol: RoutingSolution) -> str:
     """The text of json.dumps(_solution_doc(sol), indent=2) + "\n", byte for byte:
-    the trades are one join of `_ENTRY` pieces and the encoded floats, of which
-    only the nonzero and negative-zero ones go through `core._encoded`."""
-    text = json.dumps(_solution_doc(sol, trades=False), indent=2) + "\n"
+    `nu` and `psi` are their floats through `core._encoded`, joined at that
+    indentation; the trades are one join of `_ENTRY` pieces and the encoded
+    floats, of which only the nonzero and negative-zero ones go through it."""
+    doc, text = _solution_doc(sol, trades=False), "{"
+    for key, values in (("nu", sol.nu), ("psi", sol.psi.psi)):  # the first two keys of `doc`
+        del doc[key]
+        text += f'\n  "{key}": ' + ("[\n    " + ",\n    ".join(_encoded(values)) + "\n  ]," if len(values) else "[],")
+    text += json.dumps(doc, indent=2)[1:] + "\n"
     if not len(sol.tendered):
         return text
     head, tail = text.split('"trades": []', 1)  # nu and psi hold only numbers
@@ -105,6 +109,8 @@ def cmd_route(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from . import generate  # deferred: a route loads no numpy.random
+
     snapshot = generate.generate_snapshot(args.m, args.seed, fee=args.fee)
     _write(dumps_snapshot(snapshot), args.out)
     return 0

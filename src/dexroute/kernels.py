@@ -37,7 +37,7 @@ def columns(parts) -> np.ndarray:
     consecutive columns of one block, as a snapshot's aggregate is, are read
     as one slice copy of it; any others from each part's `_row()`."""
     block, j = parts[0]._block, parts[0]._j
-    if all(p._block is block and p._j == i for i, p in enumerate(parts, j)):
+    if [p._j for p in parts if p._block is block] == list(range(j, j + len(parts))):
         return block[:, j:j + len(parts)].copy()
     flat = np.fromiter(chain.from_iterable(p._row() for p in parts), dtype=float)
     return flat.reshape(len(parts), -1).T.copy()

@@ -31,7 +31,8 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, compress, islice
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -777,58 +778,57 @@ def market_from_dict(doc: dict):
     raise ConfigurationError(f"unknown market type: {kind!r}")
 
 
-def _floats(values: list, width: int) -> np.ndarray:
-    """Snapshot-JSON numbers as (max(width, 1), k) float columns, for k entries
-    of width numbers each (0: one number) read as one flat list, each such
-    entry a list; ValueError for any other shape."""
-    if width and values and set(map(type, values)) | set(map(len, values)) != {list, width}:
-        raise ValueError("malformed entry")
-    values = [x for v in values for x in v] if width else values
-    arr = np.array(values, dtype=float)
-    if arr.shape != (len(values),):
-        raise ValueError("malformed entry")
-    return arr.reshape(-1, max(width, 1)).T
+def _floats(entries: list, field: str, width: int) -> np.ndarray:
+    """`field` of each snapshot-JSON entry, a list of width numbers (0: one number),
+    as (max(width, 1), len(entries)) float columns; ValueError for another shape."""
+    values = map(itemgetter(field), entries)
+    if width:
+        values = list(values)
+        if values and set(map(list.__len__, values)) != {width}:  # TypeError if one is not a list
+            raise ValueError("malformed entry")
+        values = chain.from_iterable(values)
+    return np.fromiter(values, dtype=float, count=len(entries) * max(width, 1)).reshape(-1, max(width, 1)).T
 
 
 def read_columns(docs: list, n: int) -> tuple | None:
     """The snapshot-JSON market entries over n assets as `MarketSnapshot`
     columns (owner, i1, i2, blocks, block_rows, other, aggregates): the tokens
-    and each field read as one flat list, the types' `rules` applied to whole
-    columns, and only the curve2 pools built; the snapshot builds the other
-    markets from the columns on first read.  None if an entry is malformed or
-    breaks a rule, for `market_from_dict` to name."""
-    closed = (GeomMeanMarket, BoundedProductSegment)  # indexed by the code of a type
-    code = {"gmean": 0, "bounded_product": 1, "aggregate": 1, "curve2": 2}
+    and each field read in one pass over the entries of a type, the types'
+    `rules` applied to whole columns, and only the curve2 pools built; the
+    snapshot builds the other markets from the columns on first read.  None
+    if an entry is malformed or breaks a rule, for `market_from_dict` to name."""
+    closed = (GeomMeanMarket, BoundedProductSegment)  # indexed by the code of a row's type
+    code = {"gmean": 0, "bounded_product": 1, "curve2": 2, "aggregate": 3}
     try:
-        kind, pairs = [d["type"] for d in docs], [d["tokens"] for d in docs]
-        flat = [t for pair in pairs for t in pair]
-        sizes = [len(d["segments"]) if k == "aggregate" else 1 for d, k in zip(docs, kind)]
-        # exactly two Python ints an entry: `TokenMap` refuses JSON true and false
-        if (not docs or not set(kind) <= code.keys() or 0 in sizes or set(map(type, flat)) != {int}
-                or set(map(type, pairs)) | set(map(len, pairs)) != {list, 2}):
+        kinds = np.fromiter(map(code.__getitem__, map(itemgetter("type"), docs)), dtype=np.intp, count=len(docs))
+        codes = np.array([0, 1, 2, 1])[kinds]  # the code of an entry's rows: an aggregate's are segments
+        heads = [list(compress(docs, (codes == c).tolist())) for c in range(3)]
+        sizes = np.ones(len(docs), dtype=np.intp)
+        sizes[kinds == 3] = list(map(len, map(itemgetter("segments"), compress(docs, (kinds == 3).tolist()))))
+        # some entry, each of exactly two Python ints: `TokenMap` refuses JSON true and false
+        pairs = list(map(itemgetter("tokens"), docs))
+        flat = list(chain.from_iterable(pairs))  # read twice: a list is faster than a second chain
+        if not sizes.all() or set(map(list.__len__, pairs)) != {2} or set(map(type, flat)) != {int}:
             return None
-        tok = np.array(flat, dtype=np.intp).reshape(-1, 2)
+        tok = np.fromiter(flat, dtype=np.intp, count=2 * len(docs)).reshape(-1, 2)
         if tok.min() < 0 or tok.max() >= n or (tok[:, 0] == tok[:, 1]).any():
             return None
-        # each closed type's entries; an aggregate's segments take its fee
-        entries = ([d for d, k in zip(docs, kind) if k == "gmean"],
-                   [e for d, k in zip(docs, kind) if code[k] == 1
-                    for e in ([{**s, "fee": d["fee"]} for s in d["segments"]]
-                              if k == "aggregate" else (d,))])
-        row_code = np.repeat([code[k] for k in kind], sizes)
         owner = np.repeat(np.arange(len(docs), dtype=np.intp), sizes)
         i1, i2 = (np.repeat(tok[:, a], sizes) for a in (0, 1))
-        curve2 = [market_from_dict(d) for d, k in zip(docs, kind) if k == "curve2"]
-        other = list(zip(np.flatnonzero(row_code == 2).tolist(), curve2))
+        row_code = codes[owner]
+        # each closed type's rows: an aggregate's are its segments, which take its fee
+        rows = (heads[0], list(chain.from_iterable(d["segments"] if d["type"] == "aggregate" else (d,)
+                                                   for d in heads[1])))
+        other = list(zip(np.flatnonzero(row_code == 2).tolist(), map(market_from_dict, heads[2])))
         blocks, block_rows = {}, {}
         for c, cls in enumerate(closed):
-            block = np.ascontiguousarray(np.concatenate(
-                [_floats([e[f] for e in entries[c]], width) for f, width in cls.fields]))
+            fee = np.repeat(_floats(heads[c], "fee", 0), sizes[codes == c], axis=1)
+            block = np.ascontiguousarray(np.concatenate([*(_floats(rows[c], f, w) for f, w in cls.fields[:-1]), fee]))
             with np.errstate(all="ignore"):  # inf - inf is a NaN that breaks a rule, as on floats
                 if not all(ok(*block).all() for ok, _ in cls.rules):
                     return None
-            if entries[c]:
+            if heads[c]:
                 blocks[cls.kernel], block_rows[cls.kernel] = block, np.flatnonzero(row_code == c)
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError):
         return None
-    return owner, i1, i2, blocks, block_rows, other, np.flatnonzero([k == "aggregate" for k in kind])
+    return owner, i1, i2, blocks, block_rows, other, np.flatnonzero(kinds == 3)

@@ -62,7 +62,7 @@ class TestGen:
 def test_import_leaves_scipy_linalg_unloaded(tmp_path):
     """Importing the command line loads the solver but no `scipy` module, and
     a one-shot `dexroute route` solves with numpy alone: at its end no `scipy`
-    module is loaded either."""
+    module is loaded either, nor `numpy.random`, which only `gen` needs."""
     snap, out = tmp_path / "snap.json", tmp_path / "sol.json"
     assert run(["gen", "--m", "64", "--seed", "3", "--out", str(snap)]) == 0
     src = os.path.dirname(os.path.dirname(dx.__file__))
@@ -70,11 +70,12 @@ def test_import_leaves_scipy_linalg_unloaded(tmp_path):
             "print(sorted(sys.modules)); "
             f"code = cli.main(['route', '--snapshot', {str(snap)!r}, '--objective', 'arbitrage', "
             f"'--out', {str(out)!r}]); "
-            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+            "sorted(m for m in sys.modules if m.startswith('numpy.random')))")
     imported, routed = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                                       check=True).stdout.splitlines()
     assert "'dexroute.solver'" in imported and "'scipy" not in imported
-    assert routed.split() == ["0", "[]"]
+    assert routed.split() == ["0", "[]", "[]"]
     doc = json.loads(out.read_text())
     assert doc["converged"] is True and doc["iterations"] > 0
 

@@ -258,9 +258,10 @@ _SEGMENTS = [{"reserves": [5.0, 0.0], "alpha": 10.0, "beta": 20.0},
 
 class TestLoaderErrors:
     """One malformed entry among 50 raises what building that entry's market
-    on its own raises, naming it by its index."""
+    on its own raises, naming it by its index: in a document with every kind
+    of market, and in one whose 49 other entries are all gmean pools."""
 
-    @pytest.mark.parametrize("entry, error, message", [
+    _malformed = pytest.mark.parametrize("entry, error, message", [
         ({**_GMEAN, "weights": [0.6, 0.6]}, ConfigurationError,
          "market 37: weights must be in (0,1) and sum to 1: (0.6, 0.6)"),
         ({**_GMEAN, "fee": 1.5}, ConfigurationError, "market 37: fee must be in (0, 1]: 1.5"),
@@ -308,11 +309,20 @@ class TestLoaderErrors:
             "token-outside-universe", "token-beyond-int64", "three-tokens", "unknown-type",
             "missing-field",
             "non-numeric-fee", "null-fee", "list-alpha"])
-    def test_same_error_as_one_market_at_a_time(self, entry, error, message):
-        doc = _fifty_market_doc()
+
+    @staticmethod
+    def _check(doc, entry, error, message):
         dx.snapshot_from_dict(doc)
         doc["markets"][37] = entry
         with pytest.raises(ValueError) as exc:
             dx.snapshot_from_dict(doc)
         assert type(exc.value) is error
         assert str(exc.value) == message
+
+    @_malformed
+    def test_same_error_as_one_market_at_a_time(self, entry, error, message):
+        self._check(_fifty_market_doc(), entry, error, message)
+
+    @_malformed
+    def test_same_error_among_gmean_pools(self, entry, error, message):
+        self._check(dx.snapshot_to_dict(generate.generate_snapshot(50, 3)), entry, error, message)

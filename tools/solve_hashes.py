@@ -36,6 +36,12 @@ initial point and primal recovery).  The groups:
   of `max_input`, in both directions, and of `spread` and `phi`, where the
   type has them, then the market's `to_dict` as JSON.  The hex spelling
   pins the values and not their type (`float` or `np.float64`);
+- read: one SHA-256 over what `markets.read_columns` returns for the desk
+  documents (seeds 42 and 7), each mixed-network template document of
+  seed 1 and the block-stream document of seed 1: the dtype, shape,
+  contiguity and bytes of `owner`, `i1`, `i2`, each block, its `block_rows`
+  and `aggregates`, and each `other` row with its market's `to_dict`, so a
+  change to the reader shows bit-identical columns;
 - sweep: the 300 random solves (150 networks from `default_rng(0)`, each
   under arbitrage and the liquidation of 20 of token 0 into token 1).
 
@@ -177,6 +183,22 @@ def scalar() -> str:
     return h.hexdigest()
 
 
+def read() -> str:
+    h = hashlib.sha256()
+    snaps = [generate.generate_snapshot(workloads.DeskGmean.m, seed) for seed in (42, 7)]
+    snaps += [workloads.mixed_snapshot(j, 1)[0] for j in range(workloads.MixedNetwork.templates)]
+    for snap in [*snaps, workloads.block_snapshot(1)]:
+        doc = json.loads(dx.dumps_snapshot(snap))
+        owner, i1, i2, blocks, block_rows, other, aggregates = dx.markets.read_columns(doc["markets"], snap.n)
+        h.update(" ".join(sorted(blocks)).encode())
+        for a in (owner, i1, i2, *(a for name in sorted(blocks) for a in (blocks[name], block_rows[name])),
+                  aggregates):
+            h.update(f"{a.dtype} {a.shape} {a.flags.c_contiguous}".encode() + a.tobytes())
+        for r, market in other:
+            h.update(f"{r} {json.dumps(market.to_dict())}".encode())
+    return h.hexdigest()
+
+
 def sweep(records):
     for n, kinds, seed in sweep_cases():
         snap = _random_network(n, kinds, seed)
@@ -265,6 +287,7 @@ def main(argv=None) -> int:
     print(f"{'snapshot':17} {texts.hexdigest()}", flush=True)
     print(f"{'gen':17} {gen()}", flush=True)
     print(f"{'scalar':17} {scalar()}", flush=True)
+    print(f"{'read':17} {read()}", flush=True)
     records = []
     _report("sweep", [("", sweep(records))])
     print(f"sweep  converged {sum(r['converged'] for r in records)} of {len(records)}")
