@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import ConfigurationError, DimensionError, DomainError
+from .errors import ConfigurationError, DimensionError
 
 
 @dataclass(frozen=True)
@@ -266,8 +266,8 @@ def snapshot_from_dict(doc: dict) -> MarketSnapshot:
                 market_list.append(mk.market_from_dict(d))
             except KeyError as e:
                 raise ConfigurationError(f"snapshot missing field {e} in market {i}") from e
-            except (TypeError, AttributeError, ConfigurationError, DomainError) as e:
-                # a market entry of the wrong JSON type, or one its constructor refuses
+            except (TypeError, AttributeError, ValueError) as e:
+                # an entry of the wrong JSON type, a number that is not one, or one its constructor refuses
                 raise ConfigurationError(f"market {i}: {e}") from e
         columns = _stack(market_list, universe.n)
     prices = np.asarray(doc["prices"], dtype=float) if "prices" in doc else None

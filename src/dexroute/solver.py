@@ -43,9 +43,8 @@ Schur complement as in primal-dual Newton methods (Nocedal and Wright,
 ch. 18-19): the row's curvature from outside the edge, and its trade
 linearised at the edge (`GenericSwapMarket.edge_arb`).
 
-The line search tries the halvings of the first trial length in order and
-takes the first that Armijo accepts.  That first stopping trial is found by
-galloping search (`_first_stop`), in O(log k) evaluations for k halvings.
+The line search is backtracking Armijo (Nocedal and Wright, ch. 3): it tries
+the halvings of the first trial length in turn and takes the first accepted.
 """
 
 from __future__ import annotations
@@ -75,8 +74,9 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iterations <= 0:
             raise ValueError("max_iterations must be positive")
-        if self.gradient_tolerance is not None and self.gradient_tolerance <= 0:
-            raise ValueError("gradient_tolerance must be positive")
+        tol = self.gradient_tolerance
+        if tol is not None and not (math.isfinite(tol) and tol > 0):
+            raise ValueError("gradient_tolerance must be positive and finite")
 
 
 @dataclass
@@ -270,26 +270,6 @@ def _first_length(nu, direction, floor, flat) -> float:
     return first
 
 
-def _first_stop(stops, n):
-    """The first k in 0..n-1 at which `stops(k)` holds, or None, found by
-    galloping search (Bentley and Yao 1976): k = 0 and 1 in turn, then 2, 4,
-    8, ... and n - 1, then bisection between the last probe that did not stop
-    and the first that did.  Exact when `stops` is monotone in k; each k is
-    probed at most once, 2 + 2*ceil(log2(k + 1)) probes at most."""
-    lo, hi = -1, 0
-    while not stops(hi):
-        if hi == n - 1:
-            return None
-        lo, hi = hi, min(max(2 * hi, 1), n - 1)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if stops(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def _newton_step(hess, gi, x):
     """The Newton step in nu from prices x, with Hessian hess and gradient gi
     in nu, taken in s = sqrt(x) (see `minimize`); None where neither system
@@ -355,18 +335,12 @@ def minimize(obj, nu, lower, snapshot, tol, max_rounds, layout):
     Each round solves the Newton system on the free set (the variables off
     their bound, or on it with a negative gradient) and searches the trials
     max(nu + t0*0.5**k*direction, floor), k = 0 .. 39, along the projection
-    arc, t0 from `_first_length`.  A trial stops the search when it is
-    accepted, by Armijo on the dual value or, where the value moves by no
-    more than its round-off, by a lower projected gradient; or when it
-    equals nu, and the round fails.  The first stopping trial is found by
-    galloping search (`_first_stop`), which evaluates each trial at most
-    once, and only the lowest stopping one is kept: where acceptance is
-    monotone in k, that is the trial halving one at a time would take.
-    Where it is not, the search can land on a later accepted trial, or on no
-    move past an accepted one; in the second case the trials it skipped are
-    tried in turn before the round fails.  The loop stops at tol, with no
-    free variable, or when a round fails.  Every evaluation and round reads
-    the solve's `layout`.
+    arc, t0 from `_first_length`, in turn.  The first trial accepted, by
+    Armijo on the dual value or, where the value moves by no more than its
+    round-off, by a lower projected gradient, is the round's move; the round
+    fails at the first trial equal to nu, or when none is accepted.  The
+    loop stops at tol, with no free variable, or when a round fails.  Every
+    evaluation and round reads the solve's `layout`.
 
     The system is solved in s = sqrt(nu), where a trading constant-product
     pool's arbitrage value is a quadratic: with S = diag(s) and H the Hessian
@@ -451,31 +425,22 @@ def minimize(obj, nu, lower, snapshot, tol, max_rounds, layout):
         roundoff = 1e-13 * (abs(g) + float(rows[4].sum()))
         rounds += 1
         t = _first_length(nu, direction, floor, layout.flat)
-        # trial k is max(nu + t*0.5**k*direction, floor); it stops the search
-        # when it is nu itself (the round fails) or when it is accepted
-        tried, kept = set(), {"k": _TRIALS, "ev": None}  # the lowest stopping trial
-
-        def stops(k):
-            tried.add(k)
+        accepted = None
+        for k in range(_TRIALS):  # the halvings of t in turn
             cand = np.maximum(nu + math.ldexp(t, -k) * direction, floor)
             if np.array_equal(cand, nu):  # the step has fallen below the round-off of nu
-                stop, ev_c = True, None
-            else:
-                ev_c = _eval(obj, cand, snapshot, layout)
-                if abs(ev_c[0] - g) > roundoff:
-                    stop = ev_c[0] <= g + 1e-4 * float(grad @ (cand - nu))
-                else:  # Armijo would pass a step that changes nothing
-                    stop = _projected_grad_norm(cand, ev_c[1], lower) < pg
-            if stop and k < kept["k"]:
-                kept.update(k=k, cand=cand, ev=ev_c)
-            return stop
-
-        _first_stop(stops, _TRIALS)
-        if kept["ev"] is None:  # before the solve ends here, the trials the search skipped in turn
-            any(stops(j) for j in range(kept["k"]) if j not in tried)
-        if kept["ev"] is None:  # no step was accepted
+                break
+            ev_c = _eval(obj, cand, snapshot, layout)
+            if abs(ev_c[0] - g) > roundoff:
+                ok = ev_c[0] <= g + 1e-4 * float(grad @ (cand - nu))
+            else:  # Armijo would pass a step that changes nothing
+                ok = _projected_grad_norm(cand, ev_c[1], lower) < pg
+            if ok:
+                accepted = cand, ev_c
+                break
+        if accepted is None:  # no step was accepted
             break
-        nu, ev = kept["cand"], kept["ev"]
+        nu, ev = accepted
     return nu, ev, rounds
 
 

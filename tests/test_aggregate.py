@@ -210,6 +210,15 @@ class TestSwapAndLiquidity:
             dx.swap(market, dx.Trade(np.array([10.0, 0.0]), np.array([5.0, 0.0])))
         assert market.to_dict() == before
 
+    def test_no_segment_holding_the_asset_paid_out_rejected(self):
+        tm = dx.TokenMap((0, 1))
+        market = dx.AggregateMarket([dx.BoundedProductSegment(np.array([r1, 0.0]), 10.0, 20.0, 1.0, tm)
+                                     for r1 in (5.0, 3.0)], 1.0, tm)
+        before = market.to_dict()
+        with pytest.raises(RejectedTradeError, match="no liquidity in that direction"):
+            dx.swap(market, dx.Trade(np.array([1.0, 0.0]), np.zeros(2)))
+        assert market.to_dict() == before
+
     @pytest.mark.parametrize("change", ["swap", "update_liquidity"])
     def test_no_stale_quote_after_a_segment_changes(self, change):
         from dexroute.markets import market_from_dict

@@ -172,12 +172,21 @@ class TestRoute:
         ["route", "--snapshot", "{snap}", "--objective", "arbitrage", "--prices", "1,inf,1,1,1,1"],
         ["route", "--snapshot", "{snap}", "--objective", "liquidate",
          "--basket", "0,inf,1,0,0,0", "--out-token", "0"],
+        ["route", "--snapshot", "{snap}", "--objective", "arbitrage", "--tol", "nan"],
+        ["route", "--snapshot", "{snap}", "--objective", "arbitrage", "--tol", "inf"],
+        ["route", "--snapshot", "{snap}", "--objective", "arbitrage", "--tol", "0"],
+        ["route", "--snapshot", "{unpriced}", "--objective", "arbitrage"],
     ], ids=["gen-m-0", "gen-fee-above-1", "gen-negative-seed", "gen-out-missing-dir",
-            "route-out-missing-dir", "route-nan-price", "route-inf-price", "route-inf-basket"])
+            "route-out-missing-dir", "route-nan-price", "route-inf-price", "route-inf-basket",
+            "route-nan-tol", "route-inf-tol", "route-zero-tol", "route-arbitrage-without-prices"])
     def test_bad_input_prints_one_error_line(self, snapshot_path, tmp_path, argv, capsys):
         missing = tmp_path / "no-such-dir" / "x.json"
+        unpriced = tmp_path / "unpriced.json"
+        doc = json.loads(snapshot_path.read_text())
+        del doc["prices"]
+        unpriced.write_text(json.dumps(doc))
         with pytest.raises(SystemExit) as exc:
-            run([a.format(snap=snapshot_path, missing=missing) for a in argv])
+            run([a.format(snap=snapshot_path, missing=missing, unpriced=unpriced) for a in argv])
         assert exc.value.code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -214,6 +214,18 @@ class TestSnapshotJSON:
         with pytest.raises(ConfigurationError):
             dx.snapshot_from_dict({"markets": []})
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"assets": 5, "markets": []},
+         "snapshot needs 'assets' and 'markets' lists: 'int' object is not iterable"),
+        ({"assets": ["A", "B"], "markets": 5},
+         "snapshot needs 'assets' and 'markets' lists: 'int' object is not iterable"),
+        ({"assets": ["A", "B"], "prices": [1.0, 2.0, 3.0], "markets": []}, "prices length does not match universe"),
+    ], ids=["assets-not-list", "markets-not-list", "prices-wrong-length"])
+    def test_malformed_document_raises(self, doc, message):
+        with pytest.raises(ConfigurationError) as exc:
+            dx.snapshot_from_dict(doc)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("path", ["columns", "one at a time"])
     def test_the_snapshot_keeps_no_reference_to_the_document(self, path):
         class Entry(dict):
@@ -298,7 +310,9 @@ class TestLoaderErrors:
         ({**_GMEAN, "type": "cpmm"}, ConfigurationError, "market 37: unknown market type: 'cpmm'"),
         ({k: v for k, v in _BOUNDED.items() if k != "alpha"}, ConfigurationError,
          "snapshot missing field 'alpha' in market 37"),
-        ({**_GMEAN, "fee": "high"}, ValueError, "could not convert string to float: 'high'"),
+        ({**_GMEAN, "fee": "high"}, ConfigurationError, "market 37: could not convert string to float: 'high'"),
+        ({**_GMEAN, "weights": ["a", "b"]}, ConfigurationError,
+         "market 37: could not convert string to float: 'a'"),
         ({**_GMEAN, "fee": None}, ConfigurationError,
          "market 37: float() argument must be a string or a real number, not 'NoneType'"),
         ({**_BOUNDED, "alpha": [90.0]}, ConfigurationError,
@@ -308,7 +322,7 @@ class TestLoaderErrors:
             "no-segments", "fractional-token", "boolean-token", "repeated-token", "negative-token",
             "token-outside-universe", "token-beyond-int64", "three-tokens", "unknown-type",
             "missing-field",
-            "non-numeric-fee", "null-fee", "list-alpha"])
+            "non-numeric-fee", "non-numeric-weights", "null-fee", "list-alpha"])
 
     @staticmethod
     def _check(doc, entry, error, message):

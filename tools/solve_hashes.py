@@ -8,7 +8,11 @@ evaluations (calls of `solver._eval`) the group took.  Under each group's
 line a `time` line gives its mean `wall_time` per solve in ms, the time
 inside `solver._eval` per evaluation in µs, and the rest of the solve time
 per Newton round in µs (Hessian, Newton step, line-search bookkeeping,
-initial point and primal recovery).  The groups:
+initial point and primal recovery).  Under that a `trials` line counts the
+group's Newton rounds by the number of trials their line search evaluated,
+`k:rounds` for each k: the `solver._eval` calls from one call of
+`solver._first_length`, which starts a round's line search, to the next or
+to the end of the solve.  The groups:
 
 - mixed: the 64 mixed-network solves (templates 0-7, arbitrage and
   liquidation, seeds 1, 2, 3 and 1001), each snapshot read back from JSON;
@@ -50,7 +54,8 @@ line with its converged count.  `--sweep-out` writes each sweep solve's rounds,
 `converged`, residual and evaluations as JSON.  `--compare` reads such a
 file, written by another tree, and prints the sweep against it: the solves
 converged, lost and won, the residuals more than ten times worse or better,
-the runs at the round cap, and the total, median and largest evaluations.
+the runs at the round cap, the total, median and largest evaluations, and
+the evaluations of the solves converged in the file read and of the rest.
 The inputs come from
 `perfbench/workloads.py` and `tests/test_solver.py` (`_random_network` and
 `sweep_cases`); the script imports the `dexroute` beside it, so a copy of the
@@ -60,6 +65,7 @@ tree fingerprints that tree.
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import hashlib
 import json
@@ -99,6 +105,30 @@ class Counter:
 
 COUNT = Counter()
 solver._eval = COUNT
+
+
+class Rounds:
+    """Counts, while installed, the Newton rounds by the number of
+    `solver._eval` calls of their line search: from one call of
+    `solver._first_length` to the next, or to the end of the solve, which
+    `close` marks."""
+
+    def __init__(self):
+        self.trials, self._start, self._first_length = collections.Counter(), None, solver._first_length
+
+    def __call__(self, *args, **kwargs):
+        self.close()
+        self._start = COUNT.calls
+        return self._first_length(*args, **kwargs)
+
+    def close(self):
+        if self._start is not None:
+            self.trials[COUNT.calls - self._start] += 1
+            self._start = None
+
+
+ROUNDS = Rounds()
+solver._first_length = ROUNDS
 
 
 def _digest(sol) -> bytes:
@@ -216,12 +246,14 @@ def sweep(records):
 
 def _report(name, parts):
     """Print a line per part, if more than one, and one for the group: hash,
-    solves, evaluations; then the group's `time` line."""
+    solves, evaluations; then the group's `time` and `trials` lines."""
+    ROUNDS.trials.clear()
     group, total_solves, total_evals = hashlib.sha256(), 0, 0
     wall, rounds, eval_seconds = 0.0, 0, COUNT.seconds
     for label, solves in parts:
         h, count, before = hashlib.sha256(), 0, COUNT.calls
         for sol in solves:
+            ROUNDS.close()
             d = _digest(sol)
             h.update(d)
             group.update(d)
@@ -236,6 +268,7 @@ def _report(name, parts):
     print(f"{name:6} {'time':10} {1e3 * wall / max(total_solves, 1):.3f} ms/solve  "
           f"{1e6 * eval_seconds / max(total_evals, 1):.1f} us/eval  "
           f"{1e6 * (wall - eval_seconds) / max(rounds, 1):.1f} us/round  ({rounds} rounds)", flush=True)
+    print(f"{name:6} {'trials':10} " + " ".join(f"{k}:{n}" for k, n in sorted(ROUNDS.trials.items())), flush=True)
 
 
 def _name(r) -> str:
@@ -264,6 +297,9 @@ def compare(before, after):
     for label, x, y in zip(("converged", f"at the {cap}-round cap", "evaluations", "median evaluations",
                             "most evaluations"), stats(before), stats(after)):
         print(f"  {label:22} {x:>6g} {y:>6g}")
+    for label, converged in (("evaluations, converged", True), ("evaluations, the rest", False)):
+        print(f"  {label:22} {sum(a['evals'] for a, _ in pairs if a['converged'] == converged):>6g} "
+              f"{sum(b['evals'] for a, b in pairs if a['converged'] == converged):>6g}")
     named("converged solves lost", [(a, b) for a, b in pairs if a["converged"] and not b["converged"]])
     named("converged solves won", [(a, b) for a, b in pairs if b["converged"] and not a["converged"]])
     named("residual over 10x worse", [(a, b) for a, b in pairs if b["residual"] > 10.0 * a["residual"]])
