@@ -1121,37 +1121,6 @@ class TestFlatRowEdgeModel:
         assert sol.utility == pytest.approx(sol.dual_value, rel=1e-7)
 
 
-class TestLineSearch:
-    """A round's line search is backtracking Armijo: it evaluates the trials
-    max(nu + t0*0.5**k*direction, floor) for k = 0, 1, 2, ... in turn."""
-
-    def test_a_round_tries_its_halvings_in_turn(self, monkeypatch):
-        # this liquidation has rounds that halve more than twice
-        snap = _random_network(3, ["aggregate", "curve2", "gmean"], 35223)
-        basket = np.zeros(3)
-        basket[0] = 20.0
-        rounds, first_length, real_eval = [], solver._first_length, solver._eval
-
-        def traced_first_length(nu, direction, floor, flat):
-            t = first_length(nu, direction, floor, flat)
-            rounds.append((nu, direction, floor, t, []))
-            return t
-
-        def traced_eval(obj, nu, *args):
-            if rounds:  # the evaluation at the initial point comes before any round
-                rounds[-1][4].append(nu.copy())
-            return real_eval(obj, nu, *args)
-
-        monkeypatch.setattr(solver, "_first_length", traced_first_length)
-        monkeypatch.setattr(solver, "_eval", traced_eval)
-        sol = dx.solve(snap, dx.BasketLiquidation(basket, 1))
-        assert sol.converged and len(rounds) == sol.iterations
-        assert max(len(tried) for *_, tried in rounds) > 3
-        for nu, direction, floor, t, tried in rounds:
-            expected = [np.maximum(nu + math.ldexp(t, -k) * direction, floor) for k in range(len(tried))]
-            assert [c.tobytes() for c in tried] == [c.tobytes() for c in expected]
-
-
 # the network seeds of the sweep solves that converge, by objective
 _SWEEP_CONVERGED = {
     "arbitrage": (321, 351, 1448, 3184, 5196, 12355, 12715, 13300, 16495, 17347, 17678, 18384, 18896, 19262,
@@ -1162,6 +1131,64 @@ _SWEEP_CONVERGED = {
                   35223, 36113, 36266, 36610, 38923, 41774, 43525, 44223, 45567, 51583, 53445, 60778, 60839,
                   61083, 64436, 64796),
 }
+
+
+# the network of each sweep seed, as (n, kinds)
+_SWEEP_NETWORKS = {seed: (n, kinds) for n, kinds, seed in sweep_cases()}
+
+
+def _traced_rounds(monkeypatch, snap, obj):
+    """The solve, and per Newton round its nu, direction, floor, first trial
+    length t and the points its line search evaluated, in order."""
+    rounds, first_length, real_eval = [], solver._first_length, solver._eval
+
+    def traced_first_length(nu, direction, floor, flat):
+        t = first_length(nu, direction, floor, flat)
+        rounds.append((nu, direction, floor, t, []))
+        return t
+
+    def traced_eval(obj, nu, *args):
+        if rounds:  # the evaluation at the initial point comes before any round
+            rounds[-1][4].append(nu.copy())
+        return real_eval(obj, nu, *args)
+
+    monkeypatch.setattr(solver, "_first_length", traced_first_length)
+    monkeypatch.setattr(solver, "_eval", traced_eval)
+    return dx.solve(snap, obj), rounds
+
+
+def _assert_halvings_in_turn(rounds):
+    for nu, direction, floor, t, tried in rounds:
+        expected = [np.maximum(nu + math.ldexp(t, -k) * direction, floor) for k in range(len(tried))]
+        assert [c.tobytes() for c in tried] == [c.tobytes() for c in expected]
+
+
+class TestLineSearch:
+    """A round's line search is backtracking Armijo: it evaluates the trials
+    max(nu + t0*0.5**k*direction, floor) for k = 0, 1, 2, ... in turn."""
+
+    def test_a_round_tries_its_halvings_in_turn(self, monkeypatch):
+        # this liquidation has rounds that halve more than twice
+        snap = _random_network(3, ["aggregate", "curve2", "gmean"], 35223)
+        basket = np.zeros(3)
+        basket[0] = 20.0
+        sol, rounds = _traced_rounds(monkeypatch, snap, dx.BasketLiquidation(basket, 1))
+        assert sol.converged and len(rounds) == sol.iterations
+        assert max(len(tried) for *_, tried in rounds) > 3
+        _assert_halvings_in_turn(rounds)
+
+    @pytest.mark.parametrize("objective, seed", [
+        (objective, seed) for objective, seeds in _SWEEP_CONVERGED.items() for seed in seeds])
+    def test_every_round_of_a_converging_sweep_solve_tries_its_halvings_in_turn(
+            self, monkeypatch, objective, seed):
+        n, kinds = _SWEEP_NETWORKS[seed]
+        snap = _random_network(n, kinds, seed)
+        basket = np.zeros(n)
+        basket[0] = 20.0
+        obj = dx.TotalArbitrage(snap.prices) if objective == "arbitrage" else dx.BasketLiquidation(basket, 1)
+        sol, rounds = _traced_rounds(monkeypatch, snap, obj)
+        assert sol.converged and len(rounds) == sol.iterations
+        _assert_halvings_in_turn(rounds)
 
 
 class TestSweep:
