@@ -16,7 +16,8 @@ market, and each copy or pickle of it, quotes its own state after `swap` or
 `update_liquidity`, on it or on one of an aggregate's segments.  An aggregate
 swap fills each tendered asset at one common marginal price, found on the
 kernel's rows.  `swap` refuses a trade that is not two finite amounts a side,
-and `update_liquidity` NaN or infinite amounts, before anything changes.
+and `update_liquidity` amounts that are not two finite, nonnegative
+numbers, before anything changes.
 
 Each constructor takes exactly two reserves and checks them, with its other
 numbers, by scalar comparisons: a closed-form type by its `rules`, which
@@ -41,6 +42,7 @@ from . import kernels
 from .core import TokenMap, Trade
 from .errors import (
     ConfigurationError,
+    DimensionError,
     DomainError,
     InvalidMarketError,
     RejectedTradeError,
@@ -267,7 +269,7 @@ class GeomMeanMarket(_KernelRow):
         if delta < 0:
             raise DomainError("tendered amount must be nonnegative")
         rin, rout, eta = map(float, kernels.gmean_mirror(direction != 1, *self._row()[:4]))
-        return float(kernels.gmean_out(rin, rout, eta, self.fee, delta))
+        return float(kernels.gmean_out(rin, rout, eta, self.fee * delta))
 
     def price_impact(self, delta: float, direction: int = 1) -> float:
         rin, rout, eta = map(float, kernels.gmean_mirror(direction != 1, *self._row()[:4]))
@@ -325,7 +327,7 @@ class BoundedProductSegment(_KernelRow):
         if delta < 0:
             raise DomainError("tendered amount must be nonnegative")
         vin, vout, rout = self._virt(direction)
-        return float(kernels.bounded_out(vin, vout, rout, self.fee, delta))
+        return float(kernels.bounded_out(vin, vout, rout, self.fee * delta))
 
     def price_impact(self, delta: float, direction: int = 1) -> float:
         vin, vout, rout = self._virt(direction)
@@ -740,8 +742,13 @@ def swap(market, trade: Trade):
 
 
 def update_liquidity(market, amounts, price_range: tuple[float, float] | None = None):
-    """Add reserves to a market; aggregates require the target segment's interval."""
+    """Add reserves to a market; aggregates require the target segment's
+    interval.  Amounts that are not two numbers raise `DimensionError`, and
+    ones that are not finite and nonnegative `DomainError`, before anything
+    changes."""
     amounts = np.asarray(amounts, dtype=float)
+    if amounts.shape != (2,):
+        raise DimensionError(f"liquidity amounts are two numbers, got shape {amounts.shape}")
     if not (np.isfinite(amounts).all() and (amounts >= 0).all()):
         raise DomainError(f"liquidity amounts must be finite and nonnegative: {amounts}")
     if isinstance(market, AggregateMarket):

@@ -8,6 +8,8 @@ import pytest
 import dexroute as dx
 from dexroute import generate, kernels
 
+import reference_kernels
+
 
 def _random_gmean_batch(rng, m):
     return dict(
@@ -252,3 +254,71 @@ def test_a_solve_computes_each_block_quote_once(monkeypatch):
     # each evaluation of the dual calls the gmean kernel once; the arbitrage
     # starts at its optimum, the liquidation evaluates the dual again
     assert kernel_calls[0] >= 1 and kernel_calls[1] >= 2
+
+
+def _branch_batch(name, rng, m):
+    """Argument columns, nu1 and nu2 of a batch for the kernel `name`: each
+    row's price lies below its bid, above its ask or inside its spread, or
+    exactly on one of its quotes (nu2 = 1 and nu1 the quote: the bid or the
+    ask, and a bounded segment's lo or hi), so that fee-free rows sit at
+    their spot; a few prices are NaN.  A bounded batch's prices below the bid
+    or above the ask fall both inside its range and past it, where it trades
+    its full liquidity, and it holds empty reserves and rows with alpha or
+    beta 0."""
+    fee = rng.choice([1.0, 0.997], m)
+    if name == "gmean_arb_batch":
+        w1 = rng.choice([0.2, 0.5, 0.8], m)
+        cols = (rng.uniform(10.0, 1e4, m), rng.uniform(10.0, 1e4, m), w1, 1.0 - w1, fee)
+    else:
+        r1, r2, alpha, beta = (rng.uniform(lo, 1e3, m) * (rng.random(m) > 0.1) for lo in (0.0, 0.0, 1.0, 1.0))
+        keep = (r1 + alpha > 0.0) & (r2 + beta > 0.0)
+        cols = tuple(c[keep] for c in (r1, r2, alpha, beta, fee))
+        m = len(cols[0])
+    quote = kernels.QUOTES[name](*cols)
+    bid, ask = quote[-2:]
+    u = rng.random(m)
+    inside = np.where(np.isfinite(ask), bid + (ask - bid) * u, 2.0 * bid + 1.0)
+    price = np.choose(rng.integers(3, size=m), [bid * 10.0 ** -rng.uniform(0.0, 3.0, m),
+                                                ask * 10.0 ** rng.uniform(0.0, 3.0, m), inside])
+    price = np.where((price > 0.0) & np.isfinite(price), price, inside)
+    nu2 = rng.uniform(0.1, 10.0, m)
+    nu1 = price * nu2
+    edges = (*quote[:2], bid, ask) if name == "bounded_arb_batch" else (bid, ask)  # lo, hi, bid, ask
+    on = np.choose(rng.integers(len(edges), size=m), edges)
+    at = (rng.random(m) < 0.3) & (on > 0.0) & np.isfinite(on)
+    nu1[at], nu2[at] = on[at], 1.0
+    nu1[rng.random(m) < 0.02] = np.nan
+    return cols, nu1, nu2
+
+
+class TestAgainstTheReference:
+    """Both kernels give, bit for bit, the rows of their form before they
+    computed in place and solved both bounded directions in one pass
+    (`reference_kernels.py`), on the same arrays: a whole batch with and
+    without its quote, and batches of one to 16 rows, whose numpy loops can
+    round otherwise (an in-place power of a one-row array does)."""
+
+    @pytest.mark.parametrize("name", ["gmean_arb_batch", "bounded_arb_batch"])
+    def test_bit_for_bit(self, name):
+        kernel, reference = getattr(kernels, name), getattr(reference_kernels, name)
+        cols, nu1, nu2 = _branch_batch(name, np.random.default_rng(21), 4000)
+        rows = reference(*cols, nu1, nu2)
+        # every branch is reached: each direction, idle rows, and a curvature
+        # without a trade at a fee-free row's spot
+        t1, o2, t2, o1, _, h = rows
+        idle = (t1 == 0.0) & (t2 == 0.0)
+        assert min((t1 > 0.0).sum(), (t2 > 0.0).sum(), idle.sum(), (idle & (h != 0.0)).sum()) > 50
+        if name == "bounded_arb_batch":
+            r1, r2, alpha, beta, _ = cols
+            full1, full2 = (t1 > 0.0) & (o2 == r2), (t2 > 0.0) & (o1 == r1)
+            assert min(full1.sum(), full2.sum(), ((t1 > 0.0) & ~full1).sum(), ((t2 > 0.0) & ~full2).sum()) > 50
+            assert min(((alpha == 0.0) & ~idle).sum(), ((beta == 0.0) & ~idle).sum()) > 20
+            assert min((r1 == 0.0).sum(), (r2 == 0.0).sum()) > 20
+        quote = kernels.QUOTES[name](*cols)
+        for passed in ((), (quote,)):
+            assert np.array_equal(kernel(*cols, nu1, nu2, *passed).view(np.int64), rows.view(np.int64))
+        for k in range(1, 17):
+            for i in range(0, 400, k):
+                part = slice(i, i + k)
+                one = kernel(*(c[part] for c in cols), nu1[part], nu2[part], tuple(q[part] for q in quote))
+                assert np.array_equal(one.view(np.int64), rows[:, part].view(np.int64)), (k, i)

@@ -15,6 +15,7 @@ import dexroute as dx
 from dexroute import generate, kernels, oracle
 from dexroute.errors import (
     ConfigurationError,
+    DimensionError,
     DomainError,
     RejectedTradeError,
     UnboundedError,
@@ -383,20 +384,23 @@ class TestSwap:
         with pytest.raises(DomainError):
             dx.update_liquidity(gmean(), np.array([-1.0, 0.0]))
 
-    @pytest.mark.parametrize("kind", ["gmean", "bounded", "aggregate", "curve2"])
-    def test_non_finite_or_three_asset_amounts_rejected_before_any_change(self, kind):
-        from dexroute import generate
-
-        make = {
+    @staticmethod
+    def _market(kind):
+        """A market of `kind` with reserves, and the trailing arguments of
+        its `update_liquidity`: an aggregate names a segment's range."""
+        m = {
             "gmean": gmean,
             "bounded": bounded,
             "aggregate": lambda: generate.make_ladder(4, seed=3),
             "curve2": lambda: dx.Curve2Market(np.array([100.0, 100.0]), 5.0, 1.0,
                                               dx.TokenMap((0, 1))),
-        }[kind]
-        m = make()
+        }[kind]()
+        return m, ((m.segments[1].active_interval(),) if kind == "aggregate" else ())
+
+    @pytest.mark.parametrize("kind", ["gmean", "bounded", "aggregate", "curve2"])
+    def test_non_finite_or_three_asset_amounts_rejected_before_any_change(self, kind):
+        m, args = self._market(kind)
         before = m.to_dict()
-        args = (m.segments[1].active_interval(),) if kind == "aggregate" else ()
         # a Trade holds no negative amount, so -inf reaches only update_liquidity
         for bad in (math.nan, math.inf):
             for t, r in (([bad, 0.0], [0.0, 0.0]), ([1.0, 0.0], [0.0, bad]),
@@ -408,6 +412,18 @@ class TestSwap:
                     dx.update_liquidity(m, np.array(amounts), *args)
         with pytest.raises(RejectedTradeError):
             dx.swap(m, dx.Trade(np.ones(3), np.zeros(3)))
+        assert m.to_dict() == before
+
+    @pytest.mark.parametrize("shape", [(), (1,), (3,), (2, 2)], ids=["scalar", "one", "three", "2x2"])
+    @pytest.mark.parametrize("kind", ["gmean", "bounded", "aggregate", "curve2"])
+    def test_amounts_that_are_not_two_numbers_rejected_before_any_change(self, kind, shape):
+        """A scalar or one amount is not spread over both reserves (5.0 would
+        turn reserves (100, 200) into (105, 205)), and no other length
+        reaches numpy's broadcasting."""
+        m, args = self._market(kind)
+        before = m.to_dict()
+        with pytest.raises(DimensionError, match="two numbers"):
+            dx.update_liquidity(m, np.full(shape, 5.0), *args)
         assert m.to_dict() == before
 
 
