@@ -12,7 +12,11 @@ initial point and primal recovery).  Under that a `trials` line counts the
 group's Newton rounds by the number of trials their line search evaluated,
 `k:rounds` for each k: the `solver._eval` calls from one call of
 `solver._first_length`, which starts a round's line search, to the next or
-to the end of the solve.  The groups:
+to the end of the solve.  Under that a `kernels` line gives, for the calls
+made inside `solver._eval`, each block kernel's µs per call and ns per row
+(the length of its first argument), and the µs per `find_arb` of the
+`other` rows (`GenericSwapMarket.find_arb`, which curve2 pools inherit),
+each with its number of calls.  The groups:
 
 - mixed: the 64 mixed-network solves (templates 0-7, arbitrage and
   liquidation, seeds 1, 2, 3 and 1001), each snapshot read back from JSON;
@@ -79,7 +83,7 @@ sys.path[:0] = [os.path.join(ROOT, d) for d in ("src", "perfbench", "tests")]
 import numpy as np  # noqa: E402
 
 import dexroute as dx  # noqa: E402
-from dexroute import cli, generate, solver  # noqa: E402
+from dexroute import cli, generate, kernels, markets, solver  # noqa: E402
 
 import workloads  # noqa: E402
 from test_solver import _random_network, sweep_cases  # noqa: E402
@@ -89,22 +93,55 @@ SEEDS = (1, 2, 3, 1001)
 
 class Counter:
     """Counts calls of `solver._eval`, and the seconds spent in them, while
-    installed."""
+    installed; `inside` is true during a call."""
 
     def __init__(self):
-        self.calls, self.seconds, self._eval = 0, 0.0, solver._eval
+        self.calls, self.seconds, self.inside, self._eval = 0, 0.0, False, solver._eval
 
     def __call__(self, *args, **kwargs):
         self.calls += 1
+        self.inside = True
         t0 = time.perf_counter()
         try:
             return self._eval(*args, **kwargs)
         finally:
             self.seconds += time.perf_counter() - t0
+            self.inside = False
 
 
 COUNT = Counter()
 solver._eval = COUNT
+
+
+class Timed:
+    """Counts the calls of `fn` made inside `solver._eval`, the rows they
+    solve (the length of a kernel's first argument, one per `find_arb`) and
+    the seconds spent in them.  `wrapper` replaces `fn`; it is a function,
+    so that it binds as a method where it replaces one."""
+
+    def __init__(self, fn, batched: bool):
+        self.totals = [0, 0, 0.0]  # calls, rows, seconds
+
+        def wrapper(*args, **kwargs):
+            if not COUNT.inside:
+                return fn(*args, **kwargs)
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self.totals[2] += time.perf_counter() - t0
+                self.totals[0] += 1
+                self.totals[1] += len(args[0]) if batched else 1
+
+        self.wrapper = wrapper
+
+
+# the solver looks each kernel up by name on every call, so it calls these
+TIMED = {}
+for _name, _owner in (("gmean_arb_batch", kernels), ("bounded_arb_batch", kernels),
+                      ("find_arb", markets.GenericSwapMarket)):
+    TIMED[_name] = Timed(getattr(_owner, _name), _owner is kernels)
+    setattr(_owner, _name, TIMED[_name].wrapper)
 
 
 class Rounds:
@@ -246,8 +283,10 @@ def sweep(records):
 
 def _report(name, parts):
     """Print a line per part, if more than one, and one for the group: hash,
-    solves, evaluations; then the group's `time` and `trials` lines."""
+    solves, evaluations; then the group's `time`, `trials` and `kernels`
+    lines."""
     ROUNDS.trials.clear()
+    timed = {fn: list(t.totals) for fn, t in TIMED.items()}
     group, total_solves, total_evals = hashlib.sha256(), 0, 0
     wall, rounds, eval_seconds = 0.0, 0, COUNT.seconds
     for label, solves in parts:
@@ -269,6 +308,16 @@ def _report(name, parts):
           f"{1e6 * eval_seconds / max(total_evals, 1):.1f} us/eval  "
           f"{1e6 * (wall - eval_seconds) / max(rounds, 1):.1f} us/round  ({rounds} rounds)", flush=True)
     print(f"{name:6} {'trials':10} " + " ".join(f"{k}:{n}" for k, n in sorted(ROUNDS.trials.items())), flush=True)
+    shown = []
+    for fn, t in TIMED.items():
+        calls, rows, seconds = (x - y for x, y in zip(t.totals, timed[fn]))
+        if not calls:
+            continue
+        if fn == "find_arb":
+            shown.append(f"other {1e6 * seconds / calls:.1f} us/find_arb ({calls})")
+        else:
+            shown.append(f"{fn.split('_')[0]} {1e6 * seconds / calls:.1f} us/call {1e9 * seconds / rows:.0f} ns/row ({calls})")
+    print(f"{name:6} {'kernels':10} " + "  ".join(shown), flush=True)
 
 
 def _name(r) -> str:
