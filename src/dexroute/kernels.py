@@ -26,12 +26,12 @@ kernel works out every row in the direction it trades in one pass, on
 columns mirrored by `np.where` (a row above its ask tenders asset 2): the
 gmean kernel over the whole batch, the bounded kernel over the few rows
 that trade inside their range, gathered by index, after it has copied in
-its full-liquidity rows.  Both compute in place where that keeps each
-formula's order of operations, and fill their rows onto zeros by mask with
-`np.putmask` (what `np.copyto(..., where=)` does, in a quarter of its time
-at 10**4 rows), never by multiplying with a mask, which would turn NaN and
--x into other bits than 0.0.  Their rows are bit for bit those of the
-earlier form that solved each direction on its own.
+its full-liquidity rows.  The gmean kernel computes in place where that
+keeps each formula's order of operations.  Both fill their rows onto zeros
+by mask with `np.putmask` (what `np.copyto(..., where=)` does, in a quarter
+of its time at 10**4 rows), never by multiplying with a mask, which would
+turn NaN and -x into other bits than 0.0.  Their rows are bit for bit those
+of the earlier form that solved each direction on its own.
 """
 
 from __future__ import annotations
@@ -188,21 +188,11 @@ def bounded_arb_batch(r1, r2, alpha, beta, fee, nu1, nu2, quote=None):
         v1, v2 = r1i + alpha[i], r2i + beta[i]
         vin, vout, rout = np.where(two, v2, v1), np.where(two, v1, v2), np.where(two, r1i, r2i)
         nu_in, nu_out = np.where(two, nu2i, nu1i), np.where(two, nu1i, nu2i)
-        # d = max((sqrt(f*(vin*vout)*nu_out/nu_in) - vin)/f, 0), in place
-        d = vin * vout
-        d *= f
-        d *= nu_out
-        d /= nu_in
-        np.sqrt(d, out=d)
-        d -= vin
-        d /= f
-        np.maximum(d, 0.0, out=d)
+        d = np.maximum((np.sqrt(f * (vin * vout) * nu_out / nu_in) - vin) / f, 0.0)
         fd = f * d
         lam = bounded_out(vin, vout, rout, fd)
         keep = nu_out * lam - nu_in * d > 0.0
-        fd += vin
-        fd /= 2.0 * f  # q = (vin + f*d)/(2f)
-        h = _curvature(two, fd, nu_in, nu_out)
+        h = _curvature(two, (vin + fd) / (2.0 * f), nu_in, nu_out)
         i, t = i[keep], 2 * two[keep]  # the tendered row of each kept row's direction
         out[t, i] = d[keep]
         out[t + 1, i] = lam[keep]
@@ -213,13 +203,7 @@ def bounded_arb_batch(r1, r2, alpha, beta, fee, nu1, nu2, quote=None):
     s = _spot(p, bid, ask)
     if s.size:
         out[5, s] = (r1[s] + alpha[s]) / (2.0 * nu1[s])
-    # the value max(nu1*(o1 - t1) + nu2*(o2 - t2), 0) of every row, in place
-    val = np.subtract(out[3], out[0], out=out[4])
-    val *= nu1
-    o2 = out[1] - out[2]
-    o2 *= nu2
-    val += o2
-    np.maximum(val, 0.0, out=val)
+    np.maximum(nu1 * (out[3] - out[0]) + nu2 * (out[1] - out[2]), 0.0, out=out[4])
     return out
 
 
